@@ -25,8 +25,6 @@ from .model import (
     potential_moment_c,
     separation_forms,
     sqrt_potential_fourier,
-    system_from_text,
-    system_to_text,
     uniform_system,
     validate_r6,
     zero_potential,
@@ -43,11 +41,8 @@ from .twobody import (
 )
 from .faddeev_ops import (
     BoundConstants,
-    a_fiber_norm,
-    b_inverse,
     bound_constants,
     channel_contraction_norm,
-    k2_hs_norm_squared,
     lemma6_uniformity_audit,
     t_multiplier,
 )
@@ -57,8 +52,6 @@ from .threebody import (
     SweepRecord,
     critical_coupling_3body,
     grow_basis,
-    ground_energy,
-    matrix_elements,
     solve_ground,
     spreading_diagnostic,
 )
@@ -80,8 +73,6 @@ __all__ = [
     "SweepRecord",
     "ThresholdLabError",
     "ValidationError",
-    "a_fiber_norm",
-    "b_inverse",
     "bound_constants",
     "bs_max_eigenvalue",
     "build_partition",
@@ -91,12 +82,9 @@ __all__ = [
     "gauss_legendre",
     "gradient_decay_audit",
     "grow_basis",
-    "ground_energy",
     "ims_identity_check",
     "jacobi_frame",
-    "k2_hs_norm_squared",
     "lemma6_uniformity_audit",
-    "matrix_elements",
     "potential_moment_c",
     "semi_infinite_grid",
     "separation_forms",
@@ -105,8 +93,6 @@ __all__ = [
     "spreading_diagnostic",
     "sqrt_potential_fourier",
     "subcriticality_margin",
-    "system_from_text",
-    "system_to_text",
     "t_multiplier",
     "twobody_binding_energy",
     "twobody_size",

@@ -15,7 +15,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,6 +32,7 @@ from .model import (
     jacobi_frame,
     parse_keyvalues,
     potential_from_keyvalues,
+    validate_r6,
 )
 
 EXPERIMENTS = ("two_critical", "two_sweep", "ops_audit", "ims_audit",
@@ -51,7 +51,6 @@ class ExperimentConfig:
     seed: int
     budget: int
     out_dir: Path
-    threads: int
     quiet: bool
     config_hash: str
     lambda_factor: float | None
@@ -69,12 +68,11 @@ def _canonical_text(kv: dict) -> str:
 
 
 def load_config(text: str, seed_override=None, out_override=None,
-                threads_override=None, quiet=False) -> ExperimentConfig:
+                quiet=False) -> ExperimentConfig:
     try:
-        raw = parse_keyvalues(text)
+        kv = parse_keyvalues(text)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
-    kv = {k: v for k, (v, _) in raw.items()}
     if "experiment" not in kv:
         raise ConfigError("missing required key", key="experiment")
     experiment = kv["experiment"]
@@ -87,8 +85,6 @@ def load_config(text: str, seed_override=None, out_override=None,
         kv["seed"] = str(seed_override)
     if out_override is not None:
         kv["out"] = str(out_override)
-    if threads_override is not None:
-        kv["threads"] = str(threads_override)
 
     def take_float(key, default=None):
         if key not in kv:
@@ -128,12 +124,9 @@ def load_config(text: str, seed_override=None, out_override=None,
     try:
         for pair in PAIRS:
             prefix = f"potential.{pair[0]}{pair[1]}."
-            if prefix + "kind" in kv:
-                potentials[pair] = potential_from_keyvalues(
-                    {k: (v, 0) for k, v in kv.items()}, prefix)
-            else:
-                potentials[pair] = potential_from_keyvalues(
-                    {k: (v, 0) for k, v in kv.items()})
+            # pairs without their own keys share the flat kind/range/table keys
+            potentials[pair] = potential_from_keyvalues(
+                kv, prefix if prefix + "kind" in kv else "")
     except KeyError as exc:
         raise ConfigError(f"missing potential key {exc.args[0]!r}",
                           key=str(exc.args[0])) from exc
@@ -145,12 +138,11 @@ def load_config(text: str, seed_override=None, out_override=None,
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    threads = take_int("threads", _default_threads())
     seed = take_int("seed", 0)
     budget = take_int("budget", 150)
     out_dir = Path(kv.get("out", "out"))
     known = {"experiment", "masses", "lambda", "lambda_factor", "seed", "budget",
-             "out", "threads", "kind", "range", "table"}
+             "out", "kind", "range", "table"}
     option_keys = {"sweep_points", "control_points", "control_gmax", "control_gmin",
                    "offsets_max", "offsets_min", "z_points", "p_points",
                    "theta", "delta", "samples"}
@@ -161,7 +153,13 @@ def load_config(text: str, seed_override=None, out_override=None,
         if k not in option_keys:
             raise ConfigError(f"unknown configuration key {k!r}", key=k)
         options[k] = v
-    semantic = {k: v for k, v in kv.items() if k not in ("out", "threads")}
+    # the paper's standing assumption R6: V >= 0, V in L1 and L2, V <= F
+    for pot in dict.fromkeys(potentials.values()):
+        report = validate_r6(pot)
+        if not report.passed:
+            raise ConfigError(f"{pot.kind} potential violates R6: "
+                              + "; ".join(report.failures))
+    semantic = {k: v for k, v in kv.items() if k != "out"}
     cfg_hash = hashlib.sha256(_canonical_text(semantic).encode()).hexdigest()[:16]
     return ExperimentConfig(
         experiment=experiment,
@@ -169,22 +167,11 @@ def load_config(text: str, seed_override=None, out_override=None,
         seed=seed,
         budget=budget,
         out_dir=out_dir,
-        threads=threads,
         quiet=quiet,
         config_hash=cfg_hash,
         lambda_factor=lambda_factor,
         options=options,
     )
-
-
-def _default_threads() -> int:
-    env = os.environ.get("THRESHOLD_LAB_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +269,6 @@ def run_two_critical(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _control_records(points):
-    """Two-body sweep points as SweepRecords for the spreading diagnostic."""
-    records = []
-    for p in points:
-        records.append(t3.SweepRecord(
-            coupling=p.coupling, E3=p.E2, k=math.sqrt(-p.E2),
-            r2_x=p.r2, r2_y=0.0, rho2=p.r2, tail=p.tail,
-            eps_R7=p.eps_R7, kinetic_norm=math.nan, bound=True,
-        ))
-    return records
-
-
 def _two_body_control(cfg: ExperimentConfig, n_points: int):
     system = cfg.system
     pair = (1, 2)
@@ -305,7 +280,7 @@ def _two_body_control(cfg: ExperimentConfig, n_points: int):
     lams = [lam_star * (1.0 + g) for g in np.geomspace(gmax, gmin, n_points)]
     points = tb.sweep_two_body(V, frame, lams)
     exponent = tb.fit_size_exponent(points)
-    verdict = t3.spreading_diagnostic(_control_records(points))
+    verdict = t3.spreading_diagnostic([(abs(p.E2), p.r2, p.tail) for p in points])
     return points, exponent, verdict, lam_star
 
 
@@ -442,6 +417,10 @@ def _three_body_sweep(cfg: ExperimentConfig):
     return bracket, records, None, lam_star
 
 
+def _three_verdict(records):
+    return t3.spreading_diagnostic([(abs(r.E3), r.rho2, r.tail) for r in records])
+
+
 def _three_rows(records):
     rows = []
     for r in records:
@@ -463,7 +442,7 @@ def run_three_sweep(cfg: ExperimentConfig) -> int:
               f"lambda = {bad_lambda!r} >= {lam_star!r}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     write_csv(cfg, "three_sweep.csv", _three_header(records), _three_rows(records))
-    verdict = t3.spreading_diagnostic(records)
+    verdict = _three_verdict(records)
     write_json(cfg, "three_sweep.json", {
         "experiment": "three_sweep",
         "lambda_cr": bracket.lambda_cr,
@@ -499,7 +478,7 @@ def run_absorb(cfg: ExperimentConfig) -> int:
             return EXIT_HYPOTHESIS
     write_csv(cfg, "absorb_three.csv", _three_header(records), _three_rows(records))
 
-    verdict = t3.spreading_diagnostic(records)
+    verdict = _three_verdict(records)
     kin = [r.kinetic_norm for r in records]
     kin_ratio = max(kin) / float(np.median(kin))
     r0 = verdict.r0 if verdict.r0 is not None else records[0].tail[-1][0]
@@ -554,8 +533,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="parallelism hint (results are independent of it)")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
@@ -566,7 +543,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         cfg = load_config(text, seed_override=args.seed, out_override=args.out,
-                          threads_override=args.threads, quiet=args.quiet)
+                          quiet=args.quiet)
     except ConfigError as exc:
         key = f" (key: {exc.key})" if exc.key else ""
         print(f"config error: {exc}{key}", file=sys.stderr)

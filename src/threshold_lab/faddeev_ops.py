@@ -11,9 +11,8 @@ collapses to a 1D momentum integral with the constants c, c', c~ in front.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .model import (
     plancherel_fourier_mass,
     potential_moment_c,
 )
-from .quadrature import QuadratureRule, composite_gauss_legendre, semi_infinite_grid
+from .quadrature import composite_gauss_legendre, semi_infinite_grid
 from .twobody import bs_max_eigenvalue, bs_radial_rule, green_row_operator
 
 
@@ -32,18 +31,6 @@ def t_multiplier(p: float) -> float:
     if p < 0.0:
         raise ValueError("momentum magnitude must be >= 0")
     return math.sqrt(p) - 1.0 if p <= 1.0 else 0.0
-
-
-def b_multiplier(z: float, p: float) -> float:
-    """b(z, p) = 1 + z + t(p): z + sqrt(p) on p <= 1, 1 + z beyond."""
-    return 1.0 + z + t_multiplier(p)
-
-
-def b_inverse(z: float, p: float) -> float:
-    """1/b(z, p); bounded by 1/z on p <= 1 and by 1/(1+z) on p > 1."""
-    if z <= 0.0:
-        raise ValueError("b_inverse needs z > 0")
-    return 1.0 / b_multiplier(z, p)
 
 
 @dataclass(frozen=True)
@@ -90,11 +77,9 @@ def bound_constants(V: PairPotential, frame: JacobiFrame) -> BoundConstants:
 # Fiber norms of K1(z) + K2(z)
 # ---------------------------------------------------------------------------
 
-def _fiber_base_norm(V: PairPotential, frame: JacobiFrame, kappa: float,
-                     rule: QuadratureRule | None = None) -> float:
+def _fiber_base_norm(V: PairPotential, frame: JacobiFrame, kappa: float) -> float:
     """Largest singular value of the s-wave kernel g_kappa(r,r') V^(1/2)(alpha r')."""
-    if rule is None:
-        rule = bs_radial_rule(V, frame.alpha, z=kappa)
+    rule = bs_radial_rule(V, frame.alpha, z=kappa)
     B = green_row_operator(kappa, rule)
     sqv = np.sqrt(V.profile(frame.alpha * rule.nodes))
     sw = np.sqrt(rule.weights)
@@ -102,8 +87,7 @@ def _fiber_base_norm(V: PairPotential, frame: JacobiFrame, kappa: float,
     return float(np.linalg.norm(m, 2))
 
 
-def fiber_norms(V: PairPotential, frame: JacobiFrame, z: float, p: float,
-                rule: QuadratureRule | None = None):
+def fiber_norms(V: PairPotential, frame: JacobiFrame, z: float, p: float):
     """Operator norms (|K1|, |K2|, |K1 + K2|) of the fixed-p fiber.
 
     K1 and K2 share the resolvent-times-V^(1/2) kernel and differ only in
@@ -113,15 +97,9 @@ def fiber_norms(V: PairPotential, frame: JacobiFrame, z: float, p: float,
     if not 0.0 < z <= 1.0:
         raise ValueError("fiber audits run on z in (0, 1]")
     kappa = math.hypot(p, z)
-    base = _fiber_base_norm(V, frame, kappa, rule)
+    base = _fiber_base_norm(V, frame, kappa)
     m1 = t_multiplier(p) + 1.0
     return m1 * base, z * base, (m1 + z) * base
-
-
-def a_fiber_norm(V: PairPotential, frame: JacobiFrame, z: float, p: float,
-                 rule: QuadratureRule | None = None) -> float:
-    """Norm of the fixed-p s-wave fiber of K1(z) + K2(z)."""
-    return fiber_norms(V, frame, z, p, rule)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -151,33 +129,6 @@ def k2_hs_norm_squared_from_constants(constants: BoundConstants, z: float) -> fl
         * k2_hs_integral(z) / (2.0 ** 7 * math.pi ** 5)
 
 
-def k2_hs_norm_squared(V_other: PairPotential, frame: JacobiFrame, z: float,
-                       rule: QuadratureRule | None = None) -> float:
-    """Squared HS norm of the cross-channel kernel at spectral parameter z.
-
-    Both channel potentials enter the prefactor (c from one, c~ from the
-    other); the audited configurations carry identical pair potentials, so
-    both constants are taken from ``V_other``.
-    """
-    if not 0.0 < z <= 1.0:
-        raise ValueError("the HS audit runs on z in (0, 1]")
-    return k2_hs_norm_squared_from_constants(bound_constants(V_other, frame), z)
-
-
-def hs_majorization_check(z: float, n_grid: int = 512):
-    """Grid check of bracket^2/sqrt(p^2+z^2) <= 1/p^2 on the unit ball.
-
-    Returns (max ratio to the majorant, integral of the majorant over the
-    ball); the latter equals 4 pi exactly.
-    """
-    p = np.geomspace(1e-8, 1.0, n_grid)
-    bracket = 1.0 / (z + np.sqrt(p)) - 1.0 / (z + 1.0)
-    lhs = bracket ** 2 / np.sqrt(p ** 2 + z ** 2)
-    ratio = float(np.max(lhs * p ** 2))
-    majorant_integral = 4.0 * math.pi * 1.0  # int_0^1 4 pi p^2 / p^2 dp
-    return ratio, majorant_integral
-
-
 # ---------------------------------------------------------------------------
 # Diagonal-channel contraction (Neumann series input)
 # ---------------------------------------------------------------------------
@@ -194,8 +145,7 @@ class ContractionReport:
 
 
 def channel_contraction_norm(V: PairPotential, frame: JacobiFrame,
-                             lam: float, k: float,
-                             rule: QuadratureRule | None = None) -> ContractionReport:
+                             lam: float, k: float) -> ContractionReport:
     """Contraction factor of the diagonal channel at momentum k.
 
     The diagonal channel norm equals the two-body BS eigenvalue mu(k); if
@@ -205,7 +155,7 @@ def channel_contraction_norm(V: PairPotential, frame: JacobiFrame,
     """
     if k < 0.0:
         raise ValueError("momentum k must be >= 0")
-    lam_mu = lam * bs_max_eigenvalue(V, frame, k, rule)
+    lam_mu = lam * bs_max_eigenvalue(V, frame, k)
     # the boundary lambda mu = 1 (zero-energy resonance) belongs to the
     # violation branch; a rounding-width band keeps it there
     if lam_mu < 1.0 - 1e-12:
@@ -237,17 +187,9 @@ class UniformityAudit:
     bounded: bool
     continuity_proxy: float
 
-    def to_json(self, **kwargs) -> str:
-        payload = asdict(self)
-        payload["k1_bound"] = self.constants.k1_bound
-        payload["k2_bound"] = self.constants.k2_bound
-        payload["hs_bound"] = self.constants.hs_bound
-        return json.dumps(payload, **kwargs)
-
 
 def lemma6_uniformity_audit(V: PairPotential, frame: JacobiFrame,
-                            z_grid=None, p_grid=None,
-                            rule: QuadratureRule | None = None) -> UniformityAudit:
+                            z_grid=None, p_grid=None) -> UniformityAudit:
     """Sup of fiber norms over a (z, p) grid against the analytic bound.
 
     The grid accumulates at z = 0; the reported continuity proxy is the
@@ -270,7 +212,7 @@ def lemma6_uniformity_audit(V: PairPotential, frame: JacobiFrame,
     norms = np.empty((len(z_grid), len(p_grid)))
     for i, z in enumerate(z_grid):
         for j, p in enumerate(p_grid):
-            n1, n2, ns = fiber_norms(V, frame, z, p, rule)
+            n1, n2, ns = fiber_norms(V, frame, z, p)
             norms[i, j] = ns
             samples.append(FiberSample(
                 z=float(z), p=float(p),

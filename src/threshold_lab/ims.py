@@ -131,7 +131,7 @@ class IMSPartition:
 
 
 def build_partition(system: ParticleSystem, delta: float = 0.05,
-                    theta: float = 0.15, covering_mesh: int = 4096) -> IMSPartition:
+                    theta: float = 0.15) -> IMSPartition:
     """Construct the three-region partition and verify sphere covering."""
     if not 0.0 < delta < 0.25:
         raise ValueError("smoothing width must lie in (0, 1/4)")
@@ -151,7 +151,7 @@ def build_partition(system: ParticleSystem, delta: float = 0.05,
                         regions=tuple(regions))
 
     # the normalized fields hide empty coverage; inspect the raw weights
-    mesh = sphere_mesh(covering_mesh, seed=20210905)
+    mesh = sphere_mesh(4096, seed=20210905)
     w_min = _raw_covering_minimum(part, mesh)
     if w_min <= 0.0:
         raise ValidationError(
@@ -207,8 +207,7 @@ class ConeReport:
     passed: bool
 
 
-def verify_support_cone(part: IMSPartition, mesh: np.ndarray,
-                        support_tol: float = 1e-14) -> ConeReport:
+def verify_support_cone(part: IMSPartition, mesh: np.ndarray) -> ConeReport:
     """Minimum normalized separation over each region's support."""
     mesh = np.atleast_2d(np.asarray(mesh, dtype=float))
     rho = np.linalg.norm(mesh, axis=1)
@@ -217,7 +216,7 @@ def verify_support_cone(part: IMSPartition, mesh: np.ndarray,
     j, _ = part.evaluate(mesh, with_gradient=False)
     minima = []
     for s, pairs in enumerate(part.regions):
-        on = j[:, s] > support_tol
+        on = j[:, s] > 1e-14
         if not np.any(on):
             minima.append(math.inf)
             continue
@@ -244,14 +243,12 @@ class GradientDecayReport:
     fd_max_rel_diff: float
 
 
-def gradient_decay_audit(part: IMSPartition, radii, n_dirs: int = 2048,
-                         seed: int = 7, fd_points: int = 100,
-                         fd_step: float = 1e-5) -> GradientDecayReport:
+def gradient_decay_audit(part: IMSPartition, radii, seed: int = 7) -> GradientDecayReport:
     """Radius scaling of sum |grad J_s|^2 plus a finite-difference cross-check."""
     radii = [float(r) for r in radii]
     if any(r <= 1.0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be increasing and > 1")
-    dirs = sphere_mesh(n_dirs, seed=seed)
+    dirs = sphere_mesh(2048, seed=seed)
     maxima = []
     for r in radii:
         _, grad = part.evaluate(r * dirs)
@@ -262,7 +259,7 @@ def gradient_decay_audit(part: IMSPartition, radii, n_dirs: int = 2048,
         expected = (r1 / r2) ** 2
         if not expected / 2.0 <= m2 / m1 <= expected * 2.0:
             ok = False
-    fd = gradient_fd_check(part, n_points=fd_points, step=fd_step, seed=seed + 1)
+    fd = gradient_fd_check(part, n_points=100, step=1e-5, seed=seed + 1)
     return GradientDecayReport(
         radii=tuple(radii),
         max_grad_sq=tuple(maxima),
@@ -311,19 +308,17 @@ def ims_identity_check(system: ParticleSystem, part: IMSPartition,
 
     lam = system.coupling
     pair_vals = {}
-    for pairs in part.regions:
-        for pair, (u, v) in pairs:
-            if pair not in pair_vals:
-                d = u * mesh[:, :3] + v * mesh[:, 3:]
-                pair_vals[pair] = system.potential(pair).profile(
-                    np.linalg.norm(d, axis=1)
-                )
+    for pair, (u, v) in separation_forms(system, (1, 2)).items():
+        d = u * mesh[:, :3] + v * mesh[:, 3:]
+        pair_vals[pair] = system.potential(pair).profile(np.linalg.norm(d, axis=1))
     v_total = lam * sum(pair_vals.values())
     regrouped = np.zeros(mesh.shape[0])
-    for s in range(3):
-        # each region carries every pair exactly once: the cluster pair plus
-        # the two cross pairs of the localization error
-        regrouped += j[:, s] ** 2 * v_total
+    for s, pairs in enumerate(part.regions):
+        # region s carries the cluster pair of the other two particles plus
+        # the cross pairs it lists, which make up its localization error
+        cluster = tuple(sorted({1, 2, 3} - {s + 1}))
+        v_region = pair_vals[cluster] + sum(pair_vals[pair] for pair, _ in pairs)
+        regrouped += j[:, s] ** 2 * (lam * v_region)
     regroup_defect = float(np.max(np.abs(regrouped - v_total)))
 
     rho = np.linalg.norm(mesh, axis=1)

@@ -332,7 +332,7 @@ def validate_r6(V, n_grid: int = 2048) -> R6Report:
     l1 = l2 = math.nan
     l1_ok = l2_ok = True
     try:
-        l1 = potential_moment_c(_as_potential_view(V), 1.0)
+        l1 = potential_moment_c(V, 1.0)
     except ValidationError:
         l1_ok = False
         failures.append("L1: integral of V d^3x diverges")
@@ -372,50 +372,9 @@ class _SquaredView:
         return np.asarray(self._V.profile(r), dtype=float) ** 2
 
 
-def _as_potential_view(V):
-    if isinstance(V, PairPotential):
-        return V
-    return _CallableView(V)
-
-
-class _CallableView:
-    def __init__(self, V):
-        self._V = V
-        self.range_ = V.range_
-        self.support_radius = getattr(V, "support_radius", None)
-        self.effective_radius = V.effective_radius
-
-    def profile(self, r):
-        return np.asarray(self._V.profile(r), dtype=float)
-
-
-def validate_system(system: ParticleSystem) -> dict:
-    """R6 reports for every pair potential."""
-    return {pair: validate_r6(pot) for pair, pot in system.potentials.items()}
-
-
 # ---------------------------------------------------------------------------
-# Key-value serialization
+# Key-value configuration format
 # ---------------------------------------------------------------------------
-
-def potential_to_text(V: PairPotential, prefix: str = "") -> str:
-    lines = [f"{prefix}kind = {V.kind}", f"{prefix}range = {V.range_!r}"]
-    if V.kind == "tabulated":
-        rows = " ".join(f"{r!r}:{v!r}" for r, v in V.table)
-        lines.append(f"{prefix}table = {rows}")
-    return "\n".join(lines)
-
-
-def system_to_text(system: ParticleSystem) -> str:
-    lines = [
-        "masses = " + " ".join(repr(m) for m in system.masses),
-        f"lambda = {system.coupling!r}",
-    ]
-    for pair in PAIRS:
-        prefix = f"potential.{pair[0]}{pair[1]}."
-        lines.append(potential_to_text(system.potentials[pair], prefix))
-    return "\n".join(lines) + "\n"
-
 
 def parse_keyvalues(text: str) -> dict:
     """Parse the lab's line-oriented ``key = value`` format."""
@@ -427,7 +386,7 @@ def parse_keyvalues(text: str) -> dict:
         if "=" not in line:
             raise ValidationError(f"line {ln}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip()] = (value.strip(), ln)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -440,23 +399,10 @@ def _parse_table(text: str):
 
 
 def potential_from_keyvalues(kv: dict, prefix: str = "") -> PairPotential:
-    kind = kv[prefix + "kind"][0]
-    range_ = float(kv[prefix + "range"][0])
+    """Pair potential from the ``kind``/``range``/``table`` values of a config."""
+    kind = kv[prefix + "kind"]
+    range_ = float(kv[prefix + "range"])
     table = None
     if kind == "tabulated":
-        table = _parse_table(kv[prefix + "table"][0])
+        table = _parse_table(kv[prefix + "table"])
     return PairPotential(kind, range_, table=table)
-
-
-def system_from_text(text: str) -> ParticleSystem:
-    kv = parse_keyvalues(text)
-    masses = tuple(float(m) for m in kv["masses"][0].split())
-    coupling = float(kv["lambda"][0])
-    potentials = {}
-    for pair in PAIRS:
-        prefix = f"potential.{pair[0]}{pair[1]}."
-        if prefix + "kind" in kv:
-            potentials[pair] = potential_from_keyvalues(kv, prefix)
-        else:
-            potentials[pair] = potential_from_keyvalues(kv)  # shared flat keys
-    return ParticleSystem(masses, potentials, coupling)

@@ -9,25 +9,19 @@ identical node sets.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import AccuracyError
-
-_CACHE: dict[tuple, "QuadratureRule"] = {}
-_CACHE_LOCK = threading.Lock()
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and positive weights for a fixed integration domain.
 
-    ``spec`` records how the rule was built so that ``refined()`` can
-    produce the doubled-count companion used for self-convergence checks.
+    ``spec`` records how the rule was built; the composite spec tells the
+    kernel assembly where the panel edges are.
     """
 
     nodes: np.ndarray
@@ -39,81 +33,39 @@ class QuadratureRule:
         """Plain weighted sum of ``f`` over the nodes."""
         return float(np.dot(self.weights, f(self.nodes)))
 
-    def refined(self) -> "QuadratureRule":
-        """Same rule family with twice the node count."""
-        kind = self.spec[0]
-        if kind == "gauss_legendre":
-            _, n, a, b = self.spec
-            return gauss_legendre(2 * n, a, b)
-        if kind == "composite":
-            _, edges, n_per_panel = self.spec
-            return composite_gauss_legendre(np.asarray(edges), 2 * n_per_panel)
-        _, n, scale = self.spec
-        return semi_infinite_grid(2 * n, scale)
 
-    def integrate_checked(self, f, rtol: float = 1e-9, atol: float = 1e-12) -> float:
-        """Integrate with a doubling self-convergence estimate.
-
-        Raises AccuracyError when the doubled rule moves the result by
-        more than the tolerance; this is the guard that rejects
-        non-integrable probes such as a constant on [0, inf).
-        """
-        coarse = self.integrate(f)
-        fine = self.refined().integrate(f)
-        if abs(fine - coarse) > rtol * max(abs(fine), abs(coarse)) + atol:
-            raise AccuracyError(
-                f"quadrature did not converge: n={len(self.nodes)} gives {coarse!r}, "
-                f"doubled rule gives {fine!r}"
-            )
-        return fine
-
-
+@lru_cache(maxsize=None)
 def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     """Gauss-Legendre rule with ``n`` points mapped to [a, b]."""
     if n < 1:
         raise ValueError("node count must be >= 1")
     if not a < b:
         raise ValueError(f"empty interval [{a}, {b}]")
-    key = ("gauss_legendre", n, float(a), float(b))
-    with _CACHE_LOCK:
-        hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
     t, w = leggauss(n)
     half = 0.5 * (b - a)
-    rule = QuadratureRule(
+    return QuadratureRule(
         nodes=a + half * (t + 1.0),
         weights=half * w,
         domain=(float(a), float(b)),
-        spec=key,
+        spec=("gauss_legendre", n, float(a), float(b)),
     )
-    with _CACHE_LOCK:
-        _CACHE[key] = rule
-    return rule
 
 
+@lru_cache(maxsize=None)
 def semi_infinite_grid(n: int, scale: float = 1.0) -> QuadratureRule:
     """Rule on [0, inf) via r = scale*t/(1-t), Jacobian folded into the weights."""
     if n < 1:
         raise ValueError("node count must be >= 1")
     if scale <= 0.0:
         raise ValueError("scale must be positive")
-    key = ("semi_infinite", n, float(scale))
-    with _CACHE_LOCK:
-        hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
     base = gauss_legendre(n, 0.0, 1.0)
     t = base.nodes
-    rule = QuadratureRule(
+    return QuadratureRule(
         nodes=scale * t / (1.0 - t),
         weights=base.weights * scale / (1.0 - t) ** 2,
         domain=(0.0, np.inf),
-        spec=key,
+        spec=("semi_infinite", n, float(scale)),
     )
-    with _CACHE_LOCK:
-        _CACHE[key] = rule
-    return rule
 
 
 @lru_cache(maxsize=16)

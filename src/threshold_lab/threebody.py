@@ -12,7 +12,6 @@ diagnostic that contrasts the three-body threshold with the two-body one.
 
 from __future__ import annotations
 
-import json
 import math
 from functools import lru_cache
 from dataclasses import dataclass
@@ -66,15 +65,19 @@ def transform_form(form, T) -> np.ndarray:
 # Potential representation: nonnegative Gaussian sums
 # ---------------------------------------------------------------------------
 
+FIT_MAX_TERMS = 8
+FIT_REL_TOL = 1e-3
+
+
 @lru_cache(maxsize=32)
-def fit_gaussian_terms(V: PairPotential, max_terms: int = 8,
-                       rel_tol: float = 1e-3):
-    """Fit V by a nonnegative sum of Gaussians on a radial grid.
+def fit_gaussian_terms(V: PairPotential):
+    """Fit V by a nonnegative sum of at most 8 Gaussians on a radial grid.
 
     Gaussian-kind potentials pass through exactly.  Widths start from a
     greedy pick over a log-spaced ladder and are polished by Nelder-Mead
     with the amplitudes re-solved by nonnegative least squares at every
-    step; the residual is relative L2(r^2 dr).  Deterministic.
+    step; the residual is relative L2(r^2 dr) and must stay below 1e-3.
+    Deterministic.
     """
     if V.kind == "gaussian":
         return ((1.0, V.range_),)
@@ -95,7 +98,7 @@ def fit_gaussian_terms(V: PairPotential, max_terms: int = 8,
     col_norms = np.linalg.norm(full, axis=0)
     selected: list[int] = []
     resid_vec = b.copy()
-    for _ in range(max_terms):
+    for _ in range(FIT_MAX_TERMS):
         scores = full.T @ resid_vec / col_norms
         k = int(np.argmax(scores))
         if k not in selected:
@@ -113,10 +116,10 @@ def fit_gaussian_terms(V: PairPotential, max_terms: int = 8,
     widths = np.exp(best.x if best.fun < residual(x0) else x0)
     coef, rn = nnls(design_for(widths), b)
     resid = rn / b_norm
-    if resid > rel_tol:
+    if resid > FIT_REL_TOL:
         raise FitError(
-            f"{V.kind} profile not representable by {max_terms} Gaussians: "
-            f"relative L2 residual {resid:.3e} > {rel_tol:g}"
+            f"{V.kind} profile not representable by {FIT_MAX_TERMS} Gaussians: "
+            f"relative L2 residual {resid:.3e} > {FIT_REL_TOL:g}"
         )
     keep = coef > 0.0
     return tuple((float(c), float(w)) for c, w in zip(coef[keep], widths[keep]))
@@ -242,41 +245,34 @@ class _Assembler:
     def _images_of(self, form):
         return np.stack([transform_form(form, T) for T in self.perms])
 
-    def _row_blocks(self, form, images):
-        """One-sided elements of ``form`` against every basis image."""
-        fa = np.asarray(form)[None, None, :]
-        blocks = element_block(fa, self.images, self.sep_terms)
+    def _border(self, form):
+        """Elements of ``form`` against the basis and itself, before scaling.
+
+        Returns the images of ``form``, the one-sided (N, T, V) rows against
+        every committed basis element, the (N, T, V) diagonal, and the scale
+        d_new that gives the new element unit norm.  A row times
+        ``self.scale * d_new`` and a diagonal times ``d_new ** 2`` are the
+        new row and diagonal of the unit-normalized matrices.
+        """
+        form = np.asarray(form, dtype=float)
+        images = self._images_of(form)
+        fa = form[None, None, :]
         p = len(self.perms)
-        row_n = p * np.sum(blocks["overlap"], axis=1)
-        row_t = p * np.sum(blocks["kinetic"], axis=1)
-        row_v = p * np.sum(blocks["potential"], axis=1)
+        keys = ("overlap", "kinetic", "potential")
+        blocks = element_block(fa, self.images, self.sep_terms)
+        rows = tuple(p * np.sum(blocks[key], axis=1) for key in keys)
         self_blocks = element_block(fa[0], images, self.sep_terms)
-        diag_n = p * float(np.sum(self_blocks["overlap"]))
-        diag_t = p * float(np.sum(self_blocks["kinetic"]))
-        diag_v = p * float(np.sum(self_blocks["potential"]))
-        return (row_n, row_t, row_v), (diag_n, diag_t, diag_v)
+        diags = tuple(p * float(np.sum(self_blocks[key])) for key in keys)
+        prim_norm = element_block(form[None, :], form[None, :], self.sep_terms)["overlap"][0]
+        return images, rows, diags, 1.0 / math.sqrt(prim_norm)
 
     def add(self, form):
         form = np.asarray(form, dtype=float)
-        images = self._images_of(form)
-        (row_n, row_t, row_v), (diag_n, diag_t, diag_v) = self._row_blocks(form, images)
-        prim_norm = element_block(form[None, :], form[None, :], self.sep_terms)["overlap"][0]
-        d_new = 1.0 / math.sqrt(prim_norm)
-        row_n = row_n * (self.scale * d_new)
-        row_t = row_t * (self.scale * d_new)
-        row_v = row_v * (self.scale * d_new)
-
-        def grown(mat, row, diag):
-            out = np.empty((self.n + 1, self.n + 1))
-            out[: self.n, : self.n] = mat
-            out[self.n, : self.n] = row
-            out[: self.n, self.n] = row
-            out[self.n, self.n] = diag
-            return out
-
-        self.N = grown(self.N, row_n, diag_n * d_new ** 2)
-        self.T = grown(self.T, row_t, diag_t * d_new ** 2)
-        self.V = grown(self.V, row_v, diag_v * d_new ** 2)
+        images, (row_n, row_t, row_v), (diag_n, diag_t, diag_v), d_new = self._border(form)
+        row_scale = self.scale * d_new
+        self.N = _bordered(self.N, row_n * row_scale, diag_n * d_new ** 2)
+        self.T = _bordered(self.T, row_t * row_scale, diag_t * d_new ** 2)
+        self.V = _bordered(self.V, row_v * row_scale, diag_v * d_new ** 2)
         self.forms = np.vstack([self.forms, form[None, :]])
         self.images = np.concatenate([self.images, images[None, :, :]], axis=0)
         self.scale = np.append(self.scale, d_new)
@@ -284,20 +280,11 @@ class _Assembler:
 
     def trial_energy(self, form, coupling: float) -> float:
         """Ground energy if ``form`` were appended (no commit)."""
-        form = np.asarray(form, dtype=float)
-        images = self._images_of(form)
-        (row_n, row_t, row_v), (diag_n, diag_t, diag_v) = self._row_blocks(form, images)
-        prim_norm = element_block(form[None, :], form[None, :], self.sep_terms)["overlap"][0]
-        d_new = 1.0 / math.sqrt(prim_norm)
-        n = self.n
-        N = np.empty((n + 1, n + 1))
-        H = np.empty((n + 1, n + 1))
-        N[:n, :n] = self.N
-        H[:n, :n] = self.T - coupling * self.V
-        N[n, :n] = N[:n, n] = row_n * (self.scale * d_new)
-        H[n, :n] = H[:n, n] = (row_t - coupling * row_v) * (self.scale * d_new)
-        N[n, n] = diag_n * d_new ** 2
-        H[n, n] = (diag_t - coupling * diag_v) * d_new ** 2
+        _, (row_n, row_t, row_v), (diag_n, diag_t, diag_v), d_new = self._border(form)
+        row_scale = self.scale * d_new
+        N = _bordered(self.N, row_n * row_scale, diag_n * d_new ** 2)
+        H = _bordered(self.T - coupling * self.V, (row_t - coupling * row_v) * row_scale,
+                      (diag_t - coupling * diag_v) * d_new ** 2)
         try:
             return solve_ground(H, N)[0]
         except BasisError:
@@ -322,17 +309,21 @@ class _Assembler:
         return CorrelatedGaussianBasis(self.forms.copy(), self.symmetrized, seed)
 
 
+def _bordered(mat, row, diag):
+    """``mat`` grown by one symmetric row and column."""
+    n = mat.shape[0]
+    out = np.empty((n + 1, n + 1))
+    out[:n, :n] = mat
+    out[n, :n] = out[:n, n] = row
+    out[n, n] = diag
+    return out
+
+
 def assembler_for(basis: CorrelatedGaussianBasis, system: ParticleSystem) -> _Assembler:
     asm = _Assembler(system, basis.symmetrized)
     for form in basis.forms:
         asm.add(form)
     return asm
-
-
-def matrix_elements(basis: CorrelatedGaussianBasis, system: ParticleSystem):
-    """(H, N) for the generalized eigenproblem at the system coupling."""
-    asm = assembler_for(basis, system)
-    return asm.hamiltonian(system.coupling)
 
 
 def solve_ground(H: np.ndarray, N: np.ndarray, drop_tol: float = 1e-12):
@@ -372,14 +363,14 @@ def _propose_form(rng, lo: float, hi: float, inv_len2: float) -> np.ndarray:
 
 
 def grow_basis(system: ParticleSystem, budget: int, seed: int,
-               pool: int = 16, min_gain: float = 1e-8,
                asm: _Assembler | None = None) -> CorrelatedGaussianBasis:
     """Grow the form list by keeping pool winners that lower E3.
 
-    Scales are proposed log-uniformly in [1e-2, 1e2] x (pair range)^-2; when
-    a whole pool brings no gain the window widens tenfold (to a cap) so
-    weakly bound halo states can still extend the basis.  Deterministic
-    for a given seed.
+    Each pool holds 16 candidates; its winner is kept when it lowers E3 by
+    more than 1e-8.  Scales are proposed log-uniformly in
+    [1e-2, 1e2] x (pair range)^-2; when a whole pool brings no gain the
+    window widens tenfold (to a cap) so weakly bound halo states can still
+    extend the basis.  Deterministic for a given seed.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -393,11 +384,11 @@ def grow_basis(system: ParticleSystem, budget: int, seed: int,
     stalls = 0
     marginal = 0
     while asm.n < budget:
-        cands = [_propose_form(rng, lo, hi, inv_len2) for _ in range(pool)]
+        cands = [_propose_form(rng, lo, hi, inv_len2) for _ in range(16)]
         energies = [asm.trial_energy(f, lam) for f in cands]
         best = int(np.argmin(energies))
         gain = current - energies[best]
-        if gain > min_gain or asm.n == 0:
+        if gain > 1e-8 or asm.n == 0:
             asm.add(cands[best])
             current = min(energies[best], current)
             stalls = 0
@@ -419,24 +410,6 @@ def grow_basis(system: ParticleSystem, budget: int, seed: int,
 # ---------------------------------------------------------------------------
 # Records and sweeps
 # ---------------------------------------------------------------------------
-
-def basis_to_json(basis: CorrelatedGaussianBasis) -> str:
-    """Checkpoint a basis for warm restarts."""
-    return json.dumps({
-        "forms": [list(row) for row in basis.forms],
-        "symmetrized": basis.symmetrized,
-        "seed": basis.seed,
-    })
-
-
-def basis_from_json(text: str) -> CorrelatedGaussianBasis:
-    payload = json.loads(text)
-    return CorrelatedGaussianBasis(
-        np.asarray(payload["forms"], dtype=float),
-        bool(payload["symmetrized"]),
-        int(payload["seed"]),
-    )
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -540,10 +513,10 @@ def tail_masses(asm: _Assembler, c: np.ndarray, radii, seed: int,
 
 
 def record_point(asm: _Assembler, system_coupling: float, eps_r7: float,
-                 tail_radii, seed: int, no_bind_tol: float = 0.0) -> SweepRecord:
+                 tail_radii, seed: int) -> SweepRecord:
     """Solve at one coupling and assemble the full sweep record."""
     e3, c = asm.solve(system_coupling)
-    if e3 >= -no_bind_tol:
+    if e3 >= 0.0:
         return SweepRecord(
             coupling=system_coupling, E3=e3, k=None,
             r2_x=math.nan, r2_y=math.nan, rho2=math.nan,
@@ -565,18 +538,6 @@ def record_point(asm: _Assembler, system_coupling: float, eps_r7: float,
     )
 
 
-def ground_energy(system: ParticleSystem, budget: int, seed: int,
-                  tail_radii=None) -> SweepRecord:
-    """Grow a basis at the system coupling and record the ground state."""
-    margin = subcriticality_margin(system)
-    basis = grow_basis(system, budget, seed)
-    asm = assembler_for(basis, system)
-    if tail_radii is None:
-        rng = max(p.range_ for p in system.potentials.values())
-        tail_radii = tuple(m * rng for m in DEFAULT_TAIL_MULTIPLES)
-    return record_point(asm, system.coupling, margin.eps, tail_radii, seed)
-
-
 @dataclass(frozen=True)
 class CriticalBracket:
     """Bisection outcome for the three-body critical coupling."""
@@ -585,7 +546,6 @@ class CriticalBracket:
     lam_lo: float
     lam_hi: float
     tol_energy: float
-    variational_upper_bound: bool = True  # true lambda_cr <= reported
 
 
 def _energy_scale(system: ParticleSystem) -> float:
@@ -598,16 +558,18 @@ def _energy_scale(system: ParticleSystem) -> float:
     return abs(e2)
 
 
+REFINE_STAGES = 2
+
+
 def critical_coupling_3body(system: ParticleSystem, budget: int, seed: int,
-                            scan=(0.3, 1.5), bracket_rel_width: float = 1e-5,
-                            refine_stages: int = 2):
+                            scan=(0.3, 1.5)):
     """Bracket the coupling where the variational E3 crosses -tol.
 
     A basis grown at the deep end of the scan fixes the predicate
-    "E3(lambda) < -tol"; bisection then brackets the crossing, and
-    refinement stages re-grow near the current estimate so the
-    near-threshold halo is representable.  The reported midpoint is a
-    variational upper bound on the true critical coupling.
+    "E3(lambda) < -tol"; bisection then brackets the crossing to 1e-5
+    lambda*, and two refinement stages re-grow near the current estimate
+    so the near-threshold halo is representable.  The reported midpoint
+    is a variational upper bound on the true critical coupling.
     """
     margin = subcriticality_margin(system)
     lam_star = min(margin.lambda_stars.values())
@@ -615,8 +577,8 @@ def critical_coupling_3body(system: ParticleSystem, budget: int, seed: int,
     lam_lo0, lam_hi0 = scan[0] * lam_star, scan[1] * lam_star
 
     asm = _Assembler(system, system.identical_bosons)
-    stage_budgets = np.linspace(budget / (refine_stages + 1.0), budget,
-                                refine_stages + 1).astype(int)
+    stage_budgets = np.linspace(budget / (REFINE_STAGES + 1.0), budget,
+                                REFINE_STAGES + 1).astype(int)
     anchor = lam_hi0
     deep = system_with_coupling(system, anchor)
     grow_basis(deep, int(stage_budgets[0]), seed, asm=asm)
@@ -628,14 +590,14 @@ def critical_coupling_3body(system: ParticleSystem, budget: int, seed: int,
     if asm.solve(lam_lo)[0] < -tol_e:
         raise BracketError("already bound at the bottom of the scan range")
 
-    for stage in range(refine_stages + 1):
-        while lam_hi - lam_lo > bracket_rel_width * lam_star:
+    for stage in range(REFINE_STAGES + 1):
+        while lam_hi - lam_lo > 1e-5 * lam_star:
             mid = 0.5 * (lam_lo + lam_hi)
             if asm.solve(mid)[0] < -tol_e:
                 lam_hi = mid
             else:
                 lam_lo = mid
-        if stage < refine_stages:
+        if stage < REFINE_STAGES:
             # re-grow ever closer to the estimate so the halo that carries
             # the near-threshold records is representable
             near = system_with_coupling(system, lam_hi * (1.0 + 0.05 / 10.0 ** stage))
@@ -684,58 +646,45 @@ class SpreadingVerdict:
     rho2_ratio_last_decade: float
 
 
-def spreading_diagnostic(records) -> SpreadingVerdict:
+def spreading_diagnostic(points) -> SpreadingVerdict:
     """Classify a sweep as (non-)spreading-consistent from its tail masses.
 
+    ``points`` holds one (|E|, <r^2>, tails) triple per bound sweep point,
+    with tails the (R, T(R)) pairs at radii shared by all points.
     Non-spreading: some fixed radius keeps at least half the mass inside
     along the whole sweep.  Spreading: every recorded radius ends up with
     tail mass near 1.  The attached exponent is the log-log slope of
-    <rho^2> against 1/|E|.
+    <r^2> against 1/|E|.
     """
-    records = sorted(records, key=lambda r: -abs(r.E3))
-    if len(records) < 4:
-        raise ValueError("spreading diagnostic needs at least 4 sweep records")
-    if not all(r.bound for r in records):
-        raise ValueError("all records must carry a bound state")
+    points = sorted(points, key=lambda pt: -pt[0])
+    if len(points) < 4:
+        raise ValueError("spreading diagnostic needs at least 4 sweep points")
 
-    radii = [R for R, _ in records[0].tail]
+    tails = [tail for _, _, tail in points]
+    radii = [R for R, _ in tails[0]]
     sup_by_radius = {
-        R: max(rec.tail[i][1] for rec in records) for i, R in enumerate(radii)
+        R: max(tail[i][1] for tail in tails) for i, R in enumerate(radii)
     }
-    xs = np.log([1.0 / abs(r.E3) for r in records])
-    ys = np.log([r.rho2 for r in records])
+    xs = np.log([1.0 / e for e, _, _ in points])
+    ys = np.log([size for _, size, _ in points])
     if np.ptp(xs) > 0.0:
         exponent = float(np.polyfit(xs, ys, 1)[0])
     else:
         exponent = math.nan  # constant sweep: no slope to fit
-    ratio = records[-1].rho2 / records[0].rho2
+    ratio = points[-1][1] / points[0][1]
 
-    non_spreading_r0 = next((R for R in radii if sup_by_radius[R] <= 0.5), None)
-    if non_spreading_r0 is not None:
-        return SpreadingVerdict(
-            verdict="non-spreading-consistent",
-            r0=non_spreading_r0,
-            sup_tail_at_r0=sup_by_radius[non_spreading_r0],
-            size_exponent=exponent,
-            rho2_ratio_last_decade=float(ratio),
-        )
-    last = records[-1]
-    first = records[0]
-    escaping = all(t >= 0.8 for _, t in last.tail) and all(
-        tl >= tf for (_, tl), (_, tf) in zip(last.tail, first.tail)
-    )
-    if escaping:
-        return SpreadingVerdict(
-            verdict="spreading-consistent",
-            r0=None,
-            sup_tail_at_r0=None,
-            size_exponent=exponent,
-            rho2_ratio_last_decade=float(ratio),
-        )
+    r0 = next((R for R in radii if sup_by_radius[R] <= 0.5), None)
+    if r0 is not None:
+        verdict = "non-spreading-consistent"
+    elif all(t >= 0.8 for _, t in tails[-1]) and all(
+            tl >= tf for (_, tl), (_, tf) in zip(tails[-1], tails[0])):
+        verdict = "spreading-consistent"
+    else:
+        verdict = "inconclusive"
     return SpreadingVerdict(
-        verdict="inconclusive",
-        r0=None,
-        sup_tail_at_r0=None,
+        verdict=verdict,
+        r0=r0,
+        sup_tail_at_r0=None if r0 is None else sup_by_radius[r0],
         size_exponent=exponent,
         rho2_ratio_last_decade=float(ratio),
     )

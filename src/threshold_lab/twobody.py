@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import AccuracyError, BracketError, DegenerateInputError
+from .errors import BracketError, DegenerateInputError
 from .model import JacobiFrame, PairPotential, ParticleSystem, jacobi_frame
 from .quadrature import (
     QuadratureRule,
@@ -58,9 +58,8 @@ def _psi_phi(z: float, ri, rj):
     return np.exp(-z * (ri - rj)) * (-np.expm1(-2.0 * z * rj)) / (2.0 * z)
 
 
-def bs_radial_rule(V: PairPotential, alpha: float, n: int = 128,
-                   points_per_panel: int = 8, z: float = 0.0) -> QuadratureRule:
-    """Graded composite rule covering the (scaled) reach of V^(1/2).
+def bs_radial_rule(V: PairPotential, alpha: float, z: float = 0.0) -> QuadratureRule:
+    """Graded 128-node composite rule (16 panels of 8) over the reach of V^(1/2).
 
     The Birman-Schwinger kernel carries V^(1/2)(alpha r) on both slots, so a
     finite interval with the square-root decay resolved is exact to rounding.
@@ -75,10 +74,8 @@ def bs_radial_rule(V: PairPotential, alpha: float, n: int = 128,
         span = (8.0 if V.kind == "gaussian" else 60.0) * V.range_ / alpha
         if z > 0.0:
             span = min(span, max(30.0 / z, 10.0 * V.range_ / alpha))
-    q = points_per_panel
-    p = max(2, n // q)
-    edges = span * (np.arange(p + 1) / p) ** 1.5
-    return composite_gauss_legendre(edges, q)
+    edges = span * (np.arange(17) / 16) ** 1.5
+    return composite_gauss_legendre(edges, 8)
 
 
 def green_row_operator(z: float, rule: QuadratureRule) -> np.ndarray:
@@ -126,63 +123,19 @@ def bs_matrix(V: PairPotential, frame: JacobiFrame, z: float,
     return 0.5 * (m + m.T)
 
 
-@dataclass(frozen=True)
-class BSOperator:
-    """Quadrature-discretized Birman-Schwinger operator at energy -z^2."""
-
-    potential: PairPotential
-    frame: JacobiFrame
-    z: float
-    rule: QuadratureRule
-    matrix: np.ndarray
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.rule.nodes
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.rule.weights
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-    def max_eigenvalue(self) -> float:
-        return float(self.eigenvalues()[-1])
-
-
-def bs_operator(V: PairPotential, frame: JacobiFrame, z: float,
-                rule: QuadratureRule | None = None) -> BSOperator:
-    if rule is None:
-        rule = bs_radial_rule(V, frame.alpha, z=z)
-    return BSOperator(V, frame, z, rule, bs_matrix(V, frame, z, rule))
-
-
-def bs_max_eigenvalue(V: PairPotential, frame: JacobiFrame, z: float,
-                      rule: QuadratureRule | None = None,
-                      check_convergence: bool = False) -> float:
+def bs_max_eigenvalue(V: PairPotential, frame: JacobiFrame, z: float) -> float:
     """Largest eigenvalue mu(z) of the discretized BS operator.
 
-    mu is continuous and strictly decreasing in z.  With
-    ``check_convergence`` the node count is doubled and the two values
-    must agree to 1e-6 relative.
+    mu is continuous and strictly decreasing in z.  Each z gets its own
+    grid, which resolves the 1/z width of the kernel.
     """
-    if rule is None:
-        rule = bs_radial_rule(V, frame.alpha, z=z)
-    mu = float(np.linalg.eigvalsh(bs_matrix(V, frame, z, rule))[-1])
-    if check_convergence:
-        fine = float(np.linalg.eigvalsh(bs_matrix(V, frame, z, rule.refined()))[-1])
-        if abs(fine - mu) > 1e-6 * max(abs(fine), 1e-300):
-            raise AccuracyError(
-                f"BS eigenvalue not converged at n={len(rule.nodes)}: {mu!r} vs {fine!r}"
-            )
-    return mu
+    rule = bs_radial_rule(V, frame.alpha, z=z)
+    return float(np.linalg.eigvalsh(bs_matrix(V, frame, z, rule))[-1])
 
 
-def critical_coupling(V: PairPotential, frame: JacobiFrame,
-                      rule: QuadratureRule | None = None) -> float:
+def critical_coupling(V: PairPotential, frame: JacobiFrame) -> float:
     """lambda* = 1/mu(0), the coupling of the zero-energy resonance."""
-    mu0 = bs_max_eigenvalue(V, frame, 0.0, rule)
+    mu0 = bs_max_eigenvalue(V, frame, 0.0)
     if mu0 <= 1e-14:
         raise DegenerateInputError("potential has no attraction: mu(0) = 0")
     return 1.0 / mu0
@@ -216,16 +169,16 @@ def subcriticality_margin(system: ParticleSystem) -> MarginReport:
     )
 
 
-def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float,
-                           rule: QuadratureRule | None = None,
-                           ztol: float = 1e-8):
-    """E2 = -z*^2 with lambda mu(z*) = 1, or None for subcritical coupling."""
+def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float):
+    """E2 = -z*^2 with lambda mu(z*) = 1, or None for subcritical coupling.
+
+    z* is bisected to an absolute width of 1e-8.
+    """
     if lam <= 0.0:
         raise ValueError("coupling must be positive")
 
     def mu(z):
-        # rule=None lets each z get a grid resolving the 1/z kernel width
-        return bs_max_eigenvalue(V, frame, z, rule)
+        return bs_max_eigenvalue(V, frame, z)
 
     if lam * mu(0.0) <= 1.0:
         return None
@@ -237,7 +190,7 @@ def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float,
     else:
         raise BracketError("could not bracket the binding momentum")
     z_lo = 0.0
-    while z_hi - z_lo > ztol:
+    while z_hi - z_lo > 1e-8:
         mid = 0.5 * (z_lo + z_hi)
         if lam * mu(mid) > 1.0:
             z_lo = mid
@@ -247,14 +200,16 @@ def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float,
     return -z_star ** 2
 
 
-def _bs_wavefunction(V: PairPotential, frame: JacobiFrame, lam: float,
-                     rule: QuadratureRule | None = None):
-    """Radial ground state u on demand, reconstructed from the BS eigenvector."""
-    e2 = twobody_binding_energy(V, frame, lam, rule)
+def _bs_wavefunction(V: PairPotential, frame: JacobiFrame, lam: float):
+    """Radial ground state u, reconstructed from the BS eigenvector at z*.
+
+    Returns u, the scale of the semi-infinite grids that integrate it, and E2.
+    """
+    e2 = twobody_binding_energy(V, frame, lam)
     if e2 is None:
-        raise ValueError("no bound state: coupling is subcritical")
+        raise BracketError(f"coupling {lam} is subcritical; no bound state")
     z_star = math.sqrt(-e2)
-    wrule = rule if rule is not None else bs_radial_rule(V, frame.alpha, z=z_star)
+    wrule = bs_radial_rule(V, frame.alpha, z=z_star)
     m = bs_matrix(V, frame, z_star, wrule)
     vals, vecs = np.linalg.eigh(m)
     psi = vecs[:, -1]
@@ -266,26 +221,17 @@ def _bs_wavefunction(V: PairPotential, frame: JacobiFrame, lam: float,
         g = swave_green(z_star, s, wrule.nodes)
         return lam * g @ (wrule.weights * sqv * phi)
 
-    return u, z_star, e2
+    return u, max(3.0 * V.range_ / frame.alpha, 3.0 / z_star), e2
 
 
-def twobody_size(V: PairPotential, frame: JacobiFrame, lam: float,
-                 rule: QuadratureRule | None = None,
-                 n_moment: int = 256):
-    """<r^2> of the normalized radial ground state (Jacobi radial variable)."""
-    u, z_star, _ = _bs_wavefunction(V, frame, lam, rule)
-    scale = max(3.0 * V.range_ / frame.alpha, 3.0 / z_star)
-    mrule = semi_infinite_grid(n_moment, scale)
+def _mean_square_radius(u, scale: float) -> float:
+    mrule = semi_infinite_grid(256, scale)
     uu = u(mrule.nodes) ** 2
     norm = float(np.dot(mrule.weights, uu))
     return float(np.dot(mrule.weights, mrule.nodes ** 2 * uu)) / norm
 
 
-def twobody_tail_masses(V: PairPotential, frame: JacobiFrame, lam: float,
-                        radii, rule: QuadratureRule | None = None):
-    """T(R) = |chi_{r>R} u|^2 for the normalized ground state."""
-    u, z_star, _ = _bs_wavefunction(V, frame, lam, rule)
-    scale = max(3.0 * V.range_ / frame.alpha, 3.0 / z_star)
+def _tail_masses(u, scale: float, radii):
     mrule = semi_infinite_grid(512, scale)
     norm = float(np.dot(mrule.weights, u(mrule.nodes) ** 2))
     out = []
@@ -294,6 +240,18 @@ def twobody_tail_masses(V: PairPotential, frame: JacobiFrame, lam: float,
         inner = float(np.dot(inner_rule.weights, u(inner_rule.nodes) ** 2))
         out.append((float(R), max(0.0, 1.0 - inner / norm)))
     return out
+
+
+def twobody_size(V: PairPotential, frame: JacobiFrame, lam: float) -> float:
+    """<r^2> of the normalized radial ground state (Jacobi radial variable)."""
+    u, scale, _ = _bs_wavefunction(V, frame, lam)
+    return _mean_square_radius(u, scale)
+
+
+def twobody_tail_masses(V: PairPotential, frame: JacobiFrame, lam: float, radii):
+    """T(R) = |chi_{r>R} u|^2 for the normalized ground state."""
+    u, scale, _ = _bs_wavefunction(V, frame, lam)
+    return _tail_masses(u, scale, radii)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +264,7 @@ class ShootingResult:
     defect: float
     u_end: float
     du_end: float
-    r_end: float
+    step: float
 
 
 def _integration_span(V: PairPotential, frame: JacobiFrame) -> float:
@@ -316,21 +274,21 @@ def _integration_span(V: PairPotential, frame: JacobiFrame) -> float:
 
 def shooting_oracle(V: PairPotential, frame: JacobiFrame, lam: float,
                     energy: float, n_steps: int = 20000,
-                    r_max: float | None = None) -> ShootingResult:
+                    trajectory: list | None = None) -> ShootingResult:
     """Integrate -u'' - lam V(alpha r) u = E u outward from u(0) = 0.
 
     Fixed-step RK4; returns the sign-change count and the matching defect
     u' + kappa u at the outer boundary (kappa = sqrt(-E); at E = 0 the
     defect is u', the coefficient of the growing exterior solution).
     For discontinuous profiles the step is snapped to the support edge so
-    every RK4 step sees a smooth right-hand side.
+    every RK4 step sees a smooth right-hand side.  A ``trajectory`` list
+    receives u at every grid point i * step.
     """
     if lam < 0.0:
         raise ValueError("coupling must be >= 0")
     if energy > 0.0:
         raise ValueError("oracle only treats E <= 0")
-    if r_max is None:
-        r_max = _integration_span(V, frame)
+    r_max = _integration_span(V, frame)
     h = r_max / n_steps
     edge = V.support_radius
     if edge is not None:
@@ -348,6 +306,8 @@ def shooting_oracle(V: PairPotential, frame: JacobiFrame, lam: float,
     w_right = -(lam * V.profile(frame.alpha * (grid[1:] - eps)) + energy)
 
     u, du = 0.0, 1.0
+    if trajectory is not None:
+        trajectory.append(u)
     nodes = 0
     prev = 0.0
     h2 = 0.5 * h
@@ -371,6 +331,10 @@ def shooting_oracle(V: PairPotential, frame: JacobiFrame, lam: float,
             u /= mag
             du /= mag
             prev = math.copysign(min(abs(prev), 1.0), prev)
+            if trajectory is not None:
+                trajectory[:] = [v / mag for v in trajectory]
+        if trajectory is not None:
+            trajectory.append(u)
     kappa = math.sqrt(-energy) if energy < 0.0 else 0.0
     scale = max(abs(u), abs(du), 1e-300)
     return ShootingResult(
@@ -378,7 +342,7 @@ def shooting_oracle(V: PairPotential, frame: JacobiFrame, lam: float,
         defect=(du + kappa * u) / scale,
         u_end=u,
         du_end=du,
-        r_end=n_steps * h,
+        step=h,
     )
 
 
@@ -400,12 +364,11 @@ def total_nodes(res: ShootingResult, energy: float) -> int:
     return res.nodes + extra
 
 
-def oracle_critical_coupling(V: PairPotential, frame: JacobiFrame,
-                             lam_hi: float = 64.0, n_steps: int = 20000) -> float:
+def oracle_critical_coupling(V: PairPotential, frame: JacobiFrame) -> float:
     """Threshold coupling from the zero-energy exterior slope sign change."""
 
     def slope(lam):
-        res = shooting_oracle(V, frame, lam, 0.0, n_steps=n_steps)
+        res = shooting_oracle(V, frame, lam, 0.0)
         return res.du_end / max(abs(res.u_end), abs(res.du_end), 1e-300)
 
     lo = 1e-8
@@ -414,51 +377,18 @@ def oracle_critical_coupling(V: PairPotential, frame: JacobiFrame,
     hi = 1.0
     while slope(hi) > 0.0:
         hi *= 2.0
-        if hi > lam_hi:
-            raise BracketError(f"no threshold found below coupling {lam_hi}")
+        if hi > 64.0:
+            raise BracketError("no threshold found below coupling 64")
     return brentq(slope, hi / 2.0, hi, xtol=1e-12, rtol=8.9e-16)
 
 
-def _oracle_solution(V, frame, lam, energy, n_steps=20000, r_max=None):
-    """Full RK4 trajectory (grid, u) used for oracle moments."""
-    if r_max is None:
-        r_max = _integration_span(V, frame)
-    h = r_max / n_steps
-    edge = V.support_radius
-    if edge is not None:
-        edge_r = edge / frame.alpha
-        n_inner = max(1, int(math.ceil(edge_r / h)))
-        h = edge_r / n_inner
-        n_steps = int(math.ceil(r_max / h))
-    grid = h * np.arange(n_steps + 1)
-    eps = 1e-9 * h
-    w_left = -(lam * V.profile(frame.alpha * (grid[:-1] + eps)) + energy)
-    w_half = -(lam * V.profile(frame.alpha * (grid[:-1] + 0.5 * h)) + energy)
-    w_right = -(lam * V.profile(frame.alpha * (grid[1:] - eps)) + energy)
-    us = np.empty(n_steps + 1)
-    u, du = 0.0, 1.0
-    us[0] = 0.0
-    h2 = 0.5 * h
-    for i in range(n_steps):
-        w0, wh, w1 = w_left[i], w_half[i], w_right[i]
-        k1u, k1v = du, w0 * u
-        k2u, k2v = du + h2 * k1v, wh * (u + h2 * k1u)
-        k3u, k3v = du + h2 * k2v, wh * (u + h2 * k2u)
-        k4u, k4v = du + h * k3v, w1 * (u + h * k3u)
-        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        du = du + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        us[i + 1] = u
-    return grid, us, du
-
-
-def oracle_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float,
-                          n_steps: int = 20000) -> float:
+def oracle_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> float:
     """Ground-state energy by node-count bisection polished on the defect."""
     e_lo = -1.01 * lam * float(np.max(V.profile(np.linspace(0.0, V.effective_radius, 512))))
     e_hi = -1e-13
 
     def nodes(E):
-        return total_nodes(shooting_oracle(V, frame, lam, E, n_steps=n_steps), E)
+        return total_nodes(shooting_oracle(V, frame, lam, E), E)
 
     if nodes(e_hi) < 1:
         raise BracketError("no bound state at this coupling")
@@ -473,7 +403,7 @@ def oracle_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float,
             lo = mid
     # defect is smooth in E across the eigenvalue; polish inside the bracket
     def defect(E):
-        return shooting_oracle(V, frame, lam, E, n_steps=n_steps).defect
+        return shooting_oracle(V, frame, lam, E).defect
 
     d_lo, d_hi = defect(lo), defect(hi)
     if d_lo * d_hi < 0.0:
@@ -481,13 +411,14 @@ def oracle_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float,
     return 0.5 * (lo + hi)
 
 
-def oracle_mean_square_radius(V: PairPotential, frame: JacobiFrame, lam: float,
-                              n_steps: int = 40000) -> float:
+def oracle_mean_square_radius(V: PairPotential, frame: JacobiFrame, lam: float) -> float:
     """<r^2> of the oracle ground state, exterior tail added in closed form."""
     energy = oracle_binding_energy(V, frame, lam)
     kappa = math.sqrt(-energy)
-    r_max = _integration_span(V, frame)
-    grid, us, _ = _oracle_solution(V, frame, lam, energy, n_steps=n_steps, r_max=r_max)
+    us = []
+    res = shooting_oracle(V, frame, lam, energy, n_steps=40000, trajectory=us)
+    us = np.asarray(us)
+    grid = res.step * np.arange(len(us))
     uu = us ** 2
     norm = float(np.trapezoid(uu, grid))
     mom = float(np.trapezoid(grid ** 2 * uu, grid))
@@ -516,28 +447,27 @@ class TwoBodyPoint:
     tail: tuple
 
 
-def sweep_two_body(V: PairPotential, frame: JacobiFrame, couplings,
-                   tail_radii=None, rule: QuadratureRule | None = None):
-    """Control sweep lambda -> (E2, <r^2>, tails) for the spreading contrast."""
-    mu0 = bs_max_eigenvalue(V, frame, 0.0, rule)
+def sweep_two_body(V: PairPotential, frame: JacobiFrame, couplings, tail_radii=None):
+    """Control sweep lambda -> (E2, <r^2>, tails) for the spreading contrast.
+
+    Each point solves its bound state once; <r^2> and the tails come from
+    that one BS eigenvector.
+    """
+    mu0 = bs_max_eigenvalue(V, frame, 0.0)
     lam_star = 1.0 / mu0
     if tail_radii is None:
         tail_radii = tuple(k * V.range_ / frame.alpha for k in (1.0, 2.0, 4.0, 8.0, 16.0))
     points = []
     for lam in couplings:
-        e2 = twobody_binding_energy(V, frame, lam, rule)
-        if e2 is None:
-            raise BracketError(f"coupling {lam} is subcritical; no control point")
-        r2 = twobody_size(V, frame, lam, rule)
-        tail = twobody_tail_masses(V, frame, lam, tail_radii, rule)
+        u, scale, e2 = _bs_wavefunction(V, frame, lam)
         points.append(TwoBodyPoint(
             coupling=float(lam),
             mu0=mu0,
             lambda_star=lam_star,
             E2=e2,
-            r2=r2,
+            r2=_mean_square_radius(u, scale),
             eps_R7=lam_star - float(lam),
-            tail=tuple(tail),
+            tail=tuple(_tail_masses(u, scale, tail_radii)),
         ))
     return points
 

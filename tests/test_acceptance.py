@@ -192,7 +192,7 @@ def test_criterion_7_absorption_experiment(absorb_run):
     rho2_100x = float(np.interp(np.log(100.0 * e_min), xs[::-1], ys[::-1]))
     ratio_ok = rho2_min <= 2.0 * rho2_100x
 
-    verdict = t3.spreading_diagnostic(records)
+    verdict = t3.spreading_diagnostic([(abs(r.E3), r.rho2, r.tail) for r in records])
     tails_ok = verdict.verdict == "non-spreading-consistent"
 
     kin = [r.kinetic_norm for r in records]
@@ -216,14 +216,7 @@ def test_criterion_8_two_body_contrast():
     lams = [lam_star * (1.0 + g) for g in np.geomspace(1e-1, 1e-4, 8)]
     points = tb.sweep_two_body(GAUSS, FRAME, lams)
     exponent = tb.fit_size_exponent(points)
-    records = []
-    for p in points:
-        records.append(t3.SweepRecord(
-            coupling=p.coupling, E3=p.E2, k=math.sqrt(-p.E2), r2_x=p.r2,
-            r2_y=0.0, rho2=p.r2, tail=p.tail, eps_R7=p.eps_R7,
-            kinetic_norm=math.nan, bound=True,
-        ))
-    verdict = t3.spreading_diagnostic(records)
+    verdict = t3.spreading_diagnostic([(abs(p.E2), p.r2, p.tail) for p in points])
     report(
         8, "two-body control: size exponent 1 +/- 0.2 and spreading verdict",
         abs(exponent - 1.0) <= 0.2 and verdict.verdict == "spreading-consistent",

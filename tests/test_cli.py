@@ -138,13 +138,18 @@ class TestMain:
         assert payload["verdict"] == "spreading-consistent"
         assert abs(payload["size_exponent"] - 1.0) <= 0.2
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("THRESHOLD_LAB_THREADS", "4")
-        cfg = load_config(SQUARE_WELL_CFG)
-        assert cfg.threads == 4
-        monkeypatch.delenv("THRESHOLD_LAB_THREADS")
-        assert load_config(SQUARE_WELL_CFG).threads == 1
-        assert load_config(SQUARE_WELL_CFG, threads_override=3).threads == 3
+    def test_r6_violation_exit_2(self, tmp_path, capsys):
+        # a tabulated profile dipping below zero breaks R6 (V >= 0)
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text(
+            "experiment = two_critical\nmasses = 1 1 1\nlambda = 1.0\n"
+            "kind = tabulated\nrange = 1.0\ntable = 0:1 0.5:-0.6 1:0.8 2:0\n"
+        )
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "violates R6" in err and "nonnegativity" in err
+        assert not (tmp_path / "out").exists()
 
     def test_ops_audit_boundary_violation_reported(self, tmp_path):
         cfg_path = tmp_path / "cfg"

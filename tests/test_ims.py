@@ -121,6 +121,18 @@ class TestIdentity:
         assert rep.max_regroup_defect <= 1e-10
         assert rep.max_cone_envelope_excess <= 1e-12
 
+    def test_mislabelled_region_fails(self, partition, mesh):
+        # region 1 (particle 1 far) must list the pairs (1, 2) and (1, 3);
+        # labelling its second separation as (2, 3) breaks the regrouping
+        regions = list(partition.regions)
+        (p12, f12), (_, f13) = regions[0]
+        regions[0] = ((p12, f12), ((2, 3), f13))
+        bad = ims.IMSPartition(partition.system, partition.theta, partition.delta,
+                               tuple(regions))
+        rep = ims.ims_identity_check(SYSTEM, bad, mesh[:20000])
+        assert not rep.passed
+        assert rep.max_regroup_defect > 1e-3
+
 
 class TestAsymmetricMasses:
     def test_audits_hold_for_mass_ratio_ten(self):

@@ -11,8 +11,6 @@ from threshold_lab.model import (
     potential_moment_c,
     separation_forms,
     sqrt_potential_fourier,
-    system_from_text,
-    system_to_text,
     uniform_system,
     validate_r6,
     zero_potential,
@@ -191,16 +189,12 @@ class TestSystem:
             for pair, (u, v) in forms.items():
                 assert np.allclose(u * x + v * y, expected[pair], atol=1e-12)
 
-    def test_roundtrip_serialization(self):
-        sys = uniform_system("exponential", 1.5, 2.25, masses=(1.0, 2.0, 3.0))
-        back = system_from_text(system_to_text(sys))
-        assert back.masses == sys.masses
-        assert back.coupling == sys.coupling
-        assert back.potentials == sys.potentials
-
     def test_flat_keys_apply_to_all_pairs(self):
-        text = "masses = 1 1 1\nlambda = 2.0\nkind = gaussian\nrange = 1.25\n"
-        sys = system_from_text(text)
+        from threshold_lab.cli import load_config
+
+        text = ("experiment = two_critical\nmasses = 1 1 1\nlambda = 2.0\n"
+                "kind = gaussian\nrange = 1.25\n")
+        sys = load_config(text).system
         assert all(p.kind == "gaussian" and p.range_ == 1.25 for p in sys.potentials.values())
 
     def test_zero_potential_is_identically_zero(self):

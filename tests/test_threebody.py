@@ -191,6 +191,19 @@ class TestSolveGround:
         e, c = asm.solve(sys3.coupling)
         assert c @ asm.N @ c == pytest.approx(1.0, abs=1e-10)
 
+    def test_trial_energy_matches_solve_after_add(self, lam_star):
+        # trial_energy and add share the bordering of a new form; the trial
+        # energy of every form of a grown basis must be the energy that
+        # solve() reports once that form is committed
+        sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
+        basis = t3.grow_basis(sys3, 20, seed=3)
+        asm = t3._Assembler(sys3, True)
+        for form in basis.forms:
+            trial = asm.trial_energy(form, sys3.coupling)
+            asm.add(form)
+            assert trial == pytest.approx(asm.solve(sys3.coupling)[0], abs=1e-12)
+        assert np.array_equal(asm.forms, basis.forms)
+
     def test_degenerate_basis_error(self):
         with pytest.raises(BasisError):
             t3.solve_ground(np.array([[1.0]]), np.array([[0.0]]))
@@ -232,17 +245,24 @@ class TestDecoupledPair:
         assert e3 == pytest.approx(e2, rel=1e-3)
 
 
+def ground_record(system, budget, seed):
+    """Grow a basis at the system coupling and record its ground state."""
+    asm = t3.assembler_for(t3.grow_basis(system, budget, seed), system)
+    (rec,) = t3.sweep_three_body(system, [system.coupling], asm, seed=seed)
+    return rec
+
+
 class TestGroundEnergy:
     def test_tiny_coupling_unbound(self):
         sys3 = uniform_system("gaussian", 1.0, 1e-6)
-        rec = t3.ground_energy(sys3, budget=6, seed=1)
+        rec = ground_record(sys3, budget=6, seed=1)
         assert not rec.bound
         assert rec.k is None
 
     def test_borromean_point(self, lam_star):
         # bound three bosons with strictly subcritical pairs
         sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
-        rec = t3.ground_energy(sys3, budget=40, seed=3)
+        rec = ground_record(sys3, budget=40, seed=3)
         assert rec.bound and rec.E3 < 0.0
         assert rec.eps_R7 > 0.0
         assert rec.k == pytest.approx(math.sqrt(-rec.E3))
@@ -337,7 +357,6 @@ class TestCriticalCoupling3Body:
         assert br.lambda_cr < lam_star
         assert br.lam_hi - br.lam_lo <= 1e-4 * lam_star
         assert br.lam_lo < br.lambda_cr < br.lam_hi
-        assert br.variational_upper_bound
 
     def test_zeroed_pair_raises_threshold(self, bracket, lam_star):
         br_full, _ = bracket
@@ -354,30 +373,24 @@ class TestCriticalCoupling3Body:
 
 
 class TestSpreadingDiagnostic:
-    def _record(self, e3, rho2, tails):
-        return t3.SweepRecord(
-            coupling=1.0, E3=e3, k=math.sqrt(-e3), r2_x=rho2 / 2, r2_y=rho2 / 2,
-            rho2=rho2, tail=tuple(tails), eps_R7=0.1, kinetic_norm=1.0, bound=True,
-        )
-
     def test_duplicated_record_is_non_spreading(self):
-        rec = self._record(-1e-3, 5.0, [(1.0, 0.4), (8.0, 0.05)])
-        verdict = t3.spreading_diagnostic([rec] * 4)
+        point = (1e-3, 5.0, ((1.0, 0.4), (8.0, 0.05)))
+        verdict = t3.spreading_diagnostic([point] * 4)
         assert verdict.verdict == "non-spreading-consistent"
 
     def test_escaping_tails_are_spreading(self):
-        records = []
-        for i, e in enumerate((-1e-1, -1e-2, -1e-3, -1e-4)):
+        points = []
+        for i, e in enumerate((1e-1, 1e-2, 1e-3, 1e-4)):
             t_val = [0.7, 0.9, 0.97, 0.99][i]
-            records.append(self._record(e, 1.0 / abs(e), [(1.0, t_val), (8.0, t_val)]))
-        verdict = t3.spreading_diagnostic(records)
+            points.append((e, 1.0 / e, ((1.0, t_val), (8.0, t_val))))
+        verdict = t3.spreading_diagnostic(points)
         assert verdict.verdict == "spreading-consistent"
         assert verdict.size_exponent == pytest.approx(1.0, abs=1e-9)
 
     def test_insufficient_records(self):
-        rec = self._record(-1e-3, 5.0, [(1.0, 0.4)])
+        point = (1e-3, 5.0, ((1.0, 0.4),))
         with pytest.raises(ValueError):
-            t3.spreading_diagnostic([rec] * 3)
+            t3.spreading_diagnostic([point] * 3)
 
 
 class TestElementProperties:
@@ -399,18 +412,9 @@ class TestElementProperties:
 
 
 class TestCheckpoint:
-    def test_roundtrip(self, lam_star):
-        sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
-        basis = t3.grow_basis(sys3, 10, seed=12)
-        back = t3.basis_from_json(t3.basis_to_json(basis))
-        assert np.array_equal(back.forms, basis.forms)
-        assert back.symmetrized == basis.symmetrized
-        assert back.seed == basis.seed
-
     def test_warm_restart_continues_growth(self, lam_star):
         sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
-        checkpoint = t3.basis_to_json(t3.grow_basis(sys3, 8, seed=12))
-        asm = t3.assembler_for(t3.basis_from_json(checkpoint), sys3)
+        asm = t3.assembler_for(t3.grow_basis(sys3, 8, seed=12), sys3)
         e_before = asm.solve(sys3.coupling)[0]
         grown = t3.grow_basis(sys3, 16, seed=13, asm=asm)
         assert len(grown) == 16

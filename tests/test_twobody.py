@@ -46,12 +46,12 @@ class TestBSMaxEigenvalue:
         assert np.max(np.abs(m - m.T)) <= 1e-12 * np.max(np.abs(m))
 
     def test_operator_wrapper(self):
-        op = tb.bs_operator(GAUSS, FRAME, 0.3)
-        assert op.z == 0.3
-        assert len(op.nodes) == len(op.weights) == 128
-        eigs = op.eigenvalues()
+        # bs_max_eigenvalue wraps the BS matrix on the default 128-node rule
+        rule = tb.bs_radial_rule(GAUSS, FRAME.alpha, z=0.3)
+        assert len(rule.nodes) == len(rule.weights) == 128
+        eigs = np.linalg.eigvalsh(tb.bs_matrix(GAUSS, FRAME, 0.3, rule))
         assert np.all(np.isreal(eigs))
-        assert op.max_eigenvalue() == pytest.approx(
+        assert eigs[-1] == pytest.approx(
             tb.bs_max_eigenvalue(GAUSS, FRAME, 0.3), rel=1e-14
         )
 
@@ -231,6 +231,16 @@ class TestSweep:
             assert p.eps_R7 < 0  # control sweep sits above the two-body critical point
             taus = [t for _, t in p.tail]
             assert all(b <= a + 1e-12 for a, b in zip(taus, taus[1:]))
+
+    def test_point_matches_standalone_observables(self):
+        # the sweep solves each bound state once; its <r^2> and tails must be
+        # exactly what the standalone observables compute from scratch
+        lam = 1.05 * tb.critical_coupling(GAUSS, FRAME)
+        radii = (1.0, 4.0, 16.0)
+        (point,) = tb.sweep_two_body(GAUSS, FRAME, [lam], tail_radii=radii)
+        assert point.E2 == tb.twobody_binding_energy(GAUSS, FRAME, lam)
+        assert point.r2 == tb.twobody_size(GAUSS, FRAME, lam)
+        assert list(point.tail) == tb.twobody_tail_masses(GAUSS, FRAME, lam, radii)
 
     def test_subcritical_sweep_rejected(self):
         lam_star = tb.critical_coupling(GAUSS, FRAME)
