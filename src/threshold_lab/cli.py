@@ -397,8 +397,7 @@ def run_ims_audit(cfg: ExperimentConfig) -> int:
 def _three_body_sweep(cfg: ExperimentConfig):
     system = cfg.system
     bracket, asm = t3.critical_coupling_3body(system, cfg.budget, cfg.seed)
-    margin = tb.subcriticality_margin(system)
-    lam_star = min(margin.lambda_stars.values())
+    lam_star = bracket.lambda_star
     off_max = cfg.opt_float("offsets_max", 3e-2)
     off_min = cfg.opt_float("offsets_min", 2e-5)
     n_points = cfg.opt_int("sweep_points", 10)
@@ -407,7 +406,7 @@ def _three_body_sweep(cfg: ExperimentConfig):
     for lam in lams:
         if lam >= lam_star:
             return None, None, float(lam), lam_star
-    records = [r for r in t3.sweep_three_body(system, lams, asm, seed=cfg.seed)
+    records = [r for r in t3.sweep_three_body(system, lams, asm, lam_star)
                if r.bound]
     if len(records) < 4:
         raise AccuracyError(

@@ -6,8 +6,15 @@ moment matrix element is closed-form Gaussian algebra.  For identical
 bosons each form is summed over its orbit under the S3 permutation action,
 which acts on (x, y) by orthogonal 2x2 blocks.  Stochastic growth of the
 form list gives the variational sweep machinery: energies E(lambda),
-size observables, quasi-Monte Carlo tail masses, and the spreading
-diagnostic that contrasts the three-body threshold with the two-body one.
+size observables, tail masses, and the spreading diagnostic that contrasts
+the three-body threshold with the two-body one.
+
+Tail masses are exact up to a fixed 1D quadrature: under every Gaussian pair
+of |psi|^2 the hyperradius obeys rho^2 = s1 X + s2 Y with X, Y ~ chi^2_3, a
+convolution integral (Imhof 1961).  Moments and tail probabilities depend only
+on the basis, so they are kept as cached kernel matrices and every sweep
+point costs a few quadratic forms.  Quasi-Monte Carlo survives only in the
+tests, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -19,12 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 from scipy.optimize import minimize, nnls
-from scipy.stats import norm as norm_dist
+from scipy.special import erfc
 
 from .errors import BasisError, BracketError, FitError
-from .ims import _sobol
 from .model import PairPotential, ParticleSystem, jacobi_frame, separation_forms
-from .twobody import subcriticality_margin, twobody_binding_energy
+from .quadrature import gauss_legendre
+from .twobody import MarginReport, subcriticality_margin, twobody_binding_energy
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
@@ -241,6 +248,8 @@ class _Assembler:
         self.N = np.zeros((0, 0))
         self.T = np.zeros((0, 0))
         self.V = np.zeros((0, 0))
+        self._kernels = {}
+        self._kernels_n = 0
 
     def _images_of(self, form):
         return np.stack([transform_form(form, T) for T in self.perms])
@@ -296,14 +305,22 @@ class _Assembler:
     def solve(self, coupling: float):
         return solve_ground(*self.hamiltonian(coupling))
 
+    def kernel(self, key, build):
+        """``build(self)``, computed once per basis size.
+
+        Every cached matrix depends on the basis alone, and the basis only
+        changes through ``add``, which raises ``n``: a size change empties
+        the cache.
+        """
+        if self._kernels_n != self.n:
+            self._kernels, self._kernels_n = {}, self.n
+        if key not in self._kernels:
+            self._kernels[key] = build(self)
+        return self._kernels[key]
+
     def moment_matrix(self, key: str):
         """Full double-permutation matrix of a (not necessarily invariant) moment."""
-        p = len(self.perms)
-        fa = self.images[:, :, None, None, :]
-        fb = self.images[None, None, :, :, :]
-        blocks = element_block(fa, fb, self.sep_terms, with_h0sq=(key == "h0sq"))
-        mat = np.sum(blocks[key], axis=(1, 3))
-        return mat * np.outer(self.scale, self.scale)
+        return self.kernel("moments", _moment_matrices)[key]
 
     def basis(self, seed: int) -> CorrelatedGaussianBasis:
         return CorrelatedGaussianBasis(self.forms.copy(), self.symmetrized, seed)
@@ -317,6 +334,93 @@ def _bordered(mat, row, diag):
     out[n, :n] = out[:n, n] = row
     out[n, n] = diag
     return out
+
+
+# array elements per vectorized block of a kernel build; bounds its memory
+BLOCK_ELEMENTS = 2 ** 16
+MOMENT_KEYS = ("x2", "y2", "rho2", "h0sq")
+
+
+def _moment_matrices(asm: _Assembler) -> dict:
+    """Every moment matrix, summed over both image sets, in blocks of rows."""
+    n, p = asm.images.shape[:2]
+    mats = {key: np.empty((n, n)) for key in MOMENT_KEYS}
+    step = max(1, BLOCK_ELEMENTS // (p * p * n))
+    fb = asm.images[None, None, :, :, :]
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        blocks = element_block(asm.images[rows, :, None, None, :], fb, asm.sep_terms,
+                               with_h0sq=True)
+        for key in MOMENT_KEYS:
+            mats[key][rows] = np.sum(blocks[key], axis=(1, 3))
+    scale = np.outer(asm.scale, asm.scale)
+    return {key: mat * scale for key, mat in mats.items()}
+
+
+# Gauss-Legendre nodes in theta of each pair's tail integral, x = a sin^2(theta)
+TAIL_NODES = 32
+
+
+def _chi2_3_survival(v):
+    """P(X > v) for X ~ chi^2 with three degrees of freedom."""
+    return erfc(np.sqrt(0.5 * v)) + np.sqrt(2.0 * v / math.pi) * np.exp(-0.5 * v)
+
+
+def _tail_kernels(asm: _Assembler, radii):
+    """One tail kernel per radius, one-sided over images.
+
+    |psi|^2 is a sum of Gaussians exp(-q.(B x I3).q / 2) with
+    B = A_j + g^t A_i g.  Under each, rho^2 = s1 X + s2 Y with X, Y ~ chi^2_3
+    and s1 >= s2 the eigenvalues of B^-1, so P(rho > R) is
+
+        int_0^a f3(x) Q3((R^2 - s1 x) / s2) dx + Q3(a),   a = R^2 / s1,
+
+    with f3 the chi^2_3 density and Q3 its survival function (Imhof 1961).
+    With b = R^2 / s2 and x = a sin^2(theta) the integral becomes
+
+        sqrt(2/pi) a^1.5 int_0^(pi/2) sin^2 cos e^(-a sin^2 / 2) Q3(b cos^2) dtheta,
+
+    whose integrand is analytic: the substitution removes the sqrt(x)
+    singularity of f3 at 0, and Q3(v) = 1 - O(v^1.5) turns into a power
+    series in cos(theta) at the other end.  rho^2 is S3-invariant, so the
+    double image sum is the one-sided sum times the group order; the
+    kernels are symmetric, so only pairs i <= j are integrated.  The
+    weights use element_block's overlap arithmetic, so at R = 0, where every
+    probability is exactly 1, the kernel is the overlap matrix N.
+    """
+    n, p = asm.images.shape[:2]
+    rule = gauss_legendre(TAIL_NODES, 0.0, 0.5 * math.pi)
+    sin2 = np.sin(rule.nodes) ** 2
+    cos2 = np.cos(rule.nodes) ** 2
+    w = rule.weights * sin2 * np.cos(rule.nodes)
+    lo_i, hi_j = np.triu_indices(n)
+    outside = [np.zeros(len(lo_i)) for _ in radii]
+    step = max(1, BLOCK_ELEMENTS // (p * TAIL_NODES))
+    for lo in range(0, len(lo_i), step):
+        sl = slice(lo, lo + step)
+        # later form first, as in N
+        b11, b12, b22 = np.moveaxis(asm.forms[hi_j[sl], None, :] + asm.images[lo_i[sl]],
+                                    -1, 0)
+        det = b11 * b22 - b12 * b12
+        weight = TWO_PI_CUBED * det ** -1.5
+        # eigenvalues of B, i.e. 1/s1 <= 1/s2
+        eig_hi = 0.5 * (b11 + b22) + np.sqrt(0.25 * (b11 - b22) ** 2 + b12 * b12)
+        eig_lo = det / eig_hi
+        for R, out in zip(radii, outside):
+            a = R * R * eig_lo
+            b = R * R * eig_hi
+            inner = np.exp(-0.5 * a[..., None] * sin2) * _chi2_3_survival(b[..., None] * cos2)
+            prob = math.sqrt(2.0 / math.pi) * a ** 1.5 * (inner @ w) + _chi2_3_survival(a)
+            out[sl] = p * np.sum(weight * prob, axis=1)
+    scale = asm.scale[lo_i] * asm.scale[hi_j]
+
+    def symmetric(upper):
+        mat = np.empty((n, n))
+        mat[lo_i, hi_j] = upper * scale
+        mat[hi_j, lo_i] = upper * scale
+        return mat
+
+    return [symmetric(o) for o in outside]
 
 
 def assembler_for(basis: CorrelatedGaussianBasis, system: ParticleSystem) -> _Assembler:
@@ -431,89 +535,25 @@ DEFAULT_TAIL_MULTIPLES = (1.0, 2.0, 4.0, 8.0, 16.0)
 
 
 def _expectations(asm: _Assembler, c: np.ndarray):
-    out = {}
-    for key in ("x2", "y2", "rho2", "h0sq"):
-        out[key] = float(c @ asm.moment_matrix(key) @ c)
-    return out
+    return {key: float(c @ asm.moment_matrix(key) @ c) for key in MOMENT_KEYS}
 
 
-def tail_masses(asm: _Assembler, c: np.ndarray, radii, seed: int,
-                n_points: int = 2 ** 20, return_rho2: bool = False,
-                max_components: int = 12):
-    """T(R) = |chi_{rho > R} psi|^2 by scrambled low-discrepancy sampling.
+def tail_masses(asm: _Assembler, c: np.ndarray, radii, seed=None):
+    """T(R) = |chi_{rho > R} psi|^2 / |psi|^2 by the chi^2 convolution.
 
-    The importance envelope is a mixture over the dominant basis Gaussians
-    (every significant coefficient, broadened twofold in covariance, one
-    full scrambled stream per component).  By |phi_k phi_l| <= (phi_k^2 +
-    phi_l^2)/2 the mixture dominates every cross term of |psi|^2, so both
-    the core and the halo tail are covered by the same deterministic
-    sample.
+    The kernels come from ``_tail_kernels`` and are cached on ``asm`` per
+    radius set, so each call after the first is one quadratic form per
+    radius; |psi|^2 is c.N.c.  The route is deterministic: ``seed`` has no effect and is only
+    accepted for callers that still pass one.
     """
-    weights = np.abs(c)
-    order = np.argsort(weights)[::-1]
-    sig = [int(i) for i in order if weights[i] > 1e-2 * weights[order[0]]]
-    sig = sig[:max_components]
-    # make sure the broadest significant direction is represented even if
-    # its coefficient ranks below the cut
-    lam_min = np.array([
-        min(np.linalg.eigvalsh(np.array([[f[0], f[1]], [f[1], f[2]]])))
-        for f in asm.forms
-    ])
-    wide_pool = np.flatnonzero(weights > 1e-3 * weights[order[0]])
-    broad = int(wide_pool[np.argmin(lam_min[wide_pool])])
-    if broad not in sig:
-        sig.append(broad)
-
-    comps = []
-    for idx in sig:
-        f = 0.5 * asm.forms[idx]
-        comps.append(np.array([[f[0], f[1]], [f[1], f[2]]]))
-    # equal per-component allocation below means the sampling density is
-    # the equal-weight mixture; the importance weights must match it
-    mix = [1.0 / len(comps)] * len(comps)
-
-    per = n_points // len(comps)
-    q = np.empty((per * len(comps), 6))
-    for ci, B in enumerate(comps):
-        u = _sobol(6, per, seed + 7919 * ci)
-        eta = norm_dist.ppf(np.clip(u, 1e-15, 1.0 - 1e-15))
-        L = np.linalg.cholesky(np.linalg.inv(B))
-        sl = slice(ci * per, (ci + 1) * per)
-        q[sl, 0:3] = L[0, 0] * eta[:, 0:3]
-        q[sl, 3:6] = L[1, 0] * eta[:, 0:3] + L[1, 1] * eta[:, 3:6]
-    n_points = per * len(comps)
-
-    xx = np.einsum("ij,ij->i", q[:, :3], q[:, :3])
-    xy = np.einsum("ij,ij->i", q[:, :3], q[:, 3:])
-    yy = np.einsum("ij,ij->i", q[:, 3:], q[:, 3:])
-
-    log_g = np.full(n_points, -np.inf)
-    for w_mix, B in zip(mix, comps):
-        det = B[0, 0] * B[1, 1] - B[0, 1] ** 2
-        expo = -0.5 * (B[0, 0] * xx + 2.0 * B[0, 1] * xy + B[1, 1] * yy)
-        log_comp = math.log(w_mix) + 1.5 * math.log(det) - 3.0 * math.log(2.0 * math.pi) + expo
-        log_g = np.logaddexp(log_g, log_comp)
-
-    psi = np.zeros(n_points)
-    coeff = c * asm.scale
-    for k in range(asm.n):
-        for pi in range(asm.images.shape[1]):
-            a11, a12, a22 = asm.images[k, pi]
-            psi += coeff[k] * np.exp(-0.5 * (a11 * xx + 2.0 * a12 * xy + a22 * yy))
-
-    w = psi ** 2 * np.exp(-log_g)
-    total = float(np.sum(w))
-    rho2 = xx + yy
-    tails = []
-    for R in radii:
-        tails.append((float(R), float(np.sum(w[rho2 > R * R])) / total))
-    if return_rho2:
-        return tails, float(np.sum(w * rho2) / total)
-    return tails
+    radii = tuple(float(R) for R in radii)
+    outside = asm.kernel(("tails", radii), lambda a: _tail_kernels(a, radii))
+    total = float(c @ asm.N @ c)
+    return [(R, float(c @ K @ c) / total) for R, K in zip(radii, outside)]
 
 
 def record_point(asm: _Assembler, system_coupling: float, eps_r7: float,
-                 tail_radii, seed: int) -> SweepRecord:
+                 tail_radii) -> SweepRecord:
     """Solve at one coupling and assemble the full sweep record."""
     e3, c = asm.solve(system_coupling)
     if e3 >= 0.0:
@@ -523,7 +563,7 @@ def record_point(asm: _Assembler, system_coupling: float, eps_r7: float,
             tail=(), eps_R7=eps_r7, kinetic_norm=math.nan, bound=False,
         )
     mom = _expectations(asm, c)
-    tails = tail_masses(asm, c, tail_radii, seed)
+    tails = tail_masses(asm, c, tail_radii)
     return SweepRecord(
         coupling=float(system_coupling),
         E3=float(e3),
@@ -546,11 +586,11 @@ class CriticalBracket:
     lam_lo: float
     lam_hi: float
     tol_energy: float
+    lambda_star: float      # smallest pair critical coupling of the system
 
 
-def _energy_scale(system: ParticleSystem) -> float:
+def _energy_scale(system: ParticleSystem, margin: MarginReport) -> float:
     """|E2(2 lambda*)| of the most attractive pair: the natural energy unit."""
-    margin = subcriticality_margin(system)
     pair = min(margin.lambda_stars, key=margin.lambda_stars.get)
     lam_star = margin.lambda_stars[pair]
     frame = jacobi_frame(system, pair)
@@ -573,7 +613,7 @@ def critical_coupling_3body(system: ParticleSystem, budget: int, seed: int,
     """
     margin = subcriticality_margin(system)
     lam_star = min(margin.lambda_stars.values())
-    tol_e = 1e-6 * _energy_scale(system)
+    tol_e = 1e-6 * _energy_scale(system, margin)
     lam_lo0, lam_hi0 = scan[0] * lam_star, scan[1] * lam_star
 
     asm = _Assembler(system, system.identical_bosons)
@@ -611,6 +651,7 @@ def critical_coupling_3body(system: ParticleSystem, budget: int, seed: int,
         lam_lo=lam_lo,
         lam_hi=lam_hi,
         tol_energy=tol_e,
+        lambda_star=lam_star,
     ), asm
 
 
@@ -619,17 +660,20 @@ def system_with_coupling(system: ParticleSystem, coupling: float) -> ParticleSys
 
 
 def sweep_three_body(system: ParticleSystem, couplings, asm: _Assembler,
-                     tail_radii=None, seed: int = 0):
-    """Fixed-basis sweep over couplings, one SweepRecord per point."""
-    margin = subcriticality_margin(system)
-    lam_star = min(margin.lambda_stars.values())
+                     lambda_star: float, tail_radii=None):
+    """Fixed-basis sweep over couplings, one SweepRecord per point.
+
+    ``lambda_star`` is the smallest pair critical coupling (as carried by
+    ``CriticalBracket.lambda_star``); each record's eps_R7 is its distance
+    below it.
+    """
     if tail_radii is None:
         rng = max(p.range_ for p in system.potentials.values())
         tail_radii = tuple(m * rng for m in DEFAULT_TAIL_MULTIPLES)
     records = []
     for lam in couplings:
-        records.append(record_point(asm, float(lam), lam_star - float(lam),
-                                    tail_radii, seed))
+        records.append(record_point(asm, float(lam), lambda_star - float(lam),
+                                    tail_radii))
     return records
 
 

@@ -248,7 +248,8 @@ class TestDecoupledPair:
 def ground_record(system, budget, seed):
     """Grow a basis at the system coupling and record its ground state."""
     asm = t3.assembler_for(t3.grow_basis(system, budget, seed), system)
-    (rec,) = t3.sweep_three_body(system, [system.coupling], asm, seed=seed)
+    lam_star = min(tb.subcriticality_margin(system).lambda_stars.values())
+    (rec,) = t3.sweep_three_body(system, [system.coupling], asm, lam_star)
     return rec
 
 
@@ -275,7 +276,7 @@ class TestGroundEnergy:
         basis = t3.grow_basis(sys3, 25, seed=3)
         asm = t3.assembler_for(basis, sys3)
         _, c = asm.solve(sys3.coupling)
-        tails = t3.tail_masses(asm, c, (0.0, 1.0, 3.0), seed=3, n_points=2 ** 17)
+        tails = t3.tail_masses(asm, c, (0.0, 1.0, 3.0))
         assert tails[0][1] == pytest.approx(1.0, abs=1e-14)
         assert tails[2][1] < tails[1][1] <= 1.0
 
@@ -318,6 +319,47 @@ def chi2_tail_oracle(asm, c, R):
     return outside / total
 
 
+def qmc_tails(asm, c, radii, seed, n_points):
+    """T(R) and <rho^2> for |psi|^2 by importance-sampled scrambled Sobol points.
+
+    The sampling density is the equal-weight mixture of every (form, image)
+    Gaussian of the basis, broadened twofold in covariance, each component
+    drawing its own scrambled stream.  psi is a sum of those Gaussians, and
+    by |phi_k phi_l| <= (phi_k^2 + phi_l^2) / 2 the mixture dominates every
+    cross term of |psi|^2, so the weights stay bounded.
+    """
+    flat = asm.images.reshape(-1, 3)
+    comps = [0.5 * np.array([[f[0], f[1]], [f[1], f[2]]]) for f in flat]
+    per = n_points // len(comps)
+    q = np.empty((per * len(comps), 6))
+    for ci, B in enumerate(comps):
+        u = _sobol(6, per, seed + 7919 * ci)
+        eta = norm_dist.ppf(np.clip(u, 1e-15, 1.0 - 1e-15))
+        L = np.linalg.cholesky(np.linalg.inv(B))
+        sl = slice(ci * per, (ci + 1) * per)
+        q[sl, 0:3] = L[0, 0] * eta[:, 0:3]
+        q[sl, 3:6] = L[1, 0] * eta[:, 0:3] + L[1, 1] * eta[:, 3:6]
+    xx = np.einsum("ij,ij->i", q[:, :3], q[:, :3])
+    xy = np.einsum("ij,ij->i", q[:, :3], q[:, 3:])
+    yy = np.einsum("ij,ij->i", q[:, 3:], q[:, 3:])
+
+    log_g = np.full(len(q), -np.inf)
+    for B in comps:
+        det = B[0, 0] * B[1, 1] - B[0, 1] ** 2
+        expo = -0.5 * (B[0, 0] * xx + 2.0 * B[0, 1] * xy + B[1, 1] * yy)
+        log_g = np.logaddexp(log_g, 1.5 * math.log(det) - 3.0 * math.log(2.0 * math.pi)
+                             - math.log(len(comps)) + expo)
+    psi = np.zeros(len(q))
+    for coeff, (a11, a12, a22) in zip(np.repeat(c * asm.scale, asm.images.shape[1]), flat):
+        psi += coeff * np.exp(-0.5 * (a11 * xx + 2.0 * a12 * xy + a22 * yy))
+
+    w = psi ** 2 * np.exp(-log_g)
+    total = float(np.sum(w))
+    rho2 = xx + yy
+    tails = {float(R): float(np.sum(w[rho2 > R * R])) / total for R in radii}
+    return tails, float(np.sum(w * rho2)) / total
+
+
 class TestTailOracle:
     def test_qmc_matches_chi2_convolution(self, lam_star):
         sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
@@ -325,9 +367,11 @@ class TestTailOracle:
         asm = t3.assembler_for(basis, sys3)
         _, c = asm.solve(sys3.coupling)
         radii = (2.0, 6.0, 12.0)
-        qmc = dict(t3.tail_masses(asm, c, radii, seed=3))
+        tails = dict(t3.tail_masses(asm, c, radii))
+        qmc, _ = qmc_tails(asm, c, radii, seed=3, n_points=2 ** 20)
         for R in radii:
-            assert qmc[R] == pytest.approx(chi2_tail_oracle(asm, c, R), abs=1e-3)
+            assert tails[R] == pytest.approx(chi2_tail_oracle(asm, c, R), abs=1e-6)
+            assert tails[R] == pytest.approx(qmc[R], abs=1e-3)
 
     def test_rho2_closed_form_within_qmc_error(self, lam_star):
         sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
@@ -335,11 +379,8 @@ class TestTailOracle:
         asm = t3.assembler_for(basis, sys3)
         _, c = asm.solve(sys3.coupling)
         closed = float(c @ asm.moment_matrix("rho2") @ c)
-        reps = [
-            t3.tail_masses(asm, c, (1.0,), seed=100 + k, n_points=2 ** 17,
-                           return_rho2=True)[1]
-            for k in range(8)
-        ]
+        reps = [qmc_tails(asm, c, (), seed=100 + k, n_points=2 ** 17)[1]
+                for k in range(8)]
         mean = float(np.mean(reps))
         err = float(np.std(reps, ddof=1)) / math.sqrt(len(reps))
         assert abs(closed - mean) <= 3.0 * max(err, 1e-12)
@@ -354,6 +395,7 @@ def bracket(lam_star):
 class TestCriticalCoupling3Body:
     def test_borromean_window(self, bracket, lam_star):
         br, _ = bracket
+        assert br.lambda_star == pytest.approx(lam_star, rel=1e-14)
         assert br.lambda_cr < lam_star
         assert br.lam_hi - br.lam_lo <= 1e-4 * lam_star
         assert br.lam_lo < br.lambda_cr < br.lam_hi
@@ -370,6 +412,54 @@ class TestCriticalCoupling3Body:
         sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
         br_30, _ = t3.critical_coupling_3body(sys3, budget=30, seed=7)
         assert br_60.lambda_cr <= br_30.lambda_cr + 2e-4 * lam_star
+
+
+SWEEP_OFFSETS = (3e-2, 1e-3, 2e-5)     # (lambda - lambda_cr) / lambda*
+
+
+class TestTailKernels:
+    def test_total_mass_kernel_is_overlap(self, bracket):
+        # R = 0 probabilities are exactly 1: the one-sided image sum and the
+        # i <= j fold must rebuild N entry by entry
+        _, asm = bracket
+        (k0,) = t3._tail_kernels(asm, (0.0,))
+        assert np.all(np.abs(k0 - asm.N) <= 1e-12 * np.abs(asm.N))
+
+    def test_doubling_nodes_moves_no_tail(self, bracket, lam_star, monkeypatch):
+        br, asm = bracket
+        assert asm.n >= 60
+        radii = t3.DEFAULT_TAIL_MULTIPLES
+        cs = [asm.solve(br.lambda_cr + off * lam_star)[1] for off in SWEEP_OFFSETS]
+        base = [t3.tail_masses(asm, c, radii) for c in cs]
+        monkeypatch.setattr(t3, "TAIL_NODES", 2 * t3.TAIL_NODES)
+        fine_asm = t3.assembler_for(asm.basis(7), asm.system)
+        fine = [t3.tail_masses(fine_asm, c, radii) for c in cs]
+        worst = max(abs(a - b) for x, y in zip(base, fine) for (_, a), (_, b) in zip(x, y))
+        assert worst <= 1e-7
+
+    def test_tails_fall_and_obey_markov_along_sweep(self, bracket, lam_star):
+        br, asm = bracket
+        lams = [br.lambda_cr + off * lam_star for off in SWEEP_OFFSETS]
+        records = t3.sweep_three_body(asm.system, lams, asm, br.lambda_star)
+        for rec in records:
+            assert rec.bound
+            taus = [T for _, T in rec.tail]
+            assert all(b <= a for a, b in zip(taus, taus[1:]))
+            assert all(T <= rec.rho2 / R ** 2 for R, T in rec.tail)
+
+    def test_add_makes_cached_kernels_stale(self, lam_star):
+        sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
+        basis = t3.grow_basis(sys3, 12, seed=5)
+        asm = t3.assembler_for(
+            t3.CorrelatedGaussianBasis(basis.forms[:-1], True, 5), sys3)
+        radii = (1.0, 4.0)
+        t3.tail_masses(asm, asm.solve(sys3.coupling)[1], radii)
+        asm.moment_matrix("rho2")
+        asm.add(basis.forms[-1])
+        _, c = asm.solve(sys3.coupling)
+        fresh = t3.assembler_for(basis, sys3)
+        assert t3.tail_masses(asm, c, radii) == t3.tail_masses(fresh, c, radii)
+        assert np.array_equal(asm.moment_matrix("rho2"), fresh.moment_matrix("rho2"))
 
 
 class TestSpreadingDiagnostic:
