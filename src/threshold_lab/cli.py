@@ -446,6 +446,8 @@ def run_three_sweep(cfg: ExperimentConfig) -> int:
         "experiment": "three_sweep",
         "lambda_cr": bracket.lambda_cr,
         "bracket": [bracket.lam_lo, bracket.lam_hi],
+        "cond_N": bracket.cond_N,
+        "dropped_directions": bracket.dropped_directions,
         "lambda_star": lam_star,
         "verdict": verdict.verdict,
         "size_exponent": verdict.size_exponent,
@@ -496,6 +498,8 @@ def run_absorb(cfg: ExperimentConfig) -> int:
             "lambda_cr": bracket.lambda_cr,
             "bracket": [bracket.lam_lo, bracket.lam_hi],
             "bracket_width_rel": (bracket.lam_hi - bracket.lam_lo) / lam_star3,
+            "cond_N": bracket.cond_N,
+            "dropped_directions": bracket.dropped_directions,
             "lambda_star": lam_star3,
             "window_nonempty": bool(bracket.lambda_cr < lam_star3),
             "verdict": verdict.verdict,

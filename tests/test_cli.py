@@ -194,6 +194,34 @@ class TestMain:
         payload = json.loads((out / "three_sweep.json").read_text())
         assert payload["lambda_cr"] < payload["lambda_star"]
         assert payload["bracket"][0] < payload["lambda_cr"] < payload["bracket"][1]
+        assert payload["cond_N"] >= 1.0
+        assert payload["dropped_directions"] == 0
+
+    def test_absorb_symmetric_moments_and_conditioning(self, tmp_path):
+        # x^2 and y^2 are the same matrix on a symmetrized basis, so the
+        # columns agree to the last digit; the conditioning is reported, and
+        # reruns stay byte-identical with it
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text(
+            "experiment = absorb\nmasses = 1 1 1\nkind = gaussian\nrange = 1.0\n"
+            "budget = 24\ncontrol_points = 4\nsweep_points = 4\n"
+            "offsets_min = 1e-3\nseed = 7\n"
+        )
+        outs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == EXIT_OK
+            outs.append({name: (out / name).read_bytes()
+                         for name in ("absorb.json", "absorb_three.csv")})
+        assert outs[0] == outs[1]
+        rows = outs[0]["absorb_three.csv"].decode().splitlines()[1:]
+        header = rows[0].split(",")
+        x, y = header.index("r2_x"), header.index("r2_y")
+        assert len(rows) == 5
+        assert all(r.split(",")[x] == r.split(",")[y] for r in rows[1:])
+        three = json.loads(outs[0]["absorb.json"])["three_body"]
+        assert three["cond_N"] >= 1.0
+        assert three["dropped_directions"] == 0
 
     def test_identical_reruns_byte_identical(self, tmp_path):
         cfg_path = tmp_path / "cfg"

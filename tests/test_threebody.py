@@ -5,7 +5,7 @@ import pytest
 from scipy.special import erfc
 from scipy.stats import norm as norm_dist
 
-from threshold_lab.errors import BasisError, FitError
+from threshold_lab.errors import BasisError, BracketError, FitError
 from threshold_lab.ims import _sobol
 from threshold_lab.model import (
     PairPotential,
@@ -209,6 +209,102 @@ class TestSolveGround:
             t3.solve_ground(np.array([[1.0]]), np.array([[0.0]]))
 
 
+class TestSecularRoot:
+    def test_matches_dense_eigenvalues(self):
+        rng = np.random.default_rng(8)
+        e = np.sort(rng.uniform(-2.0, 5.0, 12))
+        z = rng.normal(size=(40, 12)) * 10.0 ** rng.uniform(-6.0, 1.0, (40, 1))
+        g = rng.uniform(-3.0, 6.0, 40)
+        roots, ok = t3._secular_lowest(e, z, g)
+        assert np.all(ok)
+        for zi, gi, root in zip(z, g, roots):
+            arrow = np.diag(np.append(e, gi))
+            arrow[-1, :-1] = arrow[:-1, -1] = zi
+            assert root == pytest.approx(np.linalg.eigvalsh(arrow)[0], abs=1e-12)
+
+    def test_uncoupled_lowest_pole_is_flagged_or_solved(self):
+        e = np.array([0.0, 1.0, 2.0])
+        z = np.array([[0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+        g = np.array([-1.0, 3.0])
+        roots, ok = t3._secular_lowest(e, z, g)
+        # g below e_0: a root exists below the pole; g above: the lowest
+        # eigenvalue is e_0 itself, which the secular root cannot give
+        assert ok.tolist() == [True, False]
+        arrow = np.diag([0.0, 1.0, 2.0, -1.0])
+        arrow[-1, 1:3] = arrow[1:3, -1] = 0.5
+        assert roots[0] == pytest.approx(np.linalg.eigvalsh(arrow)[0], abs=1e-14)
+
+
+def full_solves_counted(monkeypatch):
+    """Count the full bordered solves that trial_energies falls back to."""
+    calls = []
+    original = t3._bordered_ground
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(t3, "_bordered_ground", counted)
+    return calls
+
+
+SCALE_WINDOWS = (1e-2, 1e-4, 1e-6)     # lo of the proposal window [lo, 1/lo]
+
+
+class TestTrialEnergies:
+    @pytest.mark.parametrize("budget", [100, 150])
+    def test_match_full_solve_in_every_window(self, grown, budget, monkeypatch):
+        br, asm = grown[budget]
+        lam = br.lambda_cr * 1.005          # the last growth stage's coupling
+        rng = np.random.default_rng(budget)
+        fallbacks = full_solves_counted(monkeypatch)
+        worst, scored, updated = 0.0, 0, 0
+        for lo in SCALE_WINDOWS:
+            for _ in range(4):
+                cands = np.array([t3._propose_form(rng, lo, 1.0 / lo, 1.0)
+                                  for _ in range(16)])
+                before = len(fallbacks)
+                fast = asm.trial_energies(cands, lam)
+                scored += len(cands)
+                updated += len(cands) - (len(fallbacks) - before)
+                full = [asm.trial_energy(f, lam) for f in cands]
+                worst = max(worst, float(np.max(np.abs(fast - full))))
+        assert worst <= 1e-11
+        if budget == 100:
+            # the overlap is far from the drop cutoff: most candidates take
+            # the update, so the comparison above tests it
+            assert updated > scored // 2
+
+    def test_duplicate_form_takes_full_solve(self, grown, monkeypatch):
+        br, asm = grown[100]
+        lam = br.lambda_cr * 1.005
+        form = asm.forms[17]
+        fallbacks = full_solves_counted(monkeypatch)
+        (fast,) = asm.trial_energies(form[None, :], lam)
+        assert len(fallbacks) == 1
+        assert fast == asm.trial_energy(form, lam)
+
+    def test_dropped_direction_takes_full_solve(self, lam_star, monkeypatch):
+        # a committed duplicate leaves the overlap a dropped direction: the
+        # update would keep the committed span, solve_ground re-regularizes
+        sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
+        asm = t3.assembler_for(t3.grow_basis(sys3, 20, seed=3), sys3)
+        asm.add(asm.forms[5])
+        rng = np.random.default_rng(21)
+        cands = np.array([t3._propose_form(rng, 1e-2, 1e2, 1.0) for _ in range(16)])
+        fallbacks = full_solves_counted(monkeypatch)
+        fast = asm.trial_energies(cands, sys3.coupling)
+        assert len(fallbacks) == len(cands)
+        assert fast.tolist() == [asm.trial_energy(f, sys3.coupling) for f in cands]
+
+    def test_empty_basis_scores_the_form_alone(self, lam_star):
+        sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
+        asm = t3._Assembler(sys3, True)
+        form = np.array([1.0, 0.2, 0.7])
+        (fast,) = asm.trial_energies(form[None, :], sys3.coupling)
+        assert fast == pytest.approx(asm.trial_energy(form, sys3.coupling), rel=1e-12)
+
+
 class TestBasis:
     def test_non_spd_rejected(self):
         with pytest.raises(BasisError):
@@ -392,6 +488,14 @@ def bracket(lam_star):
     return t3.critical_coupling_3body(sys3, budget=60, seed=7)
 
 
+@pytest.fixture(scope="module")
+def grown(lam_star):
+    """(bracket, assembler) of the flagship system at budgets 100 and 150."""
+    sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
+    return {budget: t3.critical_coupling_3body(sys3, budget=budget, seed=7)
+            for budget in (100, 150)}
+
+
 class TestCriticalCoupling3Body:
     def test_borromean_window(self, bracket, lam_star):
         br, _ = bracket
@@ -412,6 +516,56 @@ class TestCriticalCoupling3Body:
         sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
         br_30, _ = t3.critical_coupling_3body(sys3, budget=30, seed=7)
         assert br_60.lambda_cr <= br_30.lambda_cr + 2e-4 * lam_star
+
+    @pytest.mark.parametrize("budget", [60, 150])
+    def test_energy_at_crossing_is_minus_tol(self, bracket, grown, budget):
+        br, asm = bracket if budget == 60 else grown[budget]
+        e3 = asm.solve(br.lambda_cr)[0]
+        assert abs(e3 + br.tol_energy) <= 1e-3 * br.tol_energy
+        assert br.lam_hi - br.lam_lo == pytest.approx(5e-6 * br.lambda_star, rel=1e-9)
+
+    def test_reports_conditioning_of_final_basis(self, grown):
+        br, asm = grown[150]
+        s = np.linalg.eigvalsh(asm.N)
+        assert br.cond_N == pytest.approx(s[-1] / s[0], rel=1e-6)
+        assert br.dropped_directions == int(np.sum(s <= t3.DROP_TOL * s[-1]))
+
+    def test_corrupted_crossing_raises(self, lam_star, monkeypatch):
+        crossing = t3._crossing
+        monkeypatch.setattr(t3, "_crossing", lambda asm, tol: crossing(asm, tol) * 1.001)
+        sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
+        with pytest.raises(BracketError, match="not certified"):
+            t3.critical_coupling_3body(sys3, budget=30, seed=7)
+
+    def test_drop_tol_moves_neither_lambda_cr_nor_verdict(self, grown, lam_star,
+                                                          monkeypatch):
+        def verdict(br, asm):
+            lams = br.lambda_cr + np.geomspace(3e-2, 2e-5, 10) * lam_star
+            records = t3.sweep_three_body(asm.system, lams, asm, br.lambda_star)
+            assert all(r.bound for r in records)
+            return t3.spreading_diagnostic(
+                [(abs(r.E3), r.rho2, r.tail) for r in records]).verdict
+
+        br, asm = grown[100]
+        tight = verdict(br, asm)
+        monkeypatch.setattr(t3, "DROP_TOL", 1e-10)
+        sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
+        br_loose, asm_loose = t3.critical_coupling_3body(sys3, budget=100, seed=7)
+        assert abs(br_loose.lambda_cr - br.lambda_cr) <= 1e-4 * lam_star
+        assert verdict(br_loose, asm_loose) == tight == "non-spreading-consistent"
+
+
+class TestVariationalPrinciple:
+    def test_energy_never_rises_along_flagship_basis(self, grown):
+        # the budget-150 basis rebuilt prefix by prefix at one fixed coupling
+        br, asm = grown[150]
+        lam = br.lambda_cr * (1.0 + 2e-5)
+        prefix = t3._Assembler(asm.system, asm.symmetrized)
+        energies = []
+        for form in asm.forms:
+            prefix.add(form)
+            energies.append(prefix.solve(lam)[0])
+        assert all(b <= a for a, b in zip(energies, energies[1:]))
 
 
 SWEEP_OFFSETS = (3e-2, 1e-3, 2e-5)     # (lambda - lambda_cr) / lambda*
@@ -460,6 +614,35 @@ class TestTailKernels:
         fresh = t3.assembler_for(basis, sys3)
         assert t3.tail_masses(asm, c, radii) == t3.tail_masses(fresh, c, radii)
         assert np.array_equal(asm.moment_matrix("rho2"), fresh.moment_matrix("rho2"))
+
+
+def double_sum_moments(asm):
+    """Moment matrices by the full image-by-image double sum, pair by pair."""
+    n = asm.n
+    mats = {key: np.zeros((n, n)) for key in t3.MOMENT_KEYS}
+    for i in range(n):
+        for j in range(n):
+            blocks = t3.element_block(asm.images[i][:, None, :], asm.images[j][None, :, :],
+                                      asm.sep_terms, with_h0sq=True)
+            for key in t3.MOMENT_KEYS:
+                mats[key][i, j] = np.sum(blocks[key]) * asm.scale[i] * asm.scale[j]
+    return mats
+
+
+class TestMomentMatrices:
+    @pytest.mark.parametrize("symmetrized", [True, False])
+    def test_one_sided_sum_matches_double_sum(self, lam_star, symmetrized):
+        sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
+        basis = t3.grow_basis(sys3, 10, seed=4)
+        asm = t3._Assembler(sys3, symmetrized)
+        for form in basis.forms:
+            asm.add(form)
+        ref = double_sum_moments(asm)
+        for key in t3.MOMENT_KEYS:
+            got = asm.moment_matrix(key)
+            assert np.max(np.abs(got - ref[key])) <= 1e-12 * np.max(np.abs(ref[key])), key
+        if symmetrized:
+            assert np.array_equal(asm.moment_matrix("x2"), asm.moment_matrix("y2"))
 
 
 class TestSpreadingDiagnostic:
