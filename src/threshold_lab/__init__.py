@@ -14,6 +14,7 @@ from .errors import (
     ConfigError,
     DegenerateInputError,
     FitError,
+    HypothesisError,
     ThresholdLabError,
     ValidationError,
 )
@@ -37,7 +38,6 @@ from .twobody import (
     shooting_oracle,
     subcriticality_margin,
     twobody_binding_energy,
-    twobody_size,
 )
 from .faddeev_ops import (
     BoundConstants,
@@ -65,6 +65,7 @@ __all__ = [
     "CorrelatedGaussianBasis",
     "DegenerateInputError",
     "FitError",
+    "HypothesisError",
     "JacobiFrame",
     "MarginReport",
     "PairPotential",
@@ -95,7 +96,6 @@ __all__ = [
     "subcriticality_margin",
     "t_multiplier",
     "twobody_binding_energy",
-    "twobody_size",
     "uniform_system",
     "validate_r6",
     "verify_support_cone",

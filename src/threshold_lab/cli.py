@@ -3,8 +3,9 @@
 Experiments are described by a line-oriented ``key = value`` config file;
 every run is deterministic given the config and seed, and every output
 file embeds the config hash and the seed.  Exit codes: 0 success,
-1 numerical failure, 2 config failure, 3 hypothesis violation (a sweep
-crossing the two-body critical coupling).
+1 numerical failure, 2 config failure (an unknown key, a bad value or an
+R6 violation), 3 hypothesis violation (a sweep crossing the two-body
+critical coupling).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from . import faddeev_ops as fo
 from . import ims
 from . import threebody as t3
 from . import twobody as tb
-from .errors import AccuracyError, ConfigError, ThresholdLabError, ValidationError
+from .errors import (AccuracyError, ConfigError, HypothesisError, ThresholdLabError,
+                     ValidationError)
 from .model import (
     PAIRS,
     ParticleSystem,
@@ -43,6 +45,13 @@ EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
 
+# integer options and their least values: the spreading diagnostic needs 4
+# sweep points, a grid or a sample set 1
+INT_OPTIONS = {"sweep_points": 4, "control_points": 4, "z_points": 1, "p_points": 1,
+               "samples": 1}
+# positive options: the sweep offsets above lambda_cr, in units of lambda*
+POSITIVE_OPTIONS = ("offsets_max", "offsets_min")
+
 
 @dataclass
 class ExperimentConfig:
@@ -54,13 +63,7 @@ class ExperimentConfig:
     quiet: bool
     config_hash: str
     lambda_factor: float | None
-    options: dict = field(default_factory=dict)
-
-    def opt_float(self, key: str, default: float) -> float:
-        return float(self.options.get(key, default))
-
-    def opt_int(self, key: str, default: int) -> int:
-        return int(self.options.get(key, default))
+    options: dict = field(default_factory=dict)   # parsed option values
 
 
 def _canonical_text(kv: dict) -> str:
@@ -96,13 +99,16 @@ def load_config(text: str, seed_override=None, out_override=None,
         except ValueError as exc:
             raise ConfigError(f"key {key!r} is not a number: {kv[key]!r}", key=key) from exc
 
-    def take_int(key, default):
+    def take_int(key, default, least=None):
         if key not in kv:
             return default
         try:
-            return int(kv[key])
+            value = int(kv[key])
         except ValueError as exc:
             raise ConfigError(f"key {key!r} is not an integer: {kv[key]!r}", key=key) from exc
+        if least is not None and value < least:
+            raise ConfigError(f"key {key!r} must be at least {least}: {kv[key]!r}", key=key)
+        return value
 
     masses_text = kv.get("masses", "1 1 1")
     try:
@@ -143,16 +149,18 @@ def load_config(text: str, seed_override=None, out_override=None,
     out_dir = Path(kv.get("out", "out"))
     known = {"experiment", "masses", "lambda", "lambda_factor", "seed", "budget",
              "out", "kind", "range", "table"}
-    option_keys = {"sweep_points", "control_points", "control_gmax", "control_gmin",
-                   "offsets_max", "offsets_min", "z_points", "p_points",
-                   "theta", "delta", "samples"}
     options = {}
-    for k, v in kv.items():
+    for k in kv:
         if k in known or k.startswith("potential."):
             continue
-        if k not in option_keys:
+        if k in INT_OPTIONS:
+            options[k] = take_int(k, None, INT_OPTIONS[k])
+        elif k in POSITIVE_OPTIONS:
+            options[k] = take_float(k)
+            if not options[k] > 0.0:
+                raise ConfigError(f"key {k!r} must be positive: {kv[k]!r}", key=k)
+        else:
             raise ConfigError(f"unknown configuration key {k!r}", key=k)
-        options[k] = v
     # the paper's standing assumption R6: V >= 0, V in L1 and L2, V <= F
     for pot in dict.fromkeys(potentials.values()):
         report = validate_r6(pot)
@@ -270,23 +278,21 @@ def run_two_critical(cfg: ExperimentConfig) -> int:
 
 
 def _two_body_control(cfg: ExperimentConfig, n_points: int):
+    """Pair (1, 2) at lambda*(1 + g), g from 1e-1 down to 1e-4."""
     system = cfg.system
     pair = (1, 2)
     V = system.potential(pair)
     frame = jacobi_frame(system, pair)
     lam_star = tb.critical_coupling(V, frame)
-    gmax = cfg.opt_float("control_gmax", 1e-1)
-    gmin = cfg.opt_float("control_gmin", 1e-4)
-    lams = [lam_star * (1.0 + g) for g in np.geomspace(gmax, gmin, n_points)]
+    lams = [lam_star * (1.0 + g) for g in np.geomspace(1e-1, 1e-4, n_points)]
     points = tb.sweep_two_body(V, frame, lams)
-    exponent = tb.fit_size_exponent(points)
     verdict = t3.spreading_diagnostic([(abs(p.E2), p.r2, p.tail) for p in points])
-    return points, exponent, verdict, lam_star
+    return points, verdict, lam_star
 
 
 def run_two_sweep(cfg: ExperimentConfig) -> int:
-    n_points = cfg.opt_int("sweep_points", 9)
-    points, exponent, verdict, lam_star = _two_body_control(cfg, n_points)
+    points, verdict, lam_star = _two_body_control(
+        cfg, cfg.options.get("sweep_points", 9))
     write_csv(
         cfg, "two_sweep.csv",
         ["lambda", "mu0", "lambda_star", "E2", "r2", "epsilon_R7"],
@@ -295,10 +301,11 @@ def run_two_sweep(cfg: ExperimentConfig) -> int:
     write_json(cfg, "two_sweep.json", {
         "experiment": "two_sweep",
         "lambda_star": lam_star,
-        "size_exponent": exponent,
+        "size_exponent": verdict.size_exponent,
         "verdict": verdict.verdict,
     })
-    _say(cfg, f"two-body sweep: exponent {exponent:.3f}, verdict {verdict.verdict}")
+    _say(cfg, f"two-body sweep: exponent {verdict.size_exponent:.3f}, "
+              f"verdict {verdict.verdict}")
     return EXIT_OK
 
 
@@ -307,8 +314,8 @@ def run_ops_audit(cfg: ExperimentConfig) -> int:
     pair = (1, 2)
     V = system.potential(pair)
     frame = jacobi_frame(system, pair)
-    z_points = cfg.opt_int("z_points", 20)
-    p_points = cfg.opt_int("p_points", 32)
+    z_points = cfg.options.get("z_points", 20)
+    p_points = cfg.options.get("p_points", 32)
     audit = fo.lemma6_uniformity_audit(
         V, frame,
         z_grid=np.geomspace(1.0, 1e-4, z_points),
@@ -357,9 +364,8 @@ def run_ops_audit(cfg: ExperimentConfig) -> int:
 
 def run_ims_audit(cfg: ExperimentConfig) -> int:
     system = _resolve_coupling(cfg)
-    theta = cfg.opt_float("theta", 0.15)
-    delta = cfg.opt_float("delta", 0.05)
-    samples = cfg.opt_int("samples", 100000)
+    theta, delta = 0.15, 0.05
+    samples = cfg.options.get("samples", 100000)
     part = ims.build_partition(system, delta=delta, theta=theta)
     mesh = ims.shell_mesh(samples, seed=cfg.seed + 101)
     j, _ = part.evaluate(mesh, with_gradient=False)
@@ -395,17 +401,22 @@ def run_ims_audit(cfg: ExperimentConfig) -> int:
 
 
 def _three_body_sweep(cfg: ExperimentConfig):
+    """Bracket lambda_cr, then sweep the bound records just above it.
+
+    HypothesisError if a sweep coupling reaches lambda* (R7).
+    """
     system = cfg.system
     bracket, asm = t3.critical_coupling_3body(system, cfg.budget, cfg.seed)
     lam_star = bracket.lambda_star
-    off_max = cfg.opt_float("offsets_max", 3e-2)
-    off_min = cfg.opt_float("offsets_min", 2e-5)
-    n_points = cfg.opt_int("sweep_points", 10)
-    offsets = np.geomspace(off_max, off_min, n_points)
+    offsets = np.geomspace(cfg.options.get("offsets_max", 3e-2),
+                           cfg.options.get("offsets_min", 2e-5),
+                           cfg.options.get("sweep_points", 10))
     lams = bracket.lambda_cr + offsets * lam_star
     for lam in lams:
         if lam >= lam_star:
-            return None, None, float(lam), lam_star
+            raise HypothesisError(
+                f"sweep coupling lambda = {float(lam)!r} reaches the two-body "
+                f"critical coupling lambda* = {lam_star!r} (R7)")
     records = [r for r in t3.sweep_three_body(system, lams, asm, lam_star)
                if r.bound]
     if len(records) < 4:
@@ -413,7 +424,7 @@ def _three_body_sweep(cfg: ExperimentConfig):
             "three-body sweep produced fewer than 4 bound points; "
             "widen the offsets or raise the budget"
         )
-    return bracket, records, None, lam_star
+    return bracket, records
 
 
 def _three_verdict(records):
@@ -435,11 +446,7 @@ def _three_header(records):
 
 
 def run_three_sweep(cfg: ExperimentConfig) -> int:
-    bracket, records, bad_lambda, lam_star = _three_body_sweep(cfg)
-    if bad_lambda is not None:
-        print(f"sweep would cross the two-body critical coupling at "
-              f"lambda = {bad_lambda!r} >= {lam_star!r}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
+    bracket, records = _three_body_sweep(cfg)
     write_csv(cfg, "three_sweep.csv", _three_header(records), _three_rows(records))
     verdict = _three_verdict(records)
     write_json(cfg, "three_sweep.json", {
@@ -448,7 +455,7 @@ def run_three_sweep(cfg: ExperimentConfig) -> int:
         "bracket": [bracket.lam_lo, bracket.lam_hi],
         "cond_N": bracket.cond_N,
         "dropped_directions": bracket.dropped_directions,
-        "lambda_star": lam_star,
+        "lambda_star": bracket.lambda_star,
         "verdict": verdict.verdict,
         "size_exponent": verdict.size_exponent,
     })
@@ -458,8 +465,8 @@ def run_three_sweep(cfg: ExperimentConfig) -> int:
 
 
 def run_absorb(cfg: ExperimentConfig) -> int:
-    control_points, exponent, control_verdict, lam_star = _two_body_control(
-        cfg, cfg.opt_int("control_points", 8))
+    control_points, control_verdict, lam_star = _two_body_control(
+        cfg, cfg.options.get("control_points", 8))
     write_csv(
         cfg, "absorb_control.csv",
         ["lambda", "mu0", "lambda_star", "E2", "r2", "epsilon_R7"],
@@ -467,16 +474,8 @@ def run_absorb(cfg: ExperimentConfig) -> int:
          for p in control_points],
     )
 
-    bracket, records, bad_lambda, lam_star3 = _three_body_sweep(cfg)
-    if bad_lambda is not None:
-        print(f"absorb aborted: sweep coupling {bad_lambda!r} violates R7 "
-              f"(two-body lambda* = {lam_star3!r})", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    for r in records:
-        if r.eps_R7 <= 0.0:
-            print(f"absorb aborted: R7 violated at lambda = {r.coupling!r}",
-                  file=sys.stderr)
-            return EXIT_HYPOTHESIS
+    bracket, records = _three_body_sweep(cfg)
+    lam_star3 = bracket.lambda_star
     write_csv(cfg, "absorb_three.csv", _three_header(records), _three_rows(records))
 
     verdict = _three_verdict(records)
@@ -491,7 +490,7 @@ def run_absorb(cfg: ExperimentConfig) -> int:
         "experiment": "absorb",
         "two_body": {
             "lambda_star": lam_star,
-            "size_exponent": exponent,
+            "size_exponent": control_verdict.size_exponent,
             "verdict": control_verdict.verdict,
         },
         "three_body": {
@@ -514,7 +513,7 @@ def run_absorb(cfg: ExperimentConfig) -> int:
     write_json(cfg, "absorb.json", payload)
     _say(cfg, f"absorb: lambda_cr/lambda* = {bracket.lambda_cr / lam_star3:.4f}, "
               f"three-body {verdict.verdict}, two-body {control_verdict.verdict} "
-              f"(exponent {exponent:.2f})")
+              f"(exponent {control_verdict.size_exponent:.2f})")
     return EXIT_OK
 
 
@@ -558,6 +557,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except HypothesisError as exc:
+        print(f"hypothesis violated: {exc}", file=sys.stderr)
+        return EXIT_HYPOTHESIS
     except (ThresholdLabError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"numerical error: {exc!r}", file=sys.stderr)
         return EXIT_NUMERICAL

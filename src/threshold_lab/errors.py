@@ -29,6 +29,10 @@ class BasisError(ThresholdLabError):
     """A variational basis is unusable (non-SPD form or empty after regularization)."""
 
 
+class HypothesisError(ThresholdLabError):
+    """A run would leave the paper's hypotheses (a sweep crossing lambda*)."""
+
+
 class ConfigError(ThresholdLabError):
     """A configuration file failed to parse or validate."""
 

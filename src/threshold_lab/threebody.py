@@ -837,16 +837,16 @@ def system_with_coupling(system: ParticleSystem, coupling: float) -> ParticleSys
 
 
 def sweep_three_body(system: ParticleSystem, couplings, asm: _Assembler,
-                     lambda_star: float, tail_radii=None):
+                     lambda_star: float):
     """Fixed-basis sweep over couplings, one SweepRecord per point.
 
     ``lambda_star`` is the smallest pair critical coupling (as carried by
     ``CriticalBracket.lambda_star``); each record's eps_R7 is its distance
-    below it.
+    below it.  Tails are taken at DEFAULT_TAIL_MULTIPLES of the longest
+    pair range.
     """
-    if tail_radii is None:
-        rng = max(p.range_ for p in system.potentials.values())
-        tail_radii = tuple(m * rng for m in DEFAULT_TAIL_MULTIPLES)
+    rng = max(p.range_ for p in system.potentials.values())
+    tail_radii = tuple(m * rng for m in DEFAULT_TAIL_MULTIPLES)
     records = []
     for lam in couplings:
         records.append(record_point(asm, float(lam), lambda_star - float(lam),

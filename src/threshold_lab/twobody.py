@@ -86,11 +86,10 @@ def green_row_operator(z: float, rule: QuadratureRule) -> np.ndarray:
     semi-separable split, which removes the |r - r'| kink error entirely.
     Panels too wide for the exponential factors fall back to plain Nystrom,
     which is harmless because the kernel has decayed across such panels.
+    ``rule`` is a composite rule, as ``bs_radial_rule`` builds.
     """
     r, w = rule.nodes, rule.weights
     B = swave_green(z, r, r) * w[None, :]
-    if rule.spec[0] != "composite":
-        return B
     _, edges, q = rule.spec
     tau_ref = panel_partial_integrals(q)
     for k in range(len(edges) - 1):
@@ -172,7 +171,11 @@ def subcriticality_margin(system: ParticleSystem) -> MarginReport:
 def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float):
     """E2 = -z*^2 with lambda mu(z*) = 1, or None for subcritical coupling.
 
-    z* is bisected to an absolute width of 1e-8.
+    z* is Brent's root of lambda mu(z) - 1 on [0, z_hi], with z_hi the
+    first doubling from 1 where lambda mu(z_hi) < 1, at brentq's default
+    tolerances (2e-12 absolute plus 8.9e-16 relative in z).  E2 then stays
+    within 1e-6 relative of the shooting oracle down to lambda*(1 + 1e-4),
+    the closest point of the control sweeps.
     """
     if lam <= 0.0:
         raise ValueError("coupling must be positive")
@@ -189,14 +192,7 @@ def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float):
         z_hi *= 2.0
     else:
         raise BracketError("could not bracket the binding momentum")
-    z_lo = 0.0
-    while z_hi - z_lo > 1e-8:
-        mid = 0.5 * (z_lo + z_hi)
-        if lam * mu(mid) > 1.0:
-            z_lo = mid
-        else:
-            z_hi = mid
-    z_star = 0.5 * (z_lo + z_hi)
+    z_star = brentq(lambda z: lam * mu(z) - 1.0, 0.0, z_hi)
     return -z_star ** 2
 
 
@@ -240,18 +236,6 @@ def _tail_masses(u, scale: float, radii):
         inner = float(np.dot(inner_rule.weights, u(inner_rule.nodes) ** 2))
         out.append((float(R), max(0.0, 1.0 - inner / norm)))
     return out
-
-
-def twobody_size(V: PairPotential, frame: JacobiFrame, lam: float) -> float:
-    """<r^2> of the normalized radial ground state (Jacobi radial variable)."""
-    u, scale, _ = _bs_wavefunction(V, frame, lam)
-    return _mean_square_radius(u, scale)
-
-
-def twobody_tail_masses(V: PairPotential, frame: JacobiFrame, lam: float, radii):
-    """T(R) = |chi_{r>R} u|^2 for the normalized ground state."""
-    u, scale, _ = _bs_wavefunction(V, frame, lam)
-    return _tail_masses(u, scale, radii)
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +431,15 @@ class TwoBodyPoint:
     tail: tuple
 
 
-def sweep_two_body(V: PairPotential, frame: JacobiFrame, couplings, tail_radii=None):
+def sweep_two_body(V: PairPotential, frame: JacobiFrame, couplings):
     """Control sweep lambda -> (E2, <r^2>, tails) for the spreading contrast.
 
-    Each point solves its bound state once; <r^2> and the tails come from
-    that one BS eigenvector.
+    Each point solves its bound state once; <r^2> and the tails at
+    (1, 2, 4, 8, 16) range / alpha come from that one BS eigenvector.
     """
     mu0 = bs_max_eigenvalue(V, frame, 0.0)
     lam_star = 1.0 / mu0
-    if tail_radii is None:
-        tail_radii = tuple(k * V.range_ / frame.alpha for k in (1.0, 2.0, 4.0, 8.0, 16.0))
+    tail_radii = tuple(k * V.range_ / frame.alpha for k in (1.0, 2.0, 4.0, 8.0, 16.0))
     points = []
     for lam in couplings:
         u, scale, e2 = _bs_wavefunction(V, frame, lam)
@@ -471,10 +454,3 @@ def sweep_two_body(V: PairPotential, frame: JacobiFrame, couplings, tail_radii=N
         ))
     return points
 
-
-def fit_size_exponent(points) -> float:
-    """Least-squares slope of log <r^2> against log 1/|E2|."""
-    xs = np.log([1.0 / abs(p.E2) for p in points])
-    ys = np.log([p.r2 for p in points])
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)

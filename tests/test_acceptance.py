@@ -219,8 +219,8 @@ def test_criterion_8_two_body_contrast():
     lam_star = tb.critical_coupling(GAUSS, FRAME)
     lams = [lam_star * (1.0 + g) for g in np.geomspace(1e-1, 1e-4, 8)]
     points = tb.sweep_two_body(GAUSS, FRAME, lams)
-    exponent = tb.fit_size_exponent(points)
     verdict = t3.spreading_diagnostic([(abs(p.E2), p.r2, p.tail) for p in points])
+    exponent = verdict.size_exponent
     report(
         8, "two-body control: size exponent 1 +/- 0.2 and spreading verdict",
         abs(exponent - 1.0) <= 0.2 and verdict.verdict == "spreading-consistent",

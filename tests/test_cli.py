@@ -5,6 +5,7 @@ import pytest
 
 from threshold_lab.cli import (
     EXIT_CONFIG,
+    EXIT_HYPOTHESIS,
     EXIT_OK,
     load_config,
     main,
@@ -47,6 +48,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             load_config("experiment = two_critical\nkind = gaussian\nrange = 1\nlambda = abc\n")
         assert err.value.key == "lambda"
+
+    @pytest.mark.parametrize("key", ["control_gmax", "control_gmin", "theta", "delta"])
+    def test_retired_option_is_unknown(self, key):
+        with pytest.raises(ConfigError) as err:
+            load_config(SQUARE_WELL_CFG + f"{key} = 0.1\n")
+        assert err.value.key == key
+
+    def test_options_parsed_to_their_types(self):
+        cfg = load_config(SQUARE_WELL_CFG + "sweep_points = 5\noffsets_max = 1e-2\n")
+        assert cfg.options == {"sweep_points": 5, "offsets_max": 1e-2}
 
     def test_seed_override_changes_hash(self):
         a = load_config(SQUARE_WELL_CFG)
@@ -138,6 +149,23 @@ class TestMain:
         assert payload["verdict"] == "spreading-consistent"
         assert abs(payload["size_exponent"] - 1.0) <= 0.2
 
+    @pytest.mark.parametrize("experiment,line", [
+        ("two_sweep", "sweep_points = ten"),
+        ("ims_audit", "samples = 0"),
+        ("two_sweep", "sweep_points = 3"),
+        ("three_sweep", "offsets_min = 0"),
+    ], ids=["not-an-integer", "no-samples", "too-few-points", "zero-offset"])
+    def test_bad_option_value_exit_2(self, tmp_path, capsys, experiment, line):
+        # caught while parsing: no runner starts and no output directory is made
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text(f"experiment = {experiment}\nmasses = 1 1 1\n"
+                            f"kind = gaussian\nrange = 1.0\nlambda = 2.0\n{line}\n")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == EXIT_CONFIG
+        key = line.split(" = ")[0]
+        assert f"(key: {key})" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_r6_violation_exit_2(self, tmp_path, capsys):
         # a tabulated profile dipping below zero breaks R6 (V >= 0)
         cfg_path = tmp_path / "cfg"
@@ -171,12 +199,24 @@ class TestMain:
             "budget = 16\ncontrol_points = 4\nsweep_points = 4\n"
             "offsets_max = 0.5\nseed = 7\n"
         )
-        from threshold_lab.cli import EXIT_HYPOTHESIS
-
         code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
                      "--quiet"])
         assert code == EXIT_HYPOTHESIS
         assert "lambda" in capsys.readouterr().err
+
+    def test_three_sweep_guard_exits_3(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text(
+            "experiment = three_sweep\nmasses = 1 1 1\nkind = gaussian\n"
+            "range = 1.0\nbudget = 16\nsweep_points = 4\n"
+            "offsets_max = 0.5\nseed = 7\n"
+        )
+        code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--quiet"])
+        assert code == EXIT_HYPOTHESIS
+        err = capsys.readouterr().err
+        assert "hypothesis violated" in err and "lambda = " in err
+        assert not (tmp_path / "out" / "three_sweep.csv").exists()
 
     def test_three_sweep_small_budget(self, tmp_path):
         cfg_path = tmp_path / "cfg"

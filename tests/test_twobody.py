@@ -6,6 +6,7 @@ from scipy.special import jn_zeros
 
 from threshold_lab.errors import BracketError, DegenerateInputError
 from threshold_lab.model import PairPotential, jacobi_frame, uniform_system, zero_potential
+from threshold_lab import threebody as t3
 from threshold_lab import twobody as tb
 
 FRAME = jacobi_frame(uniform_system("gaussian", 1.0, 1.0), (1, 2))
@@ -126,6 +127,32 @@ class TestBindingEnergy:
         e_oracle = tb.oracle_binding_energy(V, FRAME, lam)
         assert e_bs == pytest.approx(e_oracle, rel=1e-4)
 
+    @pytest.mark.parametrize("V", [EXPO, GAUSS], ids=["expo", "gauss"])
+    def test_matches_oracle_near_threshold(self, V):
+        # the closest control-sweep point: E2 is tiny, so the root must be
+        # accurate relative to z*, not to an absolute width
+        lam = tb.critical_coupling(V, FRAME) * (1.0 + 1e-4)
+        e_bs = tb.twobody_binding_energy(V, FRAME, lam)
+        e_oracle = tb.oracle_binding_energy(V, FRAME, lam)
+        assert e_bs == pytest.approx(e_oracle, rel=1e-6)
+
+    @pytest.mark.parametrize("V", [WELL, EXPO, GAUSS], ids=["well", "expo", "gauss"])
+    def test_few_eigen_solves_per_state(self, V, monkeypatch):
+        # the 8-point control sweep of the absorb experiment
+        lam_star = tb.critical_coupling(V, FRAME)
+        calls = []
+        solve = tb.bs_max_eigenvalue
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(tb, "bs_max_eigenvalue", counted)
+        for g in np.geomspace(1e-1, 1e-4, 8):
+            calls.clear()
+            assert tb.twobody_binding_energy(V, FRAME, lam_star * (1.0 + g)) < 0.0
+            assert len(calls) <= 12
+
     def test_energy_vanishes_monotonically_toward_threshold(self):
         lam_star = tb.critical_coupling(GAUSS, FRAME)
         es = [
@@ -139,7 +166,8 @@ class TestBindingEnergy:
 class TestSize:
     def test_deep_well_matches_oracle(self):
         lam = 5.0 * tb.critical_coupling(WELL, FRAME)
-        r2 = tb.twobody_size(WELL, FRAME, lam)
+        (point,) = tb.sweep_two_body(WELL, FRAME, [lam])
+        r2 = point.r2
         r2_oracle = tb.oracle_mean_square_radius(WELL, FRAME, lam)
         assert r2 == pytest.approx(r2_oracle, rel=1e-3)
         assert 0.1 < r2 < 10.0  # comparable to the well radius squared
@@ -148,7 +176,8 @@ class TestSize:
         lam_star = tb.critical_coupling(GAUSS, FRAME)
         lams = [lam_star * (1.0 + f) for f in np.geomspace(1e-1, 1e-4, 7)]
         points = tb.sweep_two_body(GAUSS, FRAME, lams)
-        assert tb.fit_size_exponent(points) == pytest.approx(1.0, abs=0.2)
+        verdict = t3.spreading_diagnostic([(abs(p.E2), p.r2, p.tail) for p in points])
+        assert verdict.size_exponent == pytest.approx(1.0, abs=0.2)
 
     def test_profile_scaling(self):
         # r -> s r in the profile scales <r^2> by s^2 at fixed lambda/lambda*
@@ -156,8 +185,9 @@ class TestSize:
         wide = PairPotential("gaussian", s)
         lam_narrow = 3.0 * tb.critical_coupling(GAUSS, FRAME)
         lam_wide = 3.0 * tb.critical_coupling(wide, FRAME)
-        r2_narrow = tb.twobody_size(GAUSS, FRAME, lam_narrow)
-        r2_wide = tb.twobody_size(wide, FRAME, lam_wide)
+        (narrow,) = tb.sweep_two_body(GAUSS, FRAME, [lam_narrow])
+        (wide_point,) = tb.sweep_two_body(wide, FRAME, [lam_wide])
+        r2_narrow, r2_wide = narrow.r2, wide_point.r2
         assert r2_wide / r2_narrow == pytest.approx(s ** 2, rel=1e-4)
 
 
@@ -233,14 +263,10 @@ class TestSweep:
             assert all(b <= a + 1e-12 for a, b in zip(taus, taus[1:]))
 
     def test_point_matches_standalone_observables(self):
-        # the sweep solves each bound state once; its <r^2> and tails must be
-        # exactly what the standalone observables compute from scratch
+        # the sweep's E2 is exactly the standalone binding energy
         lam = 1.05 * tb.critical_coupling(GAUSS, FRAME)
-        radii = (1.0, 4.0, 16.0)
-        (point,) = tb.sweep_two_body(GAUSS, FRAME, [lam], tail_radii=radii)
+        (point,) = tb.sweep_two_body(GAUSS, FRAME, [lam])
         assert point.E2 == tb.twobody_binding_energy(GAUSS, FRAME, lam)
-        assert point.r2 == tb.twobody_size(GAUSS, FRAME, lam)
-        assert list(point.tail) == tb.twobody_tail_masses(GAUSS, FRAME, lam, radii)
 
     def test_subcritical_sweep_rejected(self):
         lam_star = tb.critical_coupling(GAUSS, FRAME)
