@@ -48,7 +48,6 @@ from .faddeev_ops import (
 )
 from .ims import build_partition, gradient_decay_audit, ims_identity_check, verify_support_cone
 from .threebody import (
-    CorrelatedGaussianBasis,
     SweepRecord,
     critical_coupling_3body,
     grow_basis,
@@ -62,7 +61,6 @@ __all__ = [
     "BoundConstants",
     "BracketError",
     "ConfigError",
-    "CorrelatedGaussianBasis",
     "DegenerateInputError",
     "FitError",
     "HypothesisError",

@@ -17,7 +17,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -238,30 +238,28 @@ def _pair_frames(system: ParticleSystem):
     return {pair: jacobi_frame(system, pair) for pair in PAIRS}
 
 
-def _resolve_coupling(cfg: ExperimentConfig) -> ParticleSystem:
-    """Apply lambda_factor relative to the smallest pair critical coupling."""
-    if cfg.lambda_factor is None:
-        return cfg.system
+def _resolve_coupling(cfg: ExperimentConfig):
+    """The system with lambda_factor applied relative to the smallest pair
+    critical coupling, and its R7 margin, which holds every pair's lambda*."""
     margin = tb.subcriticality_margin(cfg.system)
+    if cfg.lambda_factor is None:
+        return cfg.system, margin
     lam = cfg.lambda_factor * min(margin.lambda_stars.values())
-    return t3.system_with_coupling(cfg.system, lam)
+    return t3.system_with_coupling(cfg.system, lam), replace(margin, coupling=lam)
 
 
 def run_two_critical(cfg: ExperimentConfig) -> int:
-    system = _resolve_coupling(cfg)
+    system, margin = _resolve_coupling(cfg)
     pairs = {}
     for pair, frame in _pair_frames(system).items():
-        V = system.potential(pair)
-        mu0 = tb.bs_max_eigenvalue(V, frame, 0.0)
-        lam_star = 1.0 / mu0
-        oracle = tb.oracle_critical_coupling(V, frame)
-        pairs[f"{pair[0]}{pair[1]}"] = {
-            "mu0": mu0,
-            "lambda_star": lam_star,
-            "lambda_star_oracle": oracle,
-            "oracle_rel_diff": abs(lam_star - oracle) / oracle,
-        }
-    margin = tb.subcriticality_margin(system)
+        lam_star = margin.lambda_stars[pair]
+        entry = {"mu0": 1.0 / lam_star, "lambda_star": None,
+                 "lambda_star_oracle": None, "oracle_rel_diff": None}
+        if lam_star < math.inf:   # a pair with no attraction has no threshold
+            oracle = tb.oracle_critical_coupling(system.potential(pair), frame)
+            entry.update(lambda_star=lam_star, lambda_star_oracle=oracle,
+                         oracle_rel_diff=abs(lam_star - oracle) / oracle)
+        pairs[f"{pair[0]}{pair[1]}"] = entry
     payload = {
         "experiment": "two_critical",
         "coupling": system.coupling,
@@ -270,34 +268,29 @@ def run_two_critical(cfg: ExperimentConfig) -> int:
         "R7_satisfied": margin.satisfied,
     }
     write_json(cfg, "two_critical.json", payload)
-    _say(cfg, f"lambda* per pair: "
-              f"{ {k: round(v['lambda_star'], 6) for k, v in pairs.items()} }")
+    _say(cfg, "lambda* per pair: " + ", ".join(
+        f"{k} {v['lambda_star']:.6f}" if v["lambda_star"] is not None else f"{k} none"
+        for k, v in pairs.items()))
     _say(cfg, f"R7 margin eps = {margin.eps:.6g} "
               f"({'satisfied' if margin.satisfied else 'violated'})")
     return EXIT_OK
 
 
-def _two_body_control(cfg: ExperimentConfig, n_points: int):
-    """Pair (1, 2) at lambda*(1 + g), g from 1e-1 down to 1e-4."""
-    system = cfg.system
+def _two_body_control(cfg: ExperimentConfig, name: str, n_points: int):
+    """Pair (1, 2) at lambda*(1 + g), g from 1e-1 down to 1e-4, written to ``name``."""
     pair = (1, 2)
-    V = system.potential(pair)
-    frame = jacobi_frame(system, pair)
-    lam_star = tb.critical_coupling(V, frame)
-    lams = [lam_star * (1.0 + g) for g in np.geomspace(1e-1, 1e-4, n_points)]
-    points = tb.sweep_two_body(V, frame, lams)
+    points = tb.sweep_two_body(cfg.system.potential(pair), jacobi_frame(cfg.system, pair),
+                               np.geomspace(1e-1, 1e-4, n_points))
+    write_csv(cfg, name, ["lambda", "mu0", "lambda_star", "E2", "r2", "epsilon_R7"],
+              [[p.coupling, 1.0 / p.lambda_star, p.lambda_star, p.E2, p.r2, p.eps_R7]
+               for p in points])
     verdict = t3.spreading_diagnostic([(abs(p.E2), p.r2, p.tail) for p in points])
-    return points, verdict, lam_star
+    return verdict, points[0].lambda_star
 
 
 def run_two_sweep(cfg: ExperimentConfig) -> int:
-    points, verdict, lam_star = _two_body_control(
-        cfg, cfg.options.get("sweep_points", 9))
-    write_csv(
-        cfg, "two_sweep.csv",
-        ["lambda", "mu0", "lambda_star", "E2", "r2", "epsilon_R7"],
-        [[p.coupling, p.mu0, p.lambda_star, p.E2, p.r2, p.eps_R7] for p in points],
-    )
+    verdict, lam_star = _two_body_control(cfg, "two_sweep.csv",
+                                          cfg.options.get("sweep_points", 9))
     write_json(cfg, "two_sweep.json", {
         "experiment": "two_sweep",
         "lambda_star": lam_star,
@@ -310,7 +303,7 @@ def run_two_sweep(cfg: ExperimentConfig) -> int:
 
 
 def run_ops_audit(cfg: ExperimentConfig) -> int:
-    system = _resolve_coupling(cfg)
+    system, margin = _resolve_coupling(cfg)
     pair = (1, 2)
     V = system.potential(pair)
     frame = jacobi_frame(system, pair)
@@ -328,7 +321,6 @@ def run_ops_audit(cfg: ExperimentConfig) -> int:
         hs.append({"z": z, "hs_norm_sq": value,
                    "bound": constants.hs_bound,
                    "within_bound": bool(value <= constants.hs_bound)})
-    lam_star = tb.critical_coupling(V, frame)
     contraction = []
     for k in (0.0, 0.25, 0.5, 1.0, 2.0):
         rep = fo.channel_contraction_norm(V, frame, system.coupling, k)
@@ -339,7 +331,7 @@ def run_ops_audit(cfg: ExperimentConfig) -> int:
     payload = {
         "experiment": "ops_audit",
         "coupling": system.coupling,
-        "lambda_star": lam_star,
+        "lambda_star": margin.lambda_stars[pair],
         "constants": {
             "c": constants.c, "c_prime": constants.c_prime,
             "c_dprime": constants.c_dprime, "c_tilde": constants.c_tilde,
@@ -363,7 +355,7 @@ def run_ops_audit(cfg: ExperimentConfig) -> int:
 
 
 def run_ims_audit(cfg: ExperimentConfig) -> int:
-    system = _resolve_coupling(cfg)
+    system, _ = _resolve_coupling(cfg)
     theta, delta = 0.15, 0.05
     samples = cfg.options.get("samples", 100000)
     part = ims.build_partition(system, delta=delta, theta=theta)
@@ -400,10 +392,12 @@ def run_ims_audit(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _three_body_sweep(cfg: ExperimentConfig):
-    """Bracket lambda_cr, then sweep the bound records just above it.
+def _three_body_sweep(cfg: ExperimentConfig, name: str):
+    """Bracket lambda_cr, sweep the bound records just above it, write them to ``name``.
 
-    HypothesisError if a sweep coupling reaches lambda* (R7).
+    Returns the bracket, the records, their spreading verdict and the
+    summary fields that every three-body JSON carries.  HypothesisError if a
+    sweep coupling reaches lambda* (R7).
     """
     system = cfg.system
     bracket, asm = t3.critical_coupling_3body(system, cfg.budget, cfg.seed)
@@ -424,61 +418,37 @@ def _three_body_sweep(cfg: ExperimentConfig):
             "three-body sweep produced fewer than 4 bound points; "
             "widen the offsets or raise the budget"
         )
-    return bracket, records
-
-
-def _three_verdict(records):
-    return t3.spreading_diagnostic([(abs(r.E3), r.rho2, r.tail) for r in records])
-
-
-def _three_rows(records):
-    rows = []
-    for r in records:
-        rows.append([r.coupling, r.E3, r.k if r.k is not None else math.nan,
-                     r.r2_x, r.r2_y, r.rho2, r.eps_R7, r.kinetic_norm]
-                    + [t for _, t in r.tail])
-    return rows
-
-
-def _three_header(records):
-    return (["lambda", "E3", "k", "r2_x", "r2_y", "rho2", "eps_R7", "kinetic_norm"]
-            + [f"T_{R:g}" for R, _ in records[0].tail])
-
-
-def run_three_sweep(cfg: ExperimentConfig) -> int:
-    bracket, records = _three_body_sweep(cfg)
-    write_csv(cfg, "three_sweep.csv", _three_header(records), _three_rows(records))
-    verdict = _three_verdict(records)
-    write_json(cfg, "three_sweep.json", {
-        "experiment": "three_sweep",
+    write_csv(cfg, name,
+              ["lambda", "E3", "k", "r2_x", "r2_y", "rho2", "eps_R7", "kinetic_norm"]
+              + [f"T_{R:g}" for R, _ in records[0].tail],
+              [[r.coupling, r.E3, r.k, r.r2_x, r.r2_y, r.rho2, r.eps_R7, r.kinetic_norm]
+               + [t for _, t in r.tail] for r in records])
+    verdict = t3.spreading_diagnostic([(abs(r.E3), r.rho2, r.tail) for r in records])
+    summary = {
         "lambda_cr": bracket.lambda_cr,
         "bracket": [bracket.lam_lo, bracket.lam_hi],
         "cond_N": bracket.cond_N,
         "dropped_directions": bracket.dropped_directions,
-        "lambda_star": bracket.lambda_star,
+        "lambda_star": lam_star,
         "verdict": verdict.verdict,
         "size_exponent": verdict.size_exponent,
-    })
+    }
+    return bracket, records, verdict, summary
+
+
+def run_three_sweep(cfg: ExperimentConfig) -> int:
+    bracket, _, verdict, summary = _three_body_sweep(cfg, "three_sweep.csv")
+    write_json(cfg, "three_sweep.json", {"experiment": "three_sweep", **summary})
     _say(cfg, f"three-body sweep: lambda_cr = {bracket.lambda_cr:.6f}, "
               f"verdict {verdict.verdict}")
     return EXIT_OK
 
 
 def run_absorb(cfg: ExperimentConfig) -> int:
-    control_points, control_verdict, lam_star = _two_body_control(
-        cfg, cfg.options.get("control_points", 8))
-    write_csv(
-        cfg, "absorb_control.csv",
-        ["lambda", "mu0", "lambda_star", "E2", "r2", "epsilon_R7"],
-        [[p.coupling, p.mu0, p.lambda_star, p.E2, p.r2, p.eps_R7]
-         for p in control_points],
-    )
-
-    bracket, records = _three_body_sweep(cfg)
+    control_verdict, lam_star = _two_body_control(
+        cfg, "absorb_control.csv", cfg.options.get("control_points", 8))
+    bracket, records, verdict, summary = _three_body_sweep(cfg, "absorb_three.csv")
     lam_star3 = bracket.lambda_star
-    write_csv(cfg, "absorb_three.csv", _three_header(records), _three_rows(records))
-
-    verdict = _three_verdict(records)
     kin = [r.kinetic_norm for r in records]
     kin_ratio = max(kin) / float(np.median(kin))
     r0 = verdict.r0 if verdict.r0 is not None else records[0].tail[-1][0]
@@ -494,17 +464,11 @@ def run_absorb(cfg: ExperimentConfig) -> int:
             "verdict": control_verdict.verdict,
         },
         "three_body": {
-            "lambda_cr": bracket.lambda_cr,
-            "bracket": [bracket.lam_lo, bracket.lam_hi],
+            **summary,
             "bracket_width_rel": (bracket.lam_hi - bracket.lam_lo) / lam_star3,
-            "cond_N": bracket.cond_N,
-            "dropped_directions": bracket.dropped_directions,
-            "lambda_star": lam_star3,
             "window_nonempty": bool(bracket.lambda_cr < lam_star3),
-            "verdict": verdict.verdict,
             "r0": verdict.r0,
             "sup_tail_at_r0": verdict.sup_tail_at_r0,
-            "size_exponent": verdict.size_exponent,
             "rho2_ratio_last_decade": verdict.rho2_ratio_last_decade,
             "kinetic_max_over_median": kin_ratio,
             "min_eps_R7": min(r.eps_R7 for r in records),

@@ -26,7 +26,7 @@ class FitError(ThresholdLabError):
 
 
 class BasisError(ThresholdLabError):
-    """A variational basis is unusable (non-SPD form or empty after regularization)."""
+    """A variational basis is unusable (no overlap direction survives regularization)."""
 
 
 class HypothesisError(ThresholdLabError):
@@ -36,7 +36,6 @@ class HypothesisError(ThresholdLabError):
 class ConfigError(ThresholdLabError):
     """A configuration file failed to parse or validate."""
 
-    def __init__(self, message, key=None, line=None):
+    def __init__(self, message, key=None):
         super().__init__(message)
         self.key = key
-        self.line = line

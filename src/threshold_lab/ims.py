@@ -49,11 +49,6 @@ class IMSPartition:
     # particle s+1 in the frame-(12) linear forms
     regions: tuple
 
-    @property
-    def cone_constant(self) -> float:
-        """Support-cone constant of the construction (C = theta)."""
-        return self.theta
-
     def evaluate(self, q, with_gradient: bool = True):
         """J values (n, 3) and gradients (n, 3, 6) at configurations q (n, 6)."""
         q = np.atleast_2d(np.asarray(q, dtype=float))
@@ -73,21 +68,17 @@ class IMSPartition:
                 grad[out] = go
         return (j, grad) if with_gradient else (j, None)
 
-    def _evaluate_outer(self, q, rho, with_gradient):
+    def _raw_weights(self, q, rho, with_gradient):
+        """Unblended region weights w (n, 3): per region, the product of the
+        smoothsteps of its two normalized separations; and their gradients."""
         n = q.shape[0]
-        blend_arg = (rho - 0.5) / 0.5
-        B = _smoothstep(blend_arg)
-        Bp = _smoothstep_prime(blend_arg) / 0.5
-        q_hat = q / rho[:, None]
-
+        q_hat = q / rho[:, None] if with_gradient else None
         w = np.empty((n, 3))
         grad_w = np.zeros((n, 3, 6)) if with_gradient else None
         for s, pairs in enumerate(self.regions):
             ws = np.ones(n)
             parts = []
-            for _, (u, v) in pairs:
-                d = u * q[:, :3] + v * q[:, 3:]
-                m = np.linalg.norm(d, axis=1)
+            for d, m in _separations(pairs, q):
                 t = m / rho
                 a = (t - self.theta) / self.delta
                 s_val = _smoothstep(a)
@@ -111,6 +102,13 @@ class IMSPartition:
                     grad_t -= (t / rho)[:, None] * q_hat
                     gs += (sp * other)[:, None] * grad_t
                 grad_w[:, s, :] = gs
+        return w, grad_w
+
+    def _evaluate_outer(self, q, rho, with_gradient):
+        blend_arg = (rho - 0.5) / 0.5
+        B = _smoothstep(blend_arg)
+        Bp = _smoothstep_prime(blend_arg) / 0.5
+        w, grad_w = self._raw_weights(q, rho, with_gradient)
 
         w_tilde = (1.0 - B)[:, None] + B[:, None] * w
         norm_sq = np.sum(w_tilde ** 2, axis=1)
@@ -122,7 +120,7 @@ class IMSPartition:
             return j, None
 
         grad_wt = B[:, None, None] * grad_w
-        grad_wt += (Bp[:, None] * (w - 1.0))[:, :, None] * q_hat[:, None, :]
+        grad_wt += (Bp[:, None] * (w - 1.0))[:, :, None] * (q / rho[:, None])[:, None, :]
         # grad J_s = grad w~_s / D - w~_s (sum_t w~_t grad w~_t) / D^3
         dd = np.einsum("ns,nsk->nk", w_tilde, grad_wt)
         grad_j = grad_wt / D[:, None, None] \
@@ -152,25 +150,22 @@ def build_partition(system: ParticleSystem, delta: float = 0.05,
 
     # the normalized fields hide empty coverage; inspect the raw weights
     mesh = sphere_mesh(4096, seed=20210905)
-    w_min = _raw_covering_minimum(part, mesh)
-    if w_min <= 0.0:
+    w, _ = part._raw_weights(mesh, np.linalg.norm(mesh, axis=1), with_gradient=False)
+    if np.min(np.sum(w ** 2, axis=1)) <= 0.0:
         raise ValidationError(
             f"thresholds theta={theta}, delta={delta} do not cover the sphere"
         )
     return part
 
 
-def _raw_covering_minimum(part: IMSPartition, mesh: np.ndarray) -> float:
-    rho = np.linalg.norm(mesh, axis=1)
-    total = np.zeros(mesh.shape[0])
-    for pairs in part.regions:
-        ws = np.ones(mesh.shape[0])
-        for _, (u, v) in pairs:
-            d = u * mesh[:, :3] + v * mesh[:, 3:]
-            t = np.linalg.norm(d, axis=1) / rho
-            ws = ws * _smoothstep((t - part.theta) / part.delta)
-        total += ws ** 2
-    return float(np.min(total))
+def _separations(pairs, q):
+    """(d, |d|) with d = u x + v y at configurations q (n, 6), for each
+    (pair, (u, v)) entry of ``pairs``: the pair distances in frame (12)."""
+    out = []
+    for _, (u, v) in pairs:
+        d = u * q[:, :3] + v * q[:, 3:]
+        out.append((d, np.linalg.norm(d, axis=1)))
+    return out
 
 
 def _sobol(d: int, n: int, seed: int) -> np.ndarray:
@@ -180,19 +175,22 @@ def _sobol(d: int, n: int, seed: int) -> np.ndarray:
         return sob.random(n)
 
 
-def sphere_mesh(n: int, seed: int, radius: float = 1.0) -> np.ndarray:
-    """Deterministic quasi-random points on the 6D sphere of given radius."""
-    u = _sobol(6, n, seed)
+def _directions(u):
+    """Unit vectors in 6D from uniform samples u (n, 6), through normal deviates."""
     g = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
     g /= np.linalg.norm(g, axis=1)[:, None]
-    return radius * g
+    return g
+
+
+def sphere_mesh(n: int, seed: int, radius: float = 1.0) -> np.ndarray:
+    """Deterministic quasi-random points on the 6D sphere of given radius."""
+    return radius * _directions(_sobol(6, n, seed))
 
 
 def shell_mesh(n: int, seed: int, rho_min: float = 1.0, rho_max: float = 32.0) -> np.ndarray:
     """Quasi-random configurations with log-uniform radii in (rho_min, rho_max]."""
     u = _sobol(7, n, seed)
-    g = norm.ppf(np.clip(u[:, :6], 1e-12, 1.0 - 1e-12))
-    g /= np.linalg.norm(g, axis=1)[:, None]
+    g = _directions(u[:, :6])
     rho = rho_min * (rho_max / rho_min) ** u[:, 6]
     # keep radii strictly above rho_min so cone audits stay in |q| > 1
     rho = np.maximum(rho, rho_min * (1.0 + 1e-9))
@@ -220,12 +218,8 @@ def verify_support_cone(part: IMSPartition, mesh: np.ndarray) -> ConeReport:
         if not np.any(on):
             minima.append(math.inf)
             continue
-        best = math.inf
-        for _, (u, v) in pairs:
-            d = u * mesh[on, :3] + v * mesh[on, 3:]
-            t = np.linalg.norm(d, axis=1) / rho[on]
-            best = min(best, float(np.min(t)))
-        minima.append(best)
+        minima.append(min(float(np.min(m / rho[on]))
+                              for _, m in _separations(pairs, mesh[on])))
     measured = min(minima)
     return ConeReport(
         measured_c=measured,
@@ -307,10 +301,9 @@ def ims_identity_check(system: ParticleSystem, part: IMSPartition,
     part_defect = float(np.max(np.abs(np.sum(j ** 2, axis=1) - 1.0)))
 
     lam = system.coupling
-    pair_vals = {}
-    for pair, (u, v) in separation_forms(system, (1, 2)).items():
-        d = u * mesh[:, :3] + v * mesh[:, 3:]
-        pair_vals[pair] = system.potential(pair).profile(np.linalg.norm(d, axis=1))
+    forms = separation_forms(system, (1, 2))
+    pair_vals = {pair: system.potential(pair).profile(m)
+                 for pair, (_, m) in zip(forms, _separations(forms.items(), mesh))}
     v_total = lam * sum(pair_vals.values())
     regrouped = np.zeros(mesh.shape[0])
     for s, pairs in enumerate(part.regions):
@@ -325,7 +318,7 @@ def ims_identity_check(system: ParticleSystem, part: IMSPartition,
     outside = rho > 1.0
     excess = 0.0
     if np.any(outside):
-        c = part.cone_constant
+        c = part.theta
         jo = j[outside]
         rho_o = rho[outside]
         for s, pairs in enumerate(part.regions):

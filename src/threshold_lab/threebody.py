@@ -223,27 +223,12 @@ def element_block(fa, fb, sep_terms, with_h0sq: bool = False):
 # Basis and operator assembly
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorrelatedGaussianBasis:
-    """List of SPD quadratic forms plus the symmetrization convention."""
-
-    forms: np.ndarray            # (n, 3) rows (a11, a12, a22)
-    symmetrized: bool
-    seed: int
-
-    def __post_init__(self):
-        forms = np.atleast_2d(np.asarray(self.forms, dtype=float))
-        object.__setattr__(self, "forms", forms)
-        det = forms[:, 0] * forms[:, 2] - forms[:, 1] ** 2
-        if np.any(det <= 0.0) or np.any(forms[:, 0] <= 0.0):
-            raise BasisError("every quadratic form must be positive-definite")
-
-    def __len__(self):
-        return self.forms.shape[0]
-
-
 class _Assembler:
-    """Incremental closed-form matrices for a growing basis."""
+    """Incremental closed-form matrices for a growing basis.
+
+    ``forms`` holds the (n, 3) rows (a11, a12, a22) of the committed SPD
+    forms; ``symmetrized`` sums each over its S3 orbit.
+    """
 
     def __init__(self, system: ParticleSystem, symmetrized: bool):
         self.system = system
@@ -372,9 +357,6 @@ class _Assembler:
         """Unit-normalized matrix of one moment (``MOMENT_KEYS``) on the basis."""
         return self.kernel("moments", _moment_matrices)[key]
 
-    def basis(self, seed: int) -> CorrelatedGaussianBasis:
-        return CorrelatedGaussianBasis(self.forms.copy(), self.symmetrized, seed)
-
 
 def _bordered(mat, row, diag):
     """``mat`` grown by one symmetric row and column."""
@@ -451,14 +433,26 @@ BLOCK_ELEMENTS = 2 ** 16
 MOMENT_KEYS = ("x2", "y2", "rho2", "h0sq")
 
 
-def _from_upper(asm: _Assembler, upper, lo_i, hi_j):
-    """Symmetric unit-normalized matrix from its entries at pairs i <= j."""
-    n = asm.n
+def _pair_kernels(asm: _Assembler, count: int, width: int, block) -> np.ndarray:
+    """``count`` symmetric unit-normalized kernels, built from the pairs i <= j.
+
+    ``block(later, images)`` takes the later forms (k, 1, 3) of a block of
+    pairs and the images (k, p, 3) of the earlier ones, and returns
+    ``count`` rows (k,) of one-sided image sums; ``width`` is the array
+    elements it spends per image, which sizes the blocks.
+    """
+    n, p = asm.images.shape[:2]
+    lo_i, hi_j = np.triu_indices(n)
+    upper = np.empty((count, len(lo_i)))
+    step = max(1, BLOCK_ELEMENTS // (p * width))
+    for lo in range(0, len(lo_i), step):
+        sl = slice(lo, lo + step)
+        upper[:, sl] = block(asm.forms[hi_j[sl], None, :], asm.images[lo_i[sl]])
     scaled = upper * (asm.scale[lo_i] * asm.scale[hi_j])
-    mat = np.empty((n, n))
-    mat[lo_i, hi_j] = scaled
-    mat[hi_j, lo_i] = scaled
-    return mat
+    mats = np.empty((count, n, n))
+    mats[:, lo_i, hi_j] = scaled
+    mats[:, hi_j, lo_i] = scaled
+    return mats
 
 
 def _moment_matrices(asm: _Assembler) -> dict:
@@ -472,19 +466,16 @@ def _moment_matrices(asm: _Assembler) -> dict:
     lemma).  With the identity alone (p = 1) the one-sided sum is the
     double sum.
     """
-    n, p = asm.images.shape[:2]
-    lo_i, hi_j = np.triu_indices(n)
-    upper = {key: np.empty(len(lo_i)) for key in MOMENT_KEYS}
-    step = max(1, BLOCK_ELEMENTS // p)
-    for lo in range(0, len(lo_i), step):
-        sl = slice(lo, lo + step)
-        blocks = element_block(asm.forms[hi_j[sl], None, :], asm.images[lo_i[sl]],
-                               asm.sep_terms, with_h0sq=True)
-        for key in MOMENT_KEYS:
-            upper[key][sl] = p * np.sum(blocks[key], axis=1)
-    if asm.symmetrized:
-        upper["x2"] = upper["y2"] = 0.5 * upper["rho2"]
-    return {key: _from_upper(asm, vals, lo_i, hi_j) for key, vals in upper.items()}
+    p = asm.images.shape[1]
+
+    def block(later, images):
+        blocks = element_block(later, images, asm.sep_terms, with_h0sq=True)
+        sums = {key: p * np.sum(blocks[key], axis=1) for key in MOMENT_KEYS}
+        if asm.symmetrized:
+            sums["x2"] = sums["y2"] = 0.5 * sums["rho2"]
+        return [sums[key] for key in MOMENT_KEYS]
+
+    return dict(zip(MOMENT_KEYS, _pair_kernels(asm, len(MOMENT_KEYS), 1, block)))
 
 
 # Gauss-Legendre nodes in theta of each pair's tail integral, x = a sin^2(theta)
@@ -518,34 +509,33 @@ def _tail_kernels(asm: _Assembler, radii):
     weights use element_block's overlap arithmetic, so at R = 0, where every
     probability is exactly 1, the kernel is the overlap matrix N.
     """
-    n, p = asm.images.shape[:2]
+    p = asm.images.shape[1]
     rule = gauss_legendre(TAIL_NODES, 0.0, 0.5 * math.pi)
     sin2 = np.sin(rule.nodes) ** 2
     cos2 = np.cos(rule.nodes) ** 2
     w = rule.weights * sin2 * np.cos(rule.nodes)
-    lo_i, hi_j = np.triu_indices(n)
-    outside = [np.zeros(len(lo_i)) for _ in radii]
-    step = max(1, BLOCK_ELEMENTS // (p * TAIL_NODES))
-    for lo in range(0, len(lo_i), step):
-        sl = slice(lo, lo + step)
-        # later form first, as in N
-        b11, b12, b22 = np.moveaxis(asm.forms[hi_j[sl], None, :] + asm.images[lo_i[sl]],
-                                    -1, 0)
+
+    def block(later, images):
+        b11, b12, b22 = np.moveaxis(later + images, -1, 0)    # later form first, as in N
         det = b11 * b22 - b12 * b12
         weight = TWO_PI_CUBED * det ** -1.5
         # eigenvalues of B, i.e. 1/s1 <= 1/s2
         eig_hi = 0.5 * (b11 + b22) + np.sqrt(0.25 * (b11 - b22) ** 2 + b12 * b12)
         eig_lo = det / eig_hi
-        for R, out in zip(radii, outside):
+        rows = []
+        for R in radii:
             a = R * R * eig_lo
             b = R * R * eig_hi
             inner = np.exp(-0.5 * a[..., None] * sin2) * _chi2_3_survival(b[..., None] * cos2)
             prob = math.sqrt(2.0 / math.pi) * a ** 1.5 * (inner @ w) + _chi2_3_survival(a)
-            out[sl] = p * np.sum(weight * prob, axis=1)
-    return [_from_upper(asm, o, lo_i, hi_j) for o in outside]
+            rows.append(p * np.sum(weight * prob, axis=1))
+        return rows
+
+    return _pair_kernels(asm, len(radii), TAIL_NODES, block)
 
 
-def assembler_for(basis: CorrelatedGaussianBasis, system: ParticleSystem) -> _Assembler:
+def assembler_for(basis: _Assembler, system: ParticleSystem) -> _Assembler:
+    """A fresh assembler of ``system`` over the forms of ``basis``."""
     asm = _Assembler(system, basis.symmetrized)
     for form in basis.forms:
         asm.add(form)
@@ -619,8 +609,8 @@ def _propose_form(rng, lo: float, hi: float, inv_len2: float) -> np.ndarray:
 
 
 def grow_basis(system: ParticleSystem, budget: int, seed: int,
-               asm: _Assembler | None = None) -> CorrelatedGaussianBasis:
-    """Grow the form list by keeping pool winners that lower E3.
+               asm: _Assembler | None = None) -> _Assembler:
+    """Grow the form list by keeping pool winners that lower E3; returns the assembler.
 
     Each pool holds 16 candidates; its winner is kept when it lowers E3 by
     more than 1e-8.  Scales are proposed log-uniformly in
@@ -660,7 +650,7 @@ def grow_basis(system: ParticleSystem, budget: int, seed: int,
                 lo, hi = lo / 10.0, hi * 10.0
             elif stalls > 6:
                 break  # no representable improvement left
-    return asm.basis(seed)
+    return asm
 
 
 # ---------------------------------------------------------------------------

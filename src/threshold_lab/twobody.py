@@ -142,12 +142,21 @@ def critical_coupling(V: PairPotential, frame: JacobiFrame) -> float:
 
 @dataclass(frozen=True)
 class MarginReport:
-    """R7 subcriticality margin of a system: eps = min_pairs lambda* - lambda."""
+    """R7 subcriticality margin of a system: eps = min_pairs lambda* - lambda.
+
+    A pair with no attraction has lambda* = inf.
+    """
 
     coupling: float
     lambda_stars: dict
-    eps: float
-    satisfied: bool
+
+    @property
+    def eps(self) -> float:
+        return min(self.lambda_stars.values()) - self.coupling
+
+    @property
+    def satisfied(self) -> bool:
+        return self.eps > 0.0
 
 
 def subcriticality_margin(system: ParticleSystem) -> MarginReport:
@@ -159,13 +168,7 @@ def subcriticality_margin(system: ParticleSystem) -> MarginReport:
             stars[pair] = critical_coupling(pot, frame)
         except DegenerateInputError:
             stars[pair] = math.inf
-    eps = min(stars.values()) - system.coupling
-    return MarginReport(
-        coupling=system.coupling,
-        lambda_stars=stars,
-        eps=eps,
-        satisfied=eps > 0.0,
-    )
+    return MarginReport(coupling=system.coupling, lambda_stars=stars)
 
 
 def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float):
@@ -179,9 +182,13 @@ def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float):
     """
     if lam <= 0.0:
         raise ValueError("coupling must be positive")
+    known = {}
 
     def mu(z):
-        return bs_max_eigenvalue(V, frame, z)
+        # brentq starts from both bracket ends, which the doubling has solved
+        if z not in known:
+            known[z] = bs_max_eigenvalue(V, frame, z)
+        return known[z]
 
     if lam * mu(0.0) <= 1.0:
         return None
@@ -423,7 +430,6 @@ class TwoBodyPoint:
     """One row of a two-body control sweep."""
 
     coupling: float
-    mu0: float
     lambda_star: float
     E2: float
     r2: float
@@ -431,26 +437,26 @@ class TwoBodyPoint:
     tail: tuple
 
 
-def sweep_two_body(V: PairPotential, frame: JacobiFrame, couplings):
-    """Control sweep lambda -> (E2, <r^2>, tails) for the spreading contrast.
+def sweep_two_body(V: PairPotential, frame: JacobiFrame, offsets):
+    """Control sweep lambda*(1 + g) -> (E2, <r^2>, tails) for the spreading contrast.
 
-    Each point solves its bound state once; <r^2> and the tails at
+    lambda* comes from ``critical_coupling`` (DegenerateInputError for a
+    potential with no attraction); each offset g > 0 gives one point above
+    it.  Each point solves its bound state once; <r^2> and the tails at
     (1, 2, 4, 8, 16) range / alpha come from that one BS eigenvector.
     """
-    mu0 = bs_max_eigenvalue(V, frame, 0.0)
-    lam_star = 1.0 / mu0
+    lam_star = critical_coupling(V, frame)
     tail_radii = tuple(k * V.range_ / frame.alpha for k in (1.0, 2.0, 4.0, 8.0, 16.0))
     points = []
-    for lam in couplings:
+    for g in offsets:
+        lam = float(lam_star * (1.0 + g))
         u, scale, e2 = _bs_wavefunction(V, frame, lam)
         points.append(TwoBodyPoint(
-            coupling=float(lam),
-            mu0=mu0,
+            coupling=lam,
             lambda_star=lam_star,
             E2=e2,
             r2=_mean_square_radius(u, scale),
-            eps_R7=lam_star - float(lam),
+            eps_R7=lam_star - lam,
             tail=tuple(_tail_masses(u, scale, tail_radii)),
         ))
     return points
-

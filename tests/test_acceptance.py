@@ -216,9 +216,7 @@ def test_criterion_7_absorption_experiment(absorb_run):
 
 
 def test_criterion_8_two_body_contrast():
-    lam_star = tb.critical_coupling(GAUSS, FRAME)
-    lams = [lam_star * (1.0 + g) for g in np.geomspace(1e-1, 1e-4, 8)]
-    points = tb.sweep_two_body(GAUSS, FRAME, lams)
+    points = tb.sweep_two_body(GAUSS, FRAME, np.geomspace(1e-1, 1e-4, 8))
     verdict = t3.spreading_diagnostic([(abs(p.E2), p.r2, p.tail) for p in points])
     exponent = verdict.size_exponent
     report(

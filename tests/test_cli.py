@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -7,10 +8,13 @@ from threshold_lab.cli import (
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
     EXIT_OK,
+    EXPERIMENTS,
     load_config,
     main,
 )
 from threshold_lab.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SQUARE_WELL_CFG = """\
 experiment = two_critical
@@ -58,6 +62,11 @@ class TestConfigParsing:
     def test_options_parsed_to_their_types(self):
         cfg = load_config(SQUARE_WELL_CFG + "sweep_points = 5\noffsets_max = 1e-2\n")
         assert cfg.options == {"sweep_points": 5, "offsets_max": 1e-2}
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
+    def test_shipped_config_loads(self, path):
+        # a renamed or retired key would otherwise break a shipped config unseen
+        assert load_config(path.read_text()).experiment in EXPERIMENTS
 
     def test_seed_override_changes_hash(self):
         a = load_config(SQUARE_WELL_CFG)
@@ -109,6 +118,28 @@ class TestMain:
         payload = json.loads((tmp_path / "out" / "two_critical.json").read_text())
         assert payload["R7_satisfied"] is False
         assert payload["eps_R7"] < 0.0
+
+    def test_pair_without_attraction_reported_null(self, tmp_path):
+        # pair 13 has lambda* = inf: no threshold, no oracle run, no crash
+        gauss = ("experiment = two_critical\nmasses = 1 1 1\nkind = gaussian\n"
+                 "range = 1.0\nlambda_factor = 0.8\nseed = 1\n")
+        zeroed = gauss + ("potential.13.kind = tabulated\npotential.13.range = 1.0\n"
+                          "potential.13.table = 0:0 1:0\n")
+        payloads = []
+        for name, text in (("gauss", gauss), ("zeroed", zeroed)):
+            cfg_path = tmp_path / f"{name}.cfg"
+            cfg_path.write_text(text)
+            assert main(["--config", str(cfg_path), "--out", str(tmp_path / name),
+                         "--quiet"]) == EXIT_OK
+            payloads.append(json.loads((tmp_path / name / "two_critical.json").read_text()))
+        uniform, payload = payloads
+        assert payload["pairs"]["13"] == {"mu0": 0.0, "lambda_star": None,
+                                          "lambda_star_oracle": None,
+                                          "oracle_rel_diff": None}
+        for pair in ("12", "23"):
+            assert payload["pairs"][pair] == uniform["pairs"][pair]
+        assert payload["eps_R7"] == uniform["eps_R7"]
+        assert payload["R7_satisfied"] is True
 
     def test_missing_config_file(self, capsys):
         assert main(["--config", "/nonexistent/cfg"]) == EXIT_CONFIG

@@ -77,10 +77,9 @@ class TestMatrixElements:
     def test_zero_potential_reduces_to_kinetic(self):
         pots = {p: zero_potential() for p in ((1, 2), (1, 3), (2, 3))}
         free = ParticleSystem((1.0, 1.0, 1.0), pots, 1.0)
-        basis = t3.CorrelatedGaussianBasis(
-            np.array([[1.0, 0.1, 0.8], [0.5, -0.2, 1.5]]), False, 0
-        )
-        asm = t3.assembler_for(basis, free)
+        asm = t3._Assembler(free, symmetrized=False)
+        for form in ([1.0, 0.1, 0.8], [0.5, -0.2, 1.5]):
+            asm.add(form)
         H, N = asm.hamiltonian(free.coupling)
         assert np.allclose(H, asm.T, atol=0.0)
         assert np.max(np.abs(asm.V)) == 0.0
@@ -306,10 +305,6 @@ class TestTrialEnergies:
 
 
 class TestBasis:
-    def test_non_spd_rejected(self):
-        with pytest.raises(BasisError):
-            t3.CorrelatedGaussianBasis(np.array([[1.0, 2.0, 1.0]]), True, 0)
-
     def test_growth_monotone_in_budget(self, lam_star):
         sys3 = uniform_system("gaussian", 1.0, 0.95 * lam_star)
         e_small = t3.assembler_for(t3.grow_basis(sys3, 10, seed=4), sys3).solve(
@@ -586,7 +581,7 @@ class TestTailKernels:
         cs = [asm.solve(br.lambda_cr + off * lam_star)[1] for off in SWEEP_OFFSETS]
         base = [t3.tail_masses(asm, c, radii) for c in cs]
         monkeypatch.setattr(t3, "TAIL_NODES", 2 * t3.TAIL_NODES)
-        fine_asm = t3.assembler_for(asm.basis(7), asm.system)
+        fine_asm = t3.assembler_for(asm, asm.system)
         fine = [t3.tail_masses(fine_asm, c, radii) for c in cs]
         worst = max(abs(a - b) for x, y in zip(base, fine) for (_, a), (_, b) in zip(x, y))
         assert worst <= 1e-7
@@ -604,8 +599,9 @@ class TestTailKernels:
     def test_add_makes_cached_kernels_stale(self, lam_star):
         sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
         basis = t3.grow_basis(sys3, 12, seed=5)
-        asm = t3.assembler_for(
-            t3.CorrelatedGaussianBasis(basis.forms[:-1], True, 5), sys3)
+        asm = t3._Assembler(sys3, True)
+        for form in basis.forms[:-1]:
+            asm.add(form)
         radii = (1.0, 4.0)
         t3.tail_masses(asm, asm.solve(sys3.coupling)[1], radii)
         asm.moment_matrix("rho2")
@@ -690,7 +686,7 @@ class TestCheckpoint:
         asm = t3.assembler_for(t3.grow_basis(sys3, 8, seed=12), sys3)
         e_before = asm.solve(sys3.coupling)[0]
         grown = t3.grow_basis(sys3, 16, seed=13, asm=asm)
-        assert len(grown) == 16
+        assert grown is asm and asm.n == 16
         assert asm.solve(sys3.coupling)[0] <= e_before + 1e-12
 
 

@@ -151,7 +151,7 @@ class TestBindingEnergy:
         for g in np.geomspace(1e-1, 1e-4, 8):
             calls.clear()
             assert tb.twobody_binding_energy(V, FRAME, lam_star * (1.0 + g)) < 0.0
-            assert len(calls) <= 12
+            assert len(calls) <= 9
 
     def test_energy_vanishes_monotonically_toward_threshold(self):
         lam_star = tb.critical_coupling(GAUSS, FRAME)
@@ -165,17 +165,14 @@ class TestBindingEnergy:
 
 class TestSize:
     def test_deep_well_matches_oracle(self):
-        lam = 5.0 * tb.critical_coupling(WELL, FRAME)
-        (point,) = tb.sweep_two_body(WELL, FRAME, [lam])
+        (point,) = tb.sweep_two_body(WELL, FRAME, [4.0])
         r2 = point.r2
-        r2_oracle = tb.oracle_mean_square_radius(WELL, FRAME, lam)
+        r2_oracle = tb.oracle_mean_square_radius(WELL, FRAME, point.coupling)
         assert r2 == pytest.approx(r2_oracle, rel=1e-3)
         assert 0.1 < r2 < 10.0  # comparable to the well radius squared
 
     def test_size_divergence_exponent(self):
-        lam_star = tb.critical_coupling(GAUSS, FRAME)
-        lams = [lam_star * (1.0 + f) for f in np.geomspace(1e-1, 1e-4, 7)]
-        points = tb.sweep_two_body(GAUSS, FRAME, lams)
+        points = tb.sweep_two_body(GAUSS, FRAME, np.geomspace(1e-1, 1e-4, 7))
         verdict = t3.spreading_diagnostic([(abs(p.E2), p.r2, p.tail) for p in points])
         assert verdict.size_exponent == pytest.approx(1.0, abs=0.2)
 
@@ -183,10 +180,8 @@ class TestSize:
         # r -> s r in the profile scales <r^2> by s^2 at fixed lambda/lambda*
         s = 1.7
         wide = PairPotential("gaussian", s)
-        lam_narrow = 3.0 * tb.critical_coupling(GAUSS, FRAME)
-        lam_wide = 3.0 * tb.critical_coupling(wide, FRAME)
-        (narrow,) = tb.sweep_two_body(GAUSS, FRAME, [lam_narrow])
-        (wide_point,) = tb.sweep_two_body(wide, FRAME, [lam_wide])
+        (narrow,) = tb.sweep_two_body(GAUSS, FRAME, [2.0])
+        (wide_point,) = tb.sweep_two_body(wide, FRAME, [2.0])
         r2_narrow, r2_wide = narrow.r2, wide_point.r2
         assert r2_wide / r2_narrow == pytest.approx(s ** 2, rel=1e-4)
 
@@ -254,9 +249,10 @@ class TestTabulatedAndAsymmetric:
 class TestSweep:
     def test_rows_and_margin_fields(self):
         lam_star = tb.critical_coupling(GAUSS, FRAME)
-        points = tb.sweep_two_body(GAUSS, FRAME, [1.05 * lam_star, 1.02 * lam_star])
-        assert [p.coupling for p in points] == [1.05 * lam_star, 1.02 * lam_star]
+        points = tb.sweep_two_body(GAUSS, FRAME, [0.05, 0.02])
+        assert [p.coupling for p in points] == [lam_star * (1.0 + g) for g in (0.05, 0.02)]
         for p in points:
+            assert p.lambda_star == lam_star
             assert p.E2 < 0
             assert p.eps_R7 < 0  # control sweep sits above the two-body critical point
             taus = [t for _, t in p.tail]
@@ -264,11 +260,14 @@ class TestSweep:
 
     def test_point_matches_standalone_observables(self):
         # the sweep's E2 is exactly the standalone binding energy
-        lam = 1.05 * tb.critical_coupling(GAUSS, FRAME)
-        (point,) = tb.sweep_two_body(GAUSS, FRAME, [lam])
-        assert point.E2 == tb.twobody_binding_energy(GAUSS, FRAME, lam)
+        (point,) = tb.sweep_two_body(GAUSS, FRAME, [0.05])
+        assert point.E2 == tb.twobody_binding_energy(GAUSS, FRAME, point.coupling)
 
     def test_subcritical_sweep_rejected(self):
-        lam_star = tb.critical_coupling(GAUSS, FRAME)
         with pytest.raises(BracketError):
-            tb.sweep_two_body(GAUSS, FRAME, [0.5 * lam_star])
+            tb.sweep_two_body(GAUSS, FRAME, [-0.5])
+
+    def test_no_attraction_rejected(self):
+        # lambda* of a zero potential is infinite; there is nothing to sweep
+        with pytest.raises(DegenerateInputError):
+            tb.sweep_two_body(zero_potential(), FRAME, [0.1])
