@@ -3,9 +3,9 @@
 Experiments are described by a line-oriented ``key = value`` config file;
 every run is deterministic given the config and seed, and every output
 file embeds the config hash and the seed.  Exit codes: 0 success,
-1 numerical failure, 2 config failure (an unknown key, a bad value or an
-R6 violation), 3 hypothesis violation (a sweep crossing the two-body
-critical coupling).
+1 numerical failure, 2 config failure (a key the experiment does not
+read, a bad value or an R6 violation), 3 hypothesis violation (a sweep
+crossing the two-body critical coupling).
 """
 
 from __future__ import annotations
@@ -26,31 +26,36 @@ from . import faddeev_ops as fo
 from . import ims
 from . import threebody as t3
 from . import twobody as tb
-from .errors import (AccuracyError, ConfigError, HypothesisError, ThresholdLabError,
-                     ValidationError)
-from .model import (
-    PAIRS,
-    ParticleSystem,
-    jacobi_frame,
-    parse_keyvalues,
-    potential_from_keyvalues,
-    validate_r6,
-)
-
-EXPERIMENTS = ("two_critical", "two_sweep", "ops_audit", "ims_audit",
-               "three_sweep", "absorb")
+from .errors import AccuracyError, ConfigError, HypothesisError, ThresholdLabError
+from .model import PAIRS, PairPotential, ParticleSystem, jacobi_frame, validate_r6
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
 
-# integer options and their least values: the spreading diagnostic needs 4
-# sweep points, a grid or a sample set 1
-INT_OPTIONS = {"sweep_points": 4, "control_points": 4, "z_points": 1, "p_points": 1,
-               "samples": 1}
-# positive options: the sweep offsets above lambda_cr, in units of lambda*
-POSITIVE_OPTIONS = ("offsets_max", "offsets_min")
+# The options each experiment reads, as name -> (default, least value).  An
+# option takes the type of its least value: an integer must be at least it,
+# a float must lie above it.  The spreading diagnostic needs 4 sweep points,
+# a grid or a sample set 1; critical_coupling_3body splits the basis budget
+# over REFINE_STAGES + 1 growth stages, each of at least one form; the sweep
+# offsets above lambda_cr are in units of lambda*.
+_THREE_BODY = {"budget": (150, t3.REFINE_STAGES + 1), "sweep_points": (10, 4),
+               "offsets_max": (3e-2, 0.0), "offsets_min": (2e-5, 0.0)}
+OPTIONS = {
+    "two_critical": {},
+    "two_sweep": {"sweep_points": (9, 4)},
+    "ops_audit": {"z_points": (20, 1), "p_points": (32, 1)},
+    "ims_audit": {"samples": (100000, 1)},
+    "three_sweep": _THREE_BODY,
+    "absorb": {**_THREE_BODY, "control_points": (8, 4)},
+}
+EXPERIMENTS = tuple(OPTIONS)
+# keys every experiment accepts: the system, the seed and the output directory
+_POTENTIAL_KEYS = ("kind", "range", "table")
+COMMON_KEYS = {"experiment", "masses", "lambda", "lambda_factor", "seed", "out",
+               *_POTENTIAL_KEYS,
+               *(f"potential.{i}{j}.{k}" for i, j in PAIRS for k in _POTENTIAL_KEYS)}
 
 
 @dataclass
@@ -58,12 +63,60 @@ class ExperimentConfig:
     experiment: str
     system: ParticleSystem
     seed: int
-    budget: int
+    budget: int | None              # the three-body experiments only
     out_dir: Path
     quiet: bool
     config_hash: str
     lambda_factor: float | None
-    options: dict = field(default_factory=dict)   # parsed option values
+    options: dict = field(default_factory=dict)   # the row's options but budget
+
+
+def parse_keyvalues(text: str) -> dict:
+    """Parse the lab's line-oriented ``key = value`` format."""
+    out = {}
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {ln}: expected 'key = value', got {raw!r}")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
+    return out
+
+
+def _number(text: str, key: str, least=None):
+    """``text`` as a finite number: an integer at least ``least`` when that is
+    an integer, else a float above ``least`` (any float when it is None)."""
+    kind = int if isinstance(least, int) else float
+    try:
+        value = kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"key {key!r} is not {what}: {text!r}", key=key) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r} must be finite: {text!r}", key=key)
+    if least is not None and (value < least if kind is int else value <= least):
+        bound = "at least" if kind is int else "above"
+        raise ConfigError(f"key {key!r} must be {bound} {least}: {text!r}", key=key)
+    return value
+
+
+def _take(kv: dict, key: str, default, least):
+    return _number(kv[key], key, least) if key in kv else default
+
+
+def potential_from_keyvalues(kv: dict, prefix: str = "") -> PairPotential:
+    """Pair potential from the ``kind``/``range``/``table`` values of a config;
+    a table beside a kind that is not tabulated is refused by PairPotential."""
+    kind = kv[prefix + "kind"]
+    range_ = _number(kv[prefix + "range"], prefix + "range", 0.0)
+    key = prefix + "table"
+    table = None
+    if kind == "tabulated" or key in kv:
+        table = tuple((_number(r, key), _number(v, key))
+                      for r, _, v in (item.partition(":") for item in kv[key].split()))
+    return PairPotential(kind, range_, table=table)
 
 
 def _canonical_text(kv: dict) -> str:
@@ -72,10 +125,9 @@ def _canonical_text(kv: dict) -> str:
 
 def load_config(text: str, seed_override=None, out_override=None,
                 quiet=False) -> ExperimentConfig:
-    try:
-        kv = parse_keyvalues(text)
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+    """The experiment a config text describes, with every option of its row
+    filled in; ConfigError names the key at fault."""
+    kv = parse_keyvalues(text)
     if "experiment" not in kv:
         raise ConfigError("missing required key", key="experiment")
     experiment = kv["experiment"]
@@ -88,93 +140,55 @@ def load_config(text: str, seed_override=None, out_override=None,
         kv["seed"] = str(seed_override)
     if out_override is not None:
         kv["out"] = str(out_override)
+    row = OPTIONS[experiment]
+    for key in kv:
+        if key not in COMMON_KEYS and key not in row:
+            raise ConfigError(f"unknown configuration key {key!r} for experiment "
+                              f"{experiment!r}", key=key)
 
-    def take_float(key, default=None):
-        if key not in kv:
-            if default is None:
-                raise ConfigError("missing required key", key=key)
-            return default
-        try:
-            return float(kv[key])
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r} is not a number: {kv[key]!r}", key=key) from exc
-
-    def take_int(key, default, least=None):
-        if key not in kv:
-            return default
-        try:
-            value = int(kv[key])
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r} is not an integer: {kv[key]!r}", key=key) from exc
-        if least is not None and value < least:
-            raise ConfigError(f"key {key!r} must be at least {least}: {kv[key]!r}", key=key)
-        return value
-
-    masses_text = kv.get("masses", "1 1 1")
-    try:
-        masses = tuple(float(m) for m in masses_text.split())
-    except ValueError as exc:
-        raise ConfigError(f"masses must be three numbers: {masses_text!r}",
-                          key="masses") from exc
+    masses = tuple(_number(m, "masses", 0.0) for m in kv.get("masses", "1 1 1").split())
     if len(masses) != 3:
         raise ConfigError("masses must list exactly three values", key="masses")
-
-    lambda_factor = None
-    if "lambda_factor" in kv:
-        lambda_factor = take_float("lambda_factor")
-        coupling = 1.0  # replaced after the critical coupling is known
-    else:
-        coupling = take_float("lambda", 1.0)
+    lambda_factor = _take(kv, "lambda_factor", None, 0.0)
+    coupling = _take(kv, "lambda", 1.0, 0.0)
+    if lambda_factor is not None and "lambda" in kv:
+        raise ConfigError("set lambda or lambda_factor, not both")
+    seed = _take(kv, "seed", 0, 0)
+    options = {key: _take(kv, key, default, least)
+               for key, (default, least) in row.items()}
 
     potentials = {}
     try:
         for pair in PAIRS:
             prefix = f"potential.{pair[0]}{pair[1]}."
             # pairs without their own keys share the flat kind/range/table keys
-            potentials[pair] = potential_from_keyvalues(
-                kv, prefix if prefix + "kind" in kv else "")
+            own = any(prefix + k in kv for k in _POTENTIAL_KEYS)
+            potentials[pair] = potential_from_keyvalues(kv, prefix if own else "")
     except KeyError as exc:
         raise ConfigError(f"missing potential key {exc.args[0]!r}",
                           key=str(exc.args[0])) from exc
-    except (ValueError, ValidationError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid potential specification: {exc}") from exc
 
     try:
         system = ParticleSystem(masses, potentials, coupling)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    seed = take_int("seed", 0)
-    budget = take_int("budget", 150)
-    out_dir = Path(kv.get("out", "out"))
-    known = {"experiment", "masses", "lambda", "lambda_factor", "seed", "budget",
-             "out", "kind", "range", "table"}
-    options = {}
-    for k in kv:
-        if k in known or k.startswith("potential."):
-            continue
-        if k in INT_OPTIONS:
-            options[k] = take_int(k, None, INT_OPTIONS[k])
-        elif k in POSITIVE_OPTIONS:
-            options[k] = take_float(k)
-            if not options[k] > 0.0:
-                raise ConfigError(f"key {k!r} must be positive: {kv[k]!r}", key=k)
-        else:
-            raise ConfigError(f"unknown configuration key {k!r}", key=k)
     # the paper's standing assumption R6: V >= 0, V in L1 and L2, V <= F
     for pot in dict.fromkeys(potentials.values()):
         report = validate_r6(pot)
         if not report.passed:
             raise ConfigError(f"{pot.kind} potential violates R6: "
                               + "; ".join(report.failures))
+
     semantic = {k: v for k, v in kv.items() if k != "out"}
     cfg_hash = hashlib.sha256(_canonical_text(semantic).encode()).hexdigest()[:16]
     return ExperimentConfig(
         experiment=experiment,
         system=system,
         seed=seed,
-        budget=budget,
-        out_dir=out_dir,
+        budget=options.pop("budget", None),
+        out_dir=Path(kv.get("out", "out")),
         quiet=quiet,
         config_hash=cfg_hash,
         lambda_factor=lambda_factor,
@@ -290,7 +304,7 @@ def _two_body_control(cfg: ExperimentConfig, name: str, n_points: int):
 
 def run_two_sweep(cfg: ExperimentConfig) -> int:
     verdict, lam_star = _two_body_control(cfg, "two_sweep.csv",
-                                          cfg.options.get("sweep_points", 9))
+                                          cfg.options["sweep_points"])
     write_json(cfg, "two_sweep.json", {
         "experiment": "two_sweep",
         "lambda_star": lam_star,
@@ -307,12 +321,10 @@ def run_ops_audit(cfg: ExperimentConfig) -> int:
     pair = (1, 2)
     V = system.potential(pair)
     frame = jacobi_frame(system, pair)
-    z_points = cfg.options.get("z_points", 20)
-    p_points = cfg.options.get("p_points", 32)
     audit = fo.lemma6_uniformity_audit(
         V, frame,
-        z_grid=np.geomspace(1.0, 1e-4, z_points),
-        p_grid=np.geomspace(1e-3, 10.0, p_points),
+        z_grid=np.geomspace(1.0, 1e-4, cfg.options["z_points"]),
+        p_grid=np.geomspace(1e-3, 10.0, cfg.options["p_points"]),
     )
     constants = audit.constants
     hs = []
@@ -356,9 +368,8 @@ def run_ops_audit(cfg: ExperimentConfig) -> int:
 
 def run_ims_audit(cfg: ExperimentConfig) -> int:
     system, _ = _resolve_coupling(cfg)
-    theta, delta = 0.15, 0.05
-    samples = cfg.options.get("samples", 100000)
-    part = ims.build_partition(system, delta=delta, theta=theta)
+    samples = cfg.options["samples"]
+    part = ims.build_partition(system)
     mesh = ims.shell_mesh(samples, seed=cfg.seed + 101)
     j, _ = part.evaluate(mesh, with_gradient=False)
     partition_defect = float(np.max(np.abs(np.sum(j ** 2, axis=1) - 1.0)))
@@ -368,8 +379,8 @@ def run_ims_audit(cfg: ExperimentConfig) -> int:
     identity = ims.ims_identity_check(system, part, mesh[: min(samples, 20000)])
     payload = {
         "experiment": "ims_audit",
-        "theta": theta,
-        "delta": delta,
+        "theta": part.theta,
+        "delta": part.delta,
         "samples": samples,
         "partition_defect": partition_defect,
         "measured_cone_constant": cone.measured_c,
@@ -402,9 +413,8 @@ def _three_body_sweep(cfg: ExperimentConfig, name: str):
     system = cfg.system
     bracket, asm = t3.critical_coupling_3body(system, cfg.budget, cfg.seed)
     lam_star = bracket.lambda_star
-    offsets = np.geomspace(cfg.options.get("offsets_max", 3e-2),
-                           cfg.options.get("offsets_min", 2e-5),
-                           cfg.options.get("sweep_points", 10))
+    offsets = np.geomspace(cfg.options["offsets_max"], cfg.options["offsets_min"],
+                           cfg.options["sweep_points"])
     lams = bracket.lambda_cr + offsets * lam_star
     for lam in lams:
         if lam >= lam_star:
@@ -446,7 +456,7 @@ def run_three_sweep(cfg: ExperimentConfig) -> int:
 
 def run_absorb(cfg: ExperimentConfig) -> int:
     control_verdict, lam_star = _two_body_control(
-        cfg, "absorb_control.csv", cfg.options.get("control_points", 8))
+        cfg, "absorb_control.csv", cfg.options["control_points"])
     bracket, records, verdict, summary = _three_body_sweep(cfg, "absorb_three.csv")
     lam_star3 = bracket.lambda_star
     kin = [r.kinetic_norm for r in records]
@@ -518,9 +528,6 @@ def main(argv=None) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     try:
         return RUNNERS[cfg.experiment](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except HypothesisError as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS

@@ -189,22 +189,18 @@ class UniformityAudit:
 
 
 def lemma6_uniformity_audit(V: PairPotential, frame: JacobiFrame,
-                            z_grid=None, p_grid=None) -> UniformityAudit:
+                            z_grid, p_grid) -> UniformityAudit:
     """Sup of fiber norms over a (z, p) grid against the analytic bound.
 
     The grid accumulates at z = 0; the reported continuity proxy is the
     largest norm difference between adjacent z samples at fixed p (strong
     continuity itself is not finitely checkable).
     """
-    if z_grid is None:
-        z_grid = np.geomspace(1.0, 1e-4, 20)
     z_grid = np.asarray(list(z_grid), dtype=float)
     if z_grid.size == 0:
         raise ValueError("z grid must be nonempty")
     if np.any(z_grid <= 0.0) or np.any(z_grid > 1.0):
         raise ValueError("z grid must lie in (0, 1]")
-    if p_grid is None:
-        p_grid = np.geomspace(1e-3, 10.0, 32)
     p_grid = np.asarray(list(p_grid), dtype=float)
 
     constants = bound_constants(V, frame)

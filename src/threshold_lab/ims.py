@@ -253,7 +253,7 @@ def gradient_decay_audit(part: IMSPartition, radii, seed: int = 7) -> GradientDe
         expected = (r1 / r2) ** 2
         if not expected / 2.0 <= m2 / m1 <= expected * 2.0:
             ok = False
-    fd = gradient_fd_check(part, n_points=100, step=1e-5, seed=seed + 1)
+    fd = gradient_fd_check(part, n_points=100, seed=seed + 1)
     return GradientDecayReport(
         radii=tuple(radii),
         max_grad_sq=tuple(maxima),
@@ -262,18 +262,21 @@ def gradient_decay_audit(part: IMSPartition, radii, seed: int = 7) -> GradientDe
     )
 
 
-def gradient_fd_check(part: IMSPartition, n_points: int = 100,
-                      step: float = 1e-5, seed: int = 8) -> float:
+# central-difference step of gradient_fd_check
+FD_STEP = 1e-5
+
+
+def gradient_fd_check(part: IMSPartition, n_points: int = 100, seed: int = 8) -> float:
     """Max relative deviation of central differences from the exact gradient."""
     pts = shell_mesh(n_points, seed=seed, rho_min=0.6, rho_max=12.0)
     _, grad = part.evaluate(pts)
     worst = 0.0
     for k in range(6):
         shift = np.zeros(6)
-        shift[k] = step
+        shift[k] = FD_STEP
         jp, _ = part.evaluate(pts + shift, with_gradient=False)
         jm, _ = part.evaluate(pts - shift, with_gradient=False)
-        fd = (jp - jm) / (2.0 * step)
+        fd = (jp - jm) / (2.0 * FD_STEP)
         diff = np.abs(fd - grad[:, :, k])
         scale = np.maximum(1.0, np.abs(grad[:, :, k]))
         worst = max(worst, float(np.max(diff / scale)))

@@ -197,8 +197,17 @@ def separation_forms(system: ParticleSystem, frame_pair=(1, 2)) -> dict:
 # Radial integrals and validation
 # ---------------------------------------------------------------------------
 
-def _divergence_guard(f, start: float, label: str, doublings: int = 28,
-                      rel_floor: float = 1e-10) -> float:
+# radial nodes of potential_moment_c, and the grid on which validate_r6
+# samples V >= 0 and V <= F
+MOMENT_NODES = 256
+R6_GRID = 2048
+# the tail integral doubles its panel up to TAIL_DOUBLINGS times and stops
+# once a panel adds less than TAIL_REL_FLOOR of the total
+TAIL_DOUBLINGS = 28
+TAIL_REL_FLOOR = 1e-10
+
+
+def _divergence_guard(f, start: float, label: str) -> float:
     """Integrate f over [start, inf) by doubling panels, flagging divergence.
 
     Panel contributions of an integrable tail must decay; a panel that
@@ -208,20 +217,20 @@ def _divergence_guard(f, start: float, label: str, doublings: int = 28,
     total = 0.0
     prev = math.inf
     a = start
-    for _ in range(doublings):
+    for _ in range(TAIL_DOUBLINGS):
         rule = gauss_legendre(48, a, 2.0 * a)
         part = rule.integrate(f)
         total += part
-        if part > max(prev, rel_floor * max(total, 1.0)):
+        if part > max(prev, TAIL_REL_FLOOR * max(total, 1.0)):
             raise ValidationError(f"R6 violated: {label} appears divergent")
-        if part <= rel_floor * max(total, 1.0):
+        if part <= TAIL_REL_FLOOR * max(total, 1.0):
             return total
         prev = part
         a *= 2.0
     raise ValidationError(f"R6 violated: {label} tail did not converge")
 
 
-def potential_moment_c(V: PairPotential, alpha: float, n: int = 256) -> float:
+def potential_moment_c(V: PairPotential, alpha: float) -> float:
     """c = integral of V(alpha x) d^3x by radial quadrature.
 
     Scaling law: c(alpha) = c(1) / alpha^3.
@@ -233,8 +242,8 @@ def potential_moment_c(V: PairPotential, alpha: float, n: int = 256) -> float:
         return 4.0 * math.pi * V.profile(alpha * r) * r ** 2
 
     if V.support_radius is not None:
-        return gauss_legendre(n, 0.0, V.support_radius / alpha).integrate(integrand)
-    core = gauss_legendre(n, 0.0, V.effective_radius / alpha).integrate(integrand)
+        return gauss_legendre(MOMENT_NODES, 0.0, V.support_radius / alpha).integrate(integrand)
+    core = gauss_legendre(MOMENT_NODES, 0.0, V.effective_radius / alpha).integrate(integrand)
     tail = _divergence_guard(integrand, V.effective_radius / alpha, "integral of V")
     return core + tail
 
@@ -266,7 +275,7 @@ def sqrt_potential_fourier(V: PairPotential, p: float) -> float:
     return math.sqrt(2.0 / math.pi) * w
 
 
-def plancherel_fourier_mass(V: PairPotential, p_max: float | None = None) -> float:
+def plancherel_fourier_mass(V: PairPotential) -> float:
     """integral |FT of V^(1/2)|^2 d^3p, by momentum quadrature plus tail model.
 
     For compactly supported profiles the transform tail oscillates like
@@ -276,12 +285,10 @@ def plancherel_fourier_mass(V: PairPotential, p_max: float | None = None) -> flo
     compact = V.support_radius is not None
     if compact:
         r_edge = V.support_radius
-        if p_max is None:
-            p_max = 900.0 / r_edge
+        p_max = 900.0 / r_edge
         n_panels = int(math.ceil(p_max * r_edge / (math.pi / 2.0)))
     else:
-        if p_max is None:
-            p_max = (16.0 if V.kind == "gaussian" else 60.0) / V.range_
+        p_max = (16.0 if V.kind == "gaussian" else 60.0) / V.range_
         n_panels = 64
 
     edges = np.linspace(0.0, p_max, n_panels + 1)
@@ -314,7 +321,7 @@ class R6Report:
         return not self.failures
 
 
-def validate_r6(V, n_grid: int = 2048) -> R6Report:
+def validate_r6(V) -> R6Report:
     """Check V >= 0, V in L1 and L2, and V <= F on a sample grid.
 
     Accepts any object exposing profile/envelope/range_/effective_radius
@@ -322,7 +329,7 @@ def validate_r6(V, n_grid: int = 2048) -> R6Report:
     """
     failures = []
     r_hi = V.effective_radius
-    grid = np.linspace(0.0, r_hi, n_grid)
+    grid = np.linspace(0.0, r_hi, R6_GRID)
     vals = np.asarray(V.profile(grid), dtype=float)
     nonneg = bool(np.all(vals >= -1e-12))
     if not nonneg:
@@ -370,39 +377,3 @@ class _SquaredView:
 
     def profile(self, r):
         return np.asarray(self._V.profile(r), dtype=float) ** 2
-
-
-# ---------------------------------------------------------------------------
-# Key-value configuration format
-# ---------------------------------------------------------------------------
-
-def parse_keyvalues(text: str) -> dict:
-    """Parse the lab's line-oriented ``key = value`` format."""
-    out = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValidationError(f"line {ln}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _parse_table(text: str):
-    rows = []
-    for item in text.split():
-        r, _, v = item.partition(":")
-        rows.append((float(r), float(v)))
-    return tuple(rows)
-
-
-def potential_from_keyvalues(kv: dict, prefix: str = "") -> PairPotential:
-    """Pair potential from the ``kind``/``range``/``table`` values of a config."""
-    kind = kv[prefix + "kind"]
-    range_ = float(kv[prefix + "range"])
-    table = None
-    if kind == "tabulated":
-        table = _parse_table(kv[prefix + "table"])
-    return PairPotential(kind, range_, table=table)

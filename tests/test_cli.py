@@ -9,6 +9,7 @@ from threshold_lab.cli import (
     EXIT_HYPOTHESIS,
     EXIT_OK,
     EXPERIMENTS,
+    OPTIONS,
     load_config,
     main,
 )
@@ -48,6 +49,16 @@ class TestConfigParsing:
             load_config(text)
         assert err.value.key == "rnage"
 
+    @pytest.mark.parametrize("line,key", [
+        ("potential.21.kind = gaussian", "potential.21.kind"),   # not a canonical pair
+        ("potential.12.range = 2.0", "potential.12.kind"),       # a range without a kind
+        ("table = 0:1 1:0", None),                               # a table on a square well
+    ], ids=["pair-21", "range-without-kind", "table-without-tabulated"])
+    def test_unread_potential_key_rejected(self, line, key):
+        with pytest.raises(ConfigError) as err:
+            load_config(SQUARE_WELL_CFG + line + "\n")
+        assert err.value.key == key
+
     def test_bad_number(self):
         with pytest.raises(ConfigError) as err:
             load_config("experiment = two_critical\nkind = gaussian\nrange = 1\nlambda = abc\n")
@@ -60,8 +71,30 @@ class TestConfigParsing:
         assert err.value.key == key
 
     def test_options_parsed_to_their_types(self):
-        cfg = load_config(SQUARE_WELL_CFG + "sweep_points = 5\noffsets_max = 1e-2\n")
-        assert cfg.options == {"sweep_points": 5, "offsets_max": 1e-2}
+        cfg = load_config("experiment = three_sweep\nkind = gaussian\nrange = 1.0\n"
+                          "budget = 20\nsweep_points = 5\noffsets_max = 1e-2\n")
+        assert cfg.budget == 20
+        assert cfg.options == {"sweep_points": 5, "offsets_max": 1e-2, "offsets_min": 2e-5}
+        assert type(cfg.options["sweep_points"]) is int
+        assert type(cfg.options["offsets_max"]) is float
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_options_follow_the_table(self, experiment):
+        # an experiment loads its own options to their defaults when they are
+        # absent, and rejects every option of another experiment's row
+        text = f"experiment = {experiment}\nkind = gaussian\nrange = 1.0\n"
+        row = OPTIONS[experiment]
+        cfg = load_config(text)
+        assert cfg.budget == row.get("budget", (None,))[0]
+        assert cfg.options == {k: default for k, (default, _) in row.items()
+                               if k != "budget"}
+        foreign = {k: default for other in OPTIONS.values()
+                   for k, (default, _) in other.items() if k not in row}
+        assert foreign
+        for key, value in foreign.items():
+            with pytest.raises(ConfigError) as err:
+                load_config(text + f"{key} = {value}\n")
+            assert err.value.key == key
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.stem)
     def test_shipped_config_loads(self, path):
@@ -185,16 +218,33 @@ class TestMain:
         ("ims_audit", "samples = 0"),
         ("two_sweep", "sweep_points = 3"),
         ("three_sweep", "offsets_min = 0"),
-    ], ids=["not-an-integer", "no-samples", "too-few-points", "zero-offset"])
+        ("three_sweep", "budget = 2"),
+        ("three_sweep", "seed = -1"),
+        ("two_critical", "lambda_factor = 0"),
+        ("two_critical", "lambda = nan"),
+        ("two_critical", "range = nan"),
+        ("two_critical", "masses = 1 1 inf"),
+        ("two_critical", "masses = 1 1 -1"),
+        ("two_critical", "lambda = 5.0\nlambda_factor = 0.8"),
+        ("two_critical", "z_points = 3"),
+        ("ims_audit", "budget = 0"),
+    ], ids=["not-an-integer", "no-samples", "too-few-points", "zero-offset",
+            "empty-growth-stage", "negative-seed", "zero-lambda-factor", "nan-lambda",
+            "nan-range", "infinite-mass", "negative-mass", "lambda-and-lambda-factor",
+            "option-not-read", "budget-not-read"])
     def test_bad_option_value_exit_2(self, tmp_path, capsys, experiment, line):
         # caught while parsing: no runner starts and no output directory is made
         cfg_path = tmp_path / "cfg"
         cfg_path.write_text(f"experiment = {experiment}\nmasses = 1 1 1\n"
-                            f"kind = gaussian\nrange = 1.0\nlambda = 2.0\n{line}\n")
+                            f"kind = gaussian\nrange = 1.0\n{line}\n")
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
                      "--quiet"]) == EXIT_CONFIG
-        key = line.split(" = ")[0]
-        assert f"(key: {key})" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        keys = [entry.split(" = ")[0] for entry in line.split("\n")]
+        if len(keys) == 1:
+            assert f"(key: {keys[0]})" in err
+        else:
+            assert all(key in err for key in keys)
         assert not (tmp_path / "out").exists()
 
     def test_r6_violation_exit_2(self, tmp_path, capsys):

@@ -162,4 +162,4 @@ class TestUniformityAudit:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            fo.lemma6_uniformity_audit(GAUSS, FRAME, z_grid=[])
+            fo.lemma6_uniformity_audit(GAUSS, FRAME, z_grid=[], p_grid=[1.0])

@@ -104,7 +104,7 @@ class TestGradients:
         assert rep.max_grad_sq[-1] < rep.max_grad_sq[0]
 
     def test_finite_difference_agreement(self, partition):
-        assert ims.gradient_fd_check(partition, n_points=100, step=1e-5) <= 1e-6
+        assert ims.gradient_fd_check(partition, n_points=100) <= 1e-6
 
     def test_bad_radii_rejected(self, partition):
         with pytest.raises(ValueError):
@@ -143,6 +143,6 @@ class TestAsymmetricMasses:
         assert np.max(np.abs(np.sum(j ** 2, axis=1) - 1.0)) <= 1e-10
         cone = ims.verify_support_cone(part, mesh)
         assert cone.passed and cone.measured_c >= part.theta - 1e-9
-        assert ims.gradient_fd_check(part, n_points=60, step=1e-5) <= 1e-6
+        assert ims.gradient_fd_check(part, n_points=60) <= 1e-6
         rep = ims.ims_identity_check(system, part, mesh[:8000])
         assert rep.passed
