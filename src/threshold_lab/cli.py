@@ -38,18 +38,20 @@ EXIT_HYPOTHESIS = 3
 # option takes the type of its least value: an integer must be at least it,
 # a float must lie above it.  The spreading diagnostic needs 4 sweep points,
 # a grid or a sample set 1; critical_coupling_3body splits the basis budget
-# over REFINE_STAGES + 1 growth stages, each of at least one form; the sweep
-# offsets above lambda_cr are in units of lambda*.
-_THREE_BODY = {"budget": (150, t3.REFINE_STAGES + 1), "sweep_points": (10, 4),
-               "offsets_max": (3e-2, 0.0), "offsets_min": (2e-5, 0.0)}
+# over REFINE_STAGES + 1 growth stages, each of at least one form.
+_THREE_BODY = {"budget": (150, t3.REFINE_STAGES + 1), "sweep_points": (10, 4)}
 OPTIONS = {
     "two_critical": {},
     "two_sweep": {"sweep_points": (9, 4)},
     "ops_audit": {"z_points": (20, 1), "p_points": (32, 1)},
     "ims_audit": {"samples": (100000, 1)},
     "three_sweep": _THREE_BODY,
-    "absorb": {**_THREE_BODY, "control_points": (8, 4)},
+    "absorb": _THREE_BODY,
 }
+# the fixed sweep protocol: absorb's two-body control points, and the
+# three-body sweep offsets above lambda_cr, largest first, in units of lambda*
+CONTROL_POINTS = 8
+SWEEP_OFFSETS = (3e-2, 2e-5)
 EXPERIMENTS = tuple(OPTIONS)
 # keys every experiment accepts: the system, the seed and the output directory
 _POTENTIAL_KEYS = ("kind", "range", "table")
@@ -158,12 +160,16 @@ def load_config(text: str, seed_override=None, out_override=None,
                for key, (default, least) in row.items()}
 
     potentials = {}
+    by_prefix = {}
     try:
         for pair in PAIRS:
             prefix = f"potential.{pair[0]}{pair[1]}."
             # pairs without their own keys share the flat kind/range/table keys
-            own = any(prefix + k in kv for k in _POTENTIAL_KEYS)
-            potentials[pair] = potential_from_keyvalues(kv, prefix if own else "")
+            if not any(prefix + k in kv for k in _POTENTIAL_KEYS):
+                prefix = ""
+            if prefix not in by_prefix:
+                by_prefix[prefix] = potential_from_keyvalues(kv, prefix)
+            potentials[pair] = by_prefix[prefix]
     except KeyError as exc:
         raise ConfigError(f"missing potential key {exc.args[0]!r}",
                           key=str(exc.args[0])) from exc
@@ -174,12 +180,13 @@ def load_config(text: str, seed_override=None, out_override=None,
         system = ParticleSystem(masses, potentials, coupling)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # the paper's standing assumption R6: V >= 0, V in L1 and L2, V <= F
-    for pot in dict.fromkeys(potentials.values()):
+    # the paper's standing assumption R6: V >= 0, V in L1 and L2, V <= F;
+    # every built-in profile meets it, so a breach lies in a table
+    for prefix, pot in by_prefix.items():
         report = validate_r6(pot)
         if not report.passed:
             raise ConfigError(f"{pot.kind} potential violates R6: "
-                              + "; ".join(report.failures))
+                              + "; ".join(report.failures), key=prefix + "table")
 
     semantic = {k: v for k, v in kv.items() if k != "out"}
     cfg_hash = hashlib.sha256(_canonical_text(semantic).encode()).hexdigest()[:16]
@@ -413,8 +420,7 @@ def _three_body_sweep(cfg: ExperimentConfig, name: str):
     system = cfg.system
     bracket, asm = t3.critical_coupling_3body(system, cfg.budget, cfg.seed)
     lam_star = bracket.lambda_star
-    offsets = np.geomspace(cfg.options["offsets_max"], cfg.options["offsets_min"],
-                           cfg.options["sweep_points"])
+    offsets = np.geomspace(*SWEEP_OFFSETS, cfg.options["sweep_points"])
     lams = bracket.lambda_cr + offsets * lam_star
     for lam in lams:
         if lam >= lam_star:
@@ -425,8 +431,7 @@ def _three_body_sweep(cfg: ExperimentConfig, name: str):
                if r.bound]
     if len(records) < 4:
         raise AccuracyError(
-            "three-body sweep produced fewer than 4 bound points; "
-            "widen the offsets or raise the budget"
+            "three-body sweep produced fewer than 4 bound points; raise the budget"
         )
     write_csv(cfg, name,
               ["lambda", "E3", "k", "r2_x", "r2_y", "rho2", "eps_R7", "kinetic_norm"]
@@ -455,8 +460,8 @@ def run_three_sweep(cfg: ExperimentConfig) -> int:
 
 
 def run_absorb(cfg: ExperimentConfig) -> int:
-    control_verdict, lam_star = _two_body_control(
-        cfg, "absorb_control.csv", cfg.options["control_points"])
+    control_verdict, lam_star = _two_body_control(cfg, "absorb_control.csv",
+                                                  CONTROL_POINTS)
     bracket, records, verdict, summary = _three_body_sweep(cfg, "absorb_three.csv")
     lam_star3 = bracket.lambda_star
     kin = [r.kinetic_norm for r in records]

@@ -148,14 +148,14 @@ class JacobiFrame:
 
     x = sqrt(2 mu_ij) (r_j - r_i), y = sqrt(2 M_ij) (r_l - cm_ij) turn the
     kinetic energy into -Lap_x - Lap_y; the pair potential of (ij) then has
-    argument alpha*|x| and the cross-pair argument is beta*x + gamma*y.
+    argument alpha*|x|.  The cross-pair separations, whose y coefficient is
+    gamma, come from ``separation_forms``.
     """
 
     pair: tuple[int, int]
     mu: float
     M: float
     alpha: float
-    beta: float
     gamma: float
 
 
@@ -169,9 +169,8 @@ def jacobi_frame(system: ParticleSystem, pair) -> JacobiFrame:
     mu = mi * mj / (mi + mj)
     M = (mi + mj) * ml / (mi + mj + ml)
     alpha = 1.0 / math.sqrt(2.0 * mu)
-    beta = -mj / ((mi + mj) * math.sqrt(2.0 * mu))
     gamma = 1.0 / math.sqrt(2.0 * M)
-    return JacobiFrame(pair=(i, j), mu=mu, M=M, alpha=alpha, beta=beta, gamma=gamma)
+    return JacobiFrame(pair=(i, j), mu=mu, M=M, alpha=alpha, gamma=gamma)
 
 
 def separation_forms(system: ParticleSystem, frame_pair=(1, 2)) -> dict:

@@ -37,7 +37,8 @@ from scipy.special import erfc
 from .errors import BasisError, BracketError, FitError
 from .model import PairPotential, ParticleSystem, jacobi_frame, separation_forms
 from .quadrature import gauss_legendre
-from .twobody import MarginReport, subcriticality_margin, twobody_binding_energy
+from .twobody import (TAIL_MULTIPLES, MarginReport, subcriticality_margin,
+                      twobody_binding_energy)
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
@@ -545,10 +546,12 @@ def assembler_for(basis: _Assembler, system: ParticleSystem) -> _Assembler:
 # overlap eigen-directions below DROP_TOL * s_max are dropped from every solve
 DROP_TOL = 1e-12
 
-# The solve path uses numpy.linalg alone.  scipy.linalg links its own copy of
-# BLAS, and when the two alternate with more than one BLAS thread, each
-# library's idle threads stall the other's: a 150-form solve took 24 ms mixed
-# and 7.5 ms with numpy alone on two cores.
+# ``_span`` and ``solve_ground`` use numpy.linalg alone; only ``_crossing``,
+# once per lambda_cr stage, calls scipy.linalg.eigh for its generalized
+# eigenproblem.  scipy.linalg links its own copy of BLAS, and when the two
+# alternate with more than one BLAS thread, each library's idle threads stall
+# the other's: a 150-form solve took 24 ms mixed and 7.5 ms with numpy alone
+# on two cores.
 
 
 class _Span(NamedTuple):
@@ -673,9 +676,6 @@ class SweepRecord:
     bound: bool
 
 
-DEFAULT_TAIL_MULTIPLES = (1.0, 2.0, 4.0, 8.0, 16.0)
-
-
 def _expectations(asm: _Assembler, c: np.ndarray):
     return {key: float(c @ asm.moment_matrix(key) @ c) for key in MOMENT_KEYS}
 
@@ -762,15 +762,16 @@ def _crossing(asm: _Assembler, tol_e: float) -> float:
 
 
 REFINE_STAGES = 2
+# the lambda_cr search range, in units of lambda*
+SCAN = (0.3, 1.5)
 # half-width of the certified bracket around lambda_cr, in units of lambda*
 BRACKET_HALF_WIDTH = 2.5e-6
 
 
-def critical_coupling_3body(system: ParticleSystem, budget: int, seed: int,
-                            scan=(0.3, 1.5)):
+def critical_coupling_3body(system: ParticleSystem, budget: int, seed: int):
     """Locate the coupling where the variational E3 crosses -tol.
 
-    A basis grown at the deep end of the scan gives lambda_cr from one
+    A basis grown at the deep end of the SCAN range gives lambda_cr from one
     generalized eigenvalue (``_crossing``); two refinement stages re-grow
     at lambda_cr (1 + 0.05 / 10^stage), so the near-threshold halo is
     representable, and solve it again.  Two direct solves then certify the
@@ -782,7 +783,7 @@ def critical_coupling_3body(system: ParticleSystem, budget: int, seed: int,
     margin = subcriticality_margin(system)
     lam_star = min(margin.lambda_stars.values())
     tol_e = 1e-6 * _energy_scale(system, margin)
-    lam_lo0, lam_hi0 = scan[0] * lam_star, scan[1] * lam_star
+    lam_lo0, lam_hi0 = SCAN[0] * lam_star, SCAN[1] * lam_star
 
     asm = _Assembler(system, system.identical_bosons)
     stage_budgets = np.linspace(budget / (REFINE_STAGES + 1.0), budget,
@@ -832,11 +833,11 @@ def sweep_three_body(system: ParticleSystem, couplings, asm: _Assembler,
 
     ``lambda_star`` is the smallest pair critical coupling (as carried by
     ``CriticalBracket.lambda_star``); each record's eps_R7 is its distance
-    below it.  Tails are taken at DEFAULT_TAIL_MULTIPLES of the longest
-    pair range.
+    below it.  Tails are taken at TAIL_MULTIPLES of the longest pair
+    range.
     """
     rng = max(p.range_ for p in system.potentials.values())
-    tail_radii = tuple(m * rng for m in DEFAULT_TAIL_MULTIPLES)
+    tail_radii = tuple(m * rng for m in TAIL_MULTIPLES)
     records = []
     for lam in couplings:
         records.append(record_point(asm, float(lam), lambda_star - float(lam),

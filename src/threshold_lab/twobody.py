@@ -32,16 +32,15 @@ from .quadrature import (
 )
 
 
+# radii of the tail masses, in units of the pair range (two-body: range / alpha)
+TAIL_MULTIPLES = (1.0, 2.0, 4.0, 8.0, 16.0)
+
+
 def swave_green(z: float, r: np.ndarray, rp: np.ndarray) -> np.ndarray:
     """s-wave radial kernel of (-Lap + z^2)^(-1) on L^2(dr)."""
     r = np.asarray(r, dtype=float)[:, None]
     rp = np.asarray(rp, dtype=float)[None, :]
-    lo = np.minimum(r, rp)
-    if z == 0.0:
-        return np.broadcast_to(lo, np.broadcast_shapes(r.shape, rp.shape)).copy()
-    # e^(-z|r-r'|) - e^(-z(r+r')) = e^(-z|r-r'|) (1 - e^(-2 z min)); expm1
-    # keeps the small-z regime free of cancellation
-    return np.exp(-z * np.abs(r - rp)) * (-np.expm1(-2.0 * z * lo)) / (2.0 * z)
+    return _psi_phi(z, np.maximum(r, rp), np.minimum(r, rp))
 
 
 def _psi_phi(z: float, ri, rj):
@@ -49,7 +48,8 @@ def _psi_phi(z: float, ri, rj):
 
     g_z(r, r') = phi_z(min) psi_z(max) with phi_z(t) = sinh(z t)/z and
     psi_z(t) = exp(-z t); the paired form below stays finite for every
-    within-panel argument order.
+    within-panel argument order.  It is e^(-z(ri-rj)) (1 - e^(-2 z rj)) / (2 z),
+    where expm1 keeps the small-z regime free of cancellation.
     """
     ri = np.asarray(ri, dtype=float)
     rj = np.asarray(rj, dtype=float)
@@ -443,10 +443,10 @@ def sweep_two_body(V: PairPotential, frame: JacobiFrame, offsets):
     lambda* comes from ``critical_coupling`` (DegenerateInputError for a
     potential with no attraction); each offset g > 0 gives one point above
     it.  Each point solves its bound state once; <r^2> and the tails at
-    (1, 2, 4, 8, 16) range / alpha come from that one BS eigenvector.
+    TAIL_MULTIPLES of range / alpha come from that one BS eigenvector.
     """
     lam_star = critical_coupling(V, frame)
-    tail_radii = tuple(k * V.range_ / frame.alpha for k in (1.0, 2.0, 4.0, 8.0, 16.0))
+    tail_radii = tuple(k * V.range_ / frame.alpha for k in TAIL_MULTIPLES)
     points = []
     for g in offsets:
         lam = float(lam_star * (1.0 + g))

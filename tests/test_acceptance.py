@@ -244,7 +244,7 @@ def test_criterion_10_determinism(tmp_path):
     cfg_path = tmp_path / "absorb.cfg"
     cfg_path.write_text(
         "experiment = absorb\nmasses = 1 1 1\nkind = gaussian\nrange = 1.0\n"
-        "budget = 40\ncontrol_points = 6\nsweep_points = 6\nseed = 7\n"
+        "budget = 40\nsweep_points = 6\nseed = 7\n"
     )
     outputs = []
     for run in ("first", "second"):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,8 @@ from threshold_lab.cli import (
 )
 from threshold_lab.errors import ConfigError
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 SQUARE_WELL_CFG = """\
 experiment = two_critical
@@ -64,19 +66,43 @@ class TestConfigParsing:
             load_config("experiment = two_critical\nkind = gaussian\nrange = 1\nlambda = abc\n")
         assert err.value.key == "lambda"
 
-    @pytest.mark.parametrize("key", ["control_gmax", "control_gmin", "theta", "delta"])
+    @pytest.mark.parametrize("key", ["control_gmax", "control_gmin", "theta", "delta",
+                                     "control_points", "offsets_max", "offsets_min"])
     def test_retired_option_is_unknown(self, key):
-        with pytest.raises(ConfigError) as err:
-            load_config(SQUARE_WELL_CFG + f"{key} = 0.1\n")
-        assert err.value.key == key
+        for experiment in ("two_critical", "absorb"):
+            text = SQUARE_WELL_CFG.replace("two_critical", experiment)
+            with pytest.raises(ConfigError) as err:
+                load_config(text + f"{key} = 0.1\n")
+            assert err.value.key == key
 
     def test_options_parsed_to_their_types(self):
         cfg = load_config("experiment = three_sweep\nkind = gaussian\nrange = 1.0\n"
-                          "budget = 20\nsweep_points = 5\noffsets_max = 1e-2\n")
+                          "budget = 20\nsweep_points = 5\n")
         assert cfg.budget == 20
-        assert cfg.options == {"sweep_points": 5, "offsets_max": 1e-2, "offsets_min": 2e-5}
+        assert cfg.options == {"sweep_points": 5}
         assert type(cfg.options["sweep_points"]) is int
-        assert type(cfg.options["offsets_max"]) is float
+
+    def test_readme_option_table_matches_schema(self):
+        # each README row lists `name` (default, >= least) for an integer
+        # option or `name` (default, > least) for a float one, or names the
+        # experiment whose options it shares
+        readme = (ROOT / "README.md").read_text()
+        cells = dict(re.findall(r"^\| `(\w+)` \| (.+) \|$", readme, flags=re.M))
+        documented = {}
+        for experiment in EXPERIMENTS:
+            shared = re.fullmatch(r"the `(\w+)` options", cells[experiment])
+            if shared:
+                documented[experiment] = documented[shared[1]]
+                continue
+            row = re.findall(r"`(\w+)` \(([^,]+), ([≥>]) ([^)]+)\)", cells[experiment])
+            assert row or cells[experiment] == "none"
+            documented[experiment] = {}
+            for name, default, bound, least in row:
+                kind = int if bound == "≥" else float
+                documented[experiment][name] = (kind(default), kind(least))
+        assert documented == OPTIONS
+        assert all(type(documented[e][k][1]) is type(least)
+                   for e, row in OPTIONS.items() for k, (_, least) in row.items())
 
     @pytest.mark.parametrize("experiment", EXPERIMENTS)
     def test_options_follow_the_table(self, experiment):
@@ -258,7 +284,19 @@ class TestMain:
                      "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "violates R6" in err and "nonnegativity" in err
+        assert "(key: table)" in err
         assert not (tmp_path / "out").exists()
+
+    def test_r6_violation_names_the_pair_table(self):
+        # three per-pair tables, only pair 13's dips below zero
+        tables = {"12": "0:1 1:0.5 2:0", "13": "0:1 0.5:-0.6 1:0", "23": "0:1 2:0"}
+        text = "experiment = two_critical\nmasses = 1 1 1\nlambda = 1.0\n" + "".join(
+            f"potential.{pair}.kind = tabulated\npotential.{pair}.range = 1.0\n"
+            f"potential.{pair}.table = {table}\n" for pair, table in tables.items())
+        with pytest.raises(ConfigError) as err:
+            load_config(text)
+        assert err.value.key == "potential.13.table"
+        assert "violates R6" in str(err.value)
 
     def test_ops_audit_boundary_violation_reported(self, tmp_path):
         cfg_path = tmp_path / "cfg"
@@ -272,14 +310,15 @@ class TestMain:
         assert payload["contraction"][0]["violated"] is True
         assert payload["contraction"][0]["neumann_bound"] is None
 
+    # A light third particle leaves no Borromean window: lambda_cr lies above
+    # lambda* (1.16 lambda* at budget 16), so the sweep above lambda_cr would
+    # bind a pair and the R7 guard aborts it.
+    NO_WINDOW_CFG = ("masses = 1 1 0.25\nkind = gaussian\nrange = 1.0\n"
+                     "budget = 16\nsweep_points = 4\nseed = 7\n")
+
     def test_absorb_guard_exits_3(self, tmp_path, capsys):
-        # offsets pushing the sweep past the two-body critical point abort
         cfg_path = tmp_path / "cfg"
-        cfg_path.write_text(
-            "experiment = absorb\nmasses = 1 1 1\nkind = gaussian\nrange = 1.0\n"
-            "budget = 16\ncontrol_points = 4\nsweep_points = 4\n"
-            "offsets_max = 0.5\nseed = 7\n"
-        )
+        cfg_path.write_text("experiment = absorb\n" + self.NO_WINDOW_CFG)
         code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
                      "--quiet"])
         assert code == EXIT_HYPOTHESIS
@@ -287,11 +326,7 @@ class TestMain:
 
     def test_three_sweep_guard_exits_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg"
-        cfg_path.write_text(
-            "experiment = three_sweep\nmasses = 1 1 1\nkind = gaussian\n"
-            "range = 1.0\nbudget = 16\nsweep_points = 4\n"
-            "offsets_max = 0.5\nseed = 7\n"
-        )
+        cfg_path.write_text("experiment = three_sweep\n" + self.NO_WINDOW_CFG)
         code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
                      "--quiet"])
         assert code == EXIT_HYPOTHESIS
@@ -303,8 +338,7 @@ class TestMain:
         cfg_path = tmp_path / "cfg"
         cfg_path.write_text(
             "experiment = three_sweep\nmasses = 1 1 1\nkind = gaussian\n"
-            "range = 1.0\nbudget = 20\nsweep_points = 5\n"
-            "offsets_max = 3e-2\noffsets_min = 1e-3\nseed = 7\n"
+            "range = 1.0\nbudget = 20\nsweep_points = 5\nseed = 7\n"
         )
         out = tmp_path / "out"
         assert main(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == EXIT_OK
@@ -325,8 +359,7 @@ class TestMain:
         cfg_path = tmp_path / "cfg"
         cfg_path.write_text(
             "experiment = absorb\nmasses = 1 1 1\nkind = gaussian\nrange = 1.0\n"
-            "budget = 24\ncontrol_points = 4\nsweep_points = 4\n"
-            "offsets_min = 1e-3\nseed = 7\n"
+            "budget = 24\nsweep_points = 4\nseed = 7\n"
         )
         outs = []
         for run in ("a", "b"):

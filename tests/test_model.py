@@ -28,7 +28,6 @@ class TestJacobiFrame:
         assert fr.mu == pytest.approx(0.5)
         assert fr.M == pytest.approx(2.0 / 3.0)
         assert fr.alpha == pytest.approx(1.0)
-        assert fr.beta == pytest.approx(-0.5)
         assert fr.gamma == pytest.approx(math.sqrt(3.0) / 2.0)
 
     def test_heavy_third_particle_limit(self):
@@ -60,7 +59,6 @@ class TestJacobiFrame:
                 assert b.mu == pytest.approx(a.mu, rel=1e-14)
                 assert b.M == pytest.approx(a.M, rel=1e-14)
                 assert b.alpha == pytest.approx(a.alpha, rel=1e-14)
-                assert abs(b.beta) == pytest.approx(abs(a.beta), rel=1e-14)
                 assert b.gamma == pytest.approx(a.gamma, rel=1e-14)
 
     def test_bad_pair_rejected(self):

@@ -577,7 +577,7 @@ class TestTailKernels:
     def test_doubling_nodes_moves_no_tail(self, bracket, lam_star, monkeypatch):
         br, asm = bracket
         assert asm.n >= 60
-        radii = t3.DEFAULT_TAIL_MULTIPLES
+        radii = t3.TAIL_MULTIPLES
         cs = [asm.solve(br.lambda_cr + off * lam_star)[1] for off in SWEEP_OFFSETS]
         base = [t3.tail_masses(asm, c, radii) for c in cs]
         monkeypatch.setattr(t3, "TAIL_NODES", 2 * t3.TAIL_NODES)
@@ -691,12 +691,11 @@ class TestCheckpoint:
 
 
 class TestBracketErrors:
-    def test_no_binding_in_scan_range(self, lam_star):
+    def test_no_binding_in_scan_range(self, lam_star, monkeypatch):
         sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
-        from threshold_lab.errors import BracketError
-
+        monkeypatch.setattr(t3, "SCAN", (0.2, 0.4))
         with pytest.raises(BracketError):
-            t3.critical_coupling_3body(sys3, budget=16, seed=1, scan=(0.2, 0.4))
+            t3.critical_coupling_3body(sys3, budget=16, seed=1)
 
 
 class TestFit:
