@@ -26,8 +26,9 @@ from . import faddeev_ops as fo
 from . import ims
 from . import threebody as t3
 from . import twobody as tb
-from .errors import AccuracyError, ConfigError, HypothesisError, ThresholdLabError
-from .model import PAIRS, PairPotential, ParticleSystem, jacobi_frame, validate_r6
+from .errors import (AccuracyError, ConfigError, DegenerateInputError, HypothesisError,
+                     ThresholdLabError, ValidationError)
+from .model import PAIRS, PairPotential, ParticleSystem, jacobi_frame
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -175,18 +176,15 @@ def load_config(text: str, seed_override=None, out_override=None,
                           key=str(exc.args[0])) from exc
     except ValueError as exc:
         raise ConfigError(f"invalid potential specification: {exc}") from exc
+    except ValidationError as exc:
+        # the paper's standing assumption R6 fails only through a table value
+        raise ConfigError(f"tabulated potential violates R6: {exc}",
+                          key=prefix + "table") from exc
 
     try:
         system = ParticleSystem(masses, potentials, coupling)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # the paper's standing assumption R6: V >= 0, V in L1 and L2, V <= F;
-    # every built-in profile meets it, so a breach lies in a table
-    for prefix, pot in by_prefix.items():
-        report = validate_r6(pot)
-        if not report.passed:
-            raise ConfigError(f"{pot.kind} potential violates R6: "
-                              + "; ".join(report.failures), key=prefix + "table")
 
     semantic = {k: v for k, v in kv.items() if k != "out"}
     cfg_hash = hashlib.sha256(_canonical_text(semantic).encode()).hexdigest()[:16]
@@ -261,12 +259,16 @@ def _pair_frames(system: ParticleSystem):
 
 def _resolve_coupling(cfg: ExperimentConfig):
     """The system with lambda_factor applied relative to the smallest pair
-    critical coupling, and its R7 margin, which holds every pair's lambda*."""
+    critical coupling, and its R7 margin, which holds every pair's lambda*.
+    DegenerateInputError if lambda_factor is set and no pair has attraction."""
     margin = tb.subcriticality_margin(cfg.system)
     if cfg.lambda_factor is None:
         return cfg.system, margin
-    lam = cfg.lambda_factor * min(margin.lambda_stars.values())
-    return t3.system_with_coupling(cfg.system, lam), replace(margin, coupling=lam)
+    if margin.lambda_star == math.inf:
+        raise DegenerateInputError(
+            "lambda_factor needs a pair with attraction; every pair has lambda* = inf")
+    lam = cfg.lambda_factor * margin.lambda_star
+    return replace(cfg.system, coupling=lam), replace(margin, coupling=lam)
 
 
 def run_two_critical(cfg: ExperimentConfig) -> int:
@@ -328,6 +330,7 @@ def run_ops_audit(cfg: ExperimentConfig) -> int:
     pair = (1, 2)
     V = system.potential(pair)
     frame = jacobi_frame(system, pair)
+    lam_star = margin.lambda_stars[pair]
     audit = fo.lemma6_uniformity_audit(
         V, frame,
         z_grid=np.geomspace(1.0, 1e-4, cfg.options["z_points"]),
@@ -350,7 +353,8 @@ def run_ops_audit(cfg: ExperimentConfig) -> int:
     payload = {
         "experiment": "ops_audit",
         "coupling": system.coupling,
-        "lambda_star": margin.lambda_stars[pair],
+        # a pair with no attraction has no threshold: null, as in two_critical
+        "lambda_star": lam_star if lam_star < math.inf else None,
         "constants": {
             "c": constants.c, "c_prime": constants.c_prime,
             "c_dprime": constants.c_dprime, "c_tilde": constants.c_tilde,

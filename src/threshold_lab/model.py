@@ -28,8 +28,11 @@ class PairPotential:
     """Nonnegative radial pair interaction V with dominating envelope F.
 
     The profile is normalized so V(0) = 1 for the built-in kinds; strength
-    lives exclusively in the system coupling.  For built-ins the envelope
-    coincides with the profile.
+    lives exclusively in the system coupling.  R6 (V >= 0 below a radially
+    non-increasing F in L1 and L2) holds by construction: the built-in
+    profiles are non-increasing and integrable, a table is finite, zero
+    beyond its last radius and checked for V >= 0 here, and F is the
+    non-increasing majorant of V.
     """
 
     kind: str
@@ -49,7 +52,13 @@ class PairPotential:
             v = np.array([p[1] for p in self.table], dtype=float)
             if np.any(np.diff(r) <= 0) or r[0] < 0:
                 raise ValueError("table radii must be nonnegative and strictly increasing")
-            # monotone cubic keeps the interpolant sign-safe between samples
+            bad = ~(np.isfinite(v) & (v >= 0.0))
+            if np.any(bad):
+                k = int(np.argmax(bad))
+                raise ValidationError(f"nonnegativity: V({r[k]:.6g}) = {v[k]:.6g} "
+                                      "is not a finite value >= 0")
+            # the monotone cubic stays within the range of its two samples on
+            # each interval, so V >= 0 at the samples is V >= 0 everywhere
             object.__setattr__(self, "_interp", PchipInterpolator(r, v, extrapolate=False))
         elif self.table is not None:
             raise ValueError("only tabulated potentials carry a table")
@@ -67,8 +76,18 @@ class PairPotential:
         return np.where(r > self.table[-1][0], 0.0, vals)
 
     def envelope(self, r):
-        """Dominating radial envelope F with V <= F (F = V for all kinds here)."""
-        return self.profile(r)
+        """Non-increasing majorant F(r) = sup over s >= r of V(s).
+
+        The built-in profiles are non-increasing, so F = V.  A table's
+        interpolant is monotone between samples, so F is the larger of V(r)
+        and the largest table value at a radius >= r (0 beyond the table).
+        """
+        v = self.profile(r)
+        if self.kind != "tabulated":
+            return v
+        radii, vals = np.array(self.table, dtype=float).T
+        later_max = np.maximum.accumulate(vals[::-1])[::-1]
+        return np.maximum(v, np.append(later_max, 0.0)[np.searchsorted(radii, r)])
 
     @property
     def support_radius(self) -> float | None:
@@ -193,13 +212,11 @@ def separation_forms(system: ParticleSystem, frame_pair=(1, 2)) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Radial integrals and validation
+# Radial integrals
 # ---------------------------------------------------------------------------
 
-# radial nodes of potential_moment_c, and the grid on which validate_r6
-# samples V >= 0 and V <= F
+# radial nodes of potential_moment_c
 MOMENT_NODES = 256
-R6_GRID = 2048
 # the tail integral doubles its panel up to TAIL_DOUBLINGS times and stops
 # once a panel adds less than TAIL_REL_FLOOR of the total
 TAIL_DOUBLINGS = 28
@@ -301,78 +318,3 @@ def plancherel_fourier_mass(V: PairPotential) -> float:
         v_edge = float(V.profile(np.array([r_edge * (1.0 - 1e-9)]))[0])
         total += 4.0 * v_edge * r_edge ** 2 / p_max
     return total
-
-
-@dataclass(frozen=True)
-class R6Report:
-    """Outcome of the standing-assumption check on one potential."""
-
-    nonnegative: bool
-    l1_finite: bool
-    l2_finite: bool
-    envelope_dominates: bool
-    l1_value: float
-    l2_value: float
-    failures: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def validate_r6(V) -> R6Report:
-    """Check V >= 0, V in L1 and L2, and V <= F on a sample grid.
-
-    Accepts any object exposing profile/envelope/range_/effective_radius
-    (duck-typed so ad-hoc radial profiles can be screened in tests).
-    """
-    failures = []
-    r_hi = V.effective_radius
-    grid = np.linspace(0.0, r_hi, R6_GRID)
-    vals = np.asarray(V.profile(grid), dtype=float)
-    nonneg = bool(np.all(vals >= -1e-12))
-    if not nonneg:
-        bad = grid[vals < -1e-12][0]
-        failures.append(f"nonnegativity: V({bad:.6g}) = {vals[grid == bad][0]:.6g} < 0")
-
-    l1 = l2 = math.nan
-    l1_ok = l2_ok = True
-    try:
-        l1 = potential_moment_c(V, 1.0)
-    except ValidationError:
-        l1_ok = False
-        failures.append("L1: integral of V d^3x diverges")
-    try:
-        sq = _SquaredView(V)
-        l2 = potential_moment_c(sq, 1.0)
-    except ValidationError:
-        l2_ok = False
-        failures.append("L2: integral of V^2 d^3x diverges")
-
-    env = np.asarray(V.envelope(grid), dtype=float)
-    dominated = bool(np.all(vals <= env + 1e-12))
-    if not dominated:
-        failures.append("envelope: V > F somewhere on the sample grid")
-
-    return R6Report(
-        nonnegative=nonneg,
-        l1_finite=l1_ok,
-        l2_finite=l2_ok,
-        envelope_dominates=dominated,
-        l1_value=l1,
-        l2_value=l2,
-        failures=tuple(failures),
-    )
-
-
-class _SquaredView:
-    """Radial view of V^2 reusing the moment machinery."""
-
-    def __init__(self, V):
-        self._V = V
-        self.range_ = V.range_
-        self.support_radius = getattr(V, "support_radius", None)
-        self.effective_radius = V.effective_radius
-
-    def profile(self, r):
-        return np.asarray(self._V.profile(r), dtype=float) ** 2

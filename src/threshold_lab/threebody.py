@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -781,14 +781,14 @@ def critical_coupling_3body(system: ParticleSystem, budget: int, seed: int):
     on the true critical coupling.
     """
     margin = subcriticality_margin(system)
-    lam_star = min(margin.lambda_stars.values())
+    lam_star = margin.lambda_star
     tol_e = 1e-6 * _energy_scale(system, margin)
     lam_lo0, lam_hi0 = SCAN[0] * lam_star, SCAN[1] * lam_star
 
     asm = _Assembler(system, system.identical_bosons)
     stage_budgets = np.linspace(budget / (REFINE_STAGES + 1.0), budget,
                                 REFINE_STAGES + 1).astype(int)
-    grow_basis(system_with_coupling(system, lam_hi0), int(stage_budgets[0]), seed, asm=asm)
+    grow_basis(replace(system, coupling=lam_hi0), int(stage_budgets[0]), seed, asm=asm)
     for stage in range(REFINE_STAGES + 1):
         lam_cr = _crossing(asm, tol_e)
         if lam_cr >= lam_hi0:
@@ -801,7 +801,7 @@ def critical_coupling_3body(system: ParticleSystem, budget: int, seed: int):
         if stage < REFINE_STAGES:
             # re-grow ever closer to the estimate so the halo that carries
             # the near-threshold records is representable
-            near = system_with_coupling(system, lam_cr * (1.0 + 0.05 / 10.0 ** stage))
+            near = replace(system, coupling=lam_cr * (1.0 + 0.05 / 10.0 ** stage))
             grow_basis(near, int(stage_budgets[stage + 1]), seed + stage + 1, asm=asm)
     lam_lo = lam_cr - BRACKET_HALF_WIDTH * lam_star
     lam_hi = lam_cr + BRACKET_HALF_WIDTH * lam_star
@@ -821,10 +821,6 @@ def critical_coupling_3body(system: ParticleSystem, budget: int, seed: int):
         cond_N=span.cond,
         dropped_directions=span.dropped,
     ), asm
-
-
-def system_with_coupling(system: ParticleSystem, coupling: float) -> ParticleSystem:
-    return ParticleSystem(system.masses, dict(system.potentials), coupling)
 
 
 def sweep_three_body(system: ParticleSystem, couplings, asm: _Assembler,

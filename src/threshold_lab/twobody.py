@@ -151,8 +151,13 @@ class MarginReport:
     lambda_stars: dict
 
     @property
+    def lambda_star(self) -> float:
+        """The smallest pair critical coupling (inf if no pair attracts)."""
+        return min(self.lambda_stars.values())
+
+    @property
     def eps(self) -> float:
-        return min(self.lambda_stars.values()) - self.coupling
+        return self.lambda_star - self.coupling
 
     @property
     def satisfied(self) -> bool:
@@ -374,32 +379,37 @@ def oracle_critical_coupling(V: PairPotential, frame: JacobiFrame) -> float:
 
 
 def oracle_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> float:
-    """Ground-state energy by node-count bisection polished on the defect."""
+    """Ground-state energy: one Brent root of the exterior-matching defect.
+
+    Node-count bisection narrows [e_lo, e_hi] only until its upper end holds
+    a single state.  The bracket then holds exactly the ground-state
+    eigenvalue, where the defect, smooth in E, changes sign once.
+    """
     e_lo = -1.01 * lam * float(np.max(V.profile(np.linspace(0.0, V.effective_radius, 512))))
     e_hi = -1e-13
+    runs = {}
+
+    def shoot(E):
+        # the bisection and brentq both evaluate the bracket ends
+        if E not in runs:
+            runs[E] = shooting_oracle(V, frame, lam, E)
+        return runs[E]
 
     def nodes(E):
-        return total_nodes(shooting_oracle(V, frame, lam, E), E)
+        return total_nodes(shoot(E), E)
 
     if nodes(e_hi) < 1:
         raise BracketError("no bound state at this coupling")
     if nodes(e_lo) > 0:
         raise BracketError("energy scan floor still has a node")
     lo, hi = e_lo, e_hi
-    for _ in range(48):
+    while nodes(hi) > 1:
         mid = 0.5 * (lo + hi)
         if nodes(mid) >= 1:
             hi = mid
         else:
             lo = mid
-    # defect is smooth in E across the eigenvalue; polish inside the bracket
-    def defect(E):
-        return shooting_oracle(V, frame, lam, E).defect
-
-    d_lo, d_hi = defect(lo), defect(hi)
-    if d_lo * d_hi < 0.0:
-        return brentq(defect, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    return 0.5 * (lo + hi)
+    return brentq(lambda E: shoot(E).defect, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
 
 def oracle_mean_square_radius(V: PairPotential, frame: JacobiFrame, lam: float) -> float:

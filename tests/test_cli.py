@@ -8,6 +8,7 @@ import pytest
 from threshold_lab.cli import (
     EXIT_CONFIG,
     EXIT_HYPOTHESIS,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXPERIMENTS,
     OPTIONS,
@@ -27,6 +28,13 @@ range = 1.0
 lambda_factor = 0.8
 seed = 1
 """
+
+
+def read_json(path: Path) -> dict:
+    """A JSON output of the CLI; NaN and Infinity, which JSON has not, fail."""
+    def reject(constant):
+        raise ValueError(f"{path.name} holds the non-JSON constant {constant}")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestConfigParsing:
@@ -158,7 +166,7 @@ class TestMain:
         cfg_path.write_text(SQUARE_WELL_CFG)
         code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == EXIT_OK
-        payload = json.loads((tmp_path / "out" / "two_critical.json").read_text())
+        payload = read_json(tmp_path / "out" / "two_critical.json")
         for pair_info in payload["pairs"].values():
             assert pair_info["lambda_star"] == pytest.approx(
                 math.pi ** 2 / 4.0, rel=1e-4
@@ -174,7 +182,7 @@ class TestMain:
         code = main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
                      "--quiet"])
         assert code == EXIT_OK
-        payload = json.loads((tmp_path / "out" / "two_critical.json").read_text())
+        payload = read_json(tmp_path / "out" / "two_critical.json")
         assert payload["R7_satisfied"] is False
         assert payload["eps_R7"] < 0.0
 
@@ -190,7 +198,7 @@ class TestMain:
             cfg_path.write_text(text)
             assert main(["--config", str(cfg_path), "--out", str(tmp_path / name),
                          "--quiet"]) == EXIT_OK
-            payloads.append(json.loads((tmp_path / name / "two_critical.json").read_text()))
+            payloads.append(read_json(tmp_path / name / "two_critical.json"))
         uniform, payload = payloads
         assert payload["pairs"]["13"] == {"mu0": 0.0, "lambda_star": None,
                                           "lambda_star_oracle": None,
@@ -220,7 +228,7 @@ class TestMain:
         csv_text = (out / "ims_gradient.csv").read_text()
         assert csv_text.startswith("# config_hash=")
         assert "seed=5" in csv_text.splitlines()[0]
-        payload = json.loads((out / "ims_audit.json").read_text())
+        payload = read_json(out / "ims_audit.json")
         assert payload["seed"] == 5
 
     def test_two_sweep_writes_spec_columns(self, tmp_path):
@@ -235,7 +243,7 @@ class TestMain:
         assert lines[1].split(",") == [
             "lambda", "mu0", "lambda_star", "E2", "r2", "epsilon_R7"
         ]
-        payload = json.loads((out / "two_sweep.json").read_text())
+        payload = read_json(out / "two_sweep.json")
         assert payload["verdict"] == "spreading-consistent"
         assert abs(payload["size_exponent"] - 1.0) <= 0.2
 
@@ -243,7 +251,7 @@ class TestMain:
         ("two_sweep", "sweep_points = ten"),
         ("ims_audit", "samples = 0"),
         ("two_sweep", "sweep_points = 3"),
-        ("three_sweep", "offsets_min = 0"),
+        ("three_sweep", "sweep_points = 3"),
         ("three_sweep", "budget = 2"),
         ("three_sweep", "seed = -1"),
         ("two_critical", "lambda_factor = 0"),
@@ -254,7 +262,7 @@ class TestMain:
         ("two_critical", "lambda = 5.0\nlambda_factor = 0.8"),
         ("two_critical", "z_points = 3"),
         ("ims_audit", "budget = 0"),
-    ], ids=["not-an-integer", "no-samples", "too-few-points", "zero-offset",
+    ], ids=["not-an-integer", "no-samples", "too-few-points", "three-sweep-too-few-points",
             "empty-growth-stage", "negative-seed", "zero-lambda-factor", "nan-lambda",
             "nan-range", "infinite-mass", "negative-mass", "lambda-and-lambda-factor",
             "option-not-read", "budget-not-read"])
@@ -298,6 +306,58 @@ class TestMain:
         assert err.value.key == "potential.13.table"
         assert "violates R6" in str(err.value)
 
+    def test_negative_value_between_grid_points_exit_2(self, tmp_path, capsys):
+        # a dip of width 2e-4 between positive samples: every table value is
+        # checked, not a sample grid of the interpolant
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text(
+            "experiment = two_critical\nmasses = 1 1 1\nlambda = 1.0\nkind = tabulated\n"
+            "range = 1.0\ntable = 0:1 1.0001:1 1.0002:-0.5 1.0003:1 10:0\n"
+        )
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "V(1.0002) = -0.5" in err and "(key: table)" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_monotone_table_passes_ims_identity(self, tmp_path):
+        # a dip then a bump: the envelope is the non-increasing majorant of V,
+        # so the cone-envelope identity holds on a valid non-monotone table
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text(
+            "experiment = ims_audit\nmasses = 1 1 1\nkind = tabulated\nrange = 1.0\n"
+            "table = 0:1 1:0.1 2:0.6 3:0\nlambda = 1.0\nsamples = 20000\nseed = 0\n"
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == EXIT_OK
+        payload = read_json(out / "ims_audit.json")
+        assert payload["identity_passed"] is True
+        assert payload["cone_envelope_excess"] <= 1e-12
+
+    @pytest.mark.parametrize("experiment", ["two_critical", "ops_audit"])
+    def test_lambda_factor_without_attraction_exit_1(self, tmp_path, capsys, experiment):
+        # lambda* = inf on every pair leaves lambda_factor nothing to scale
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text(f"experiment = {experiment}\nmasses = 1 1 1\nkind = tabulated\n"
+                            "range = 1.0\ntable = 0:0 1:0\nlambda_factor = 0.8\n")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == EXIT_NUMERICAL
+        assert "lambda_factor" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*.json"))
+
+    def test_ops_audit_pair_without_attraction_reported_null(self, tmp_path):
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text(
+            "experiment = ops_audit\nmasses = 1 1 1\nkind = gaussian\nrange = 1.0\n"
+            "potential.12.kind = tabulated\npotential.12.range = 1.0\n"
+            "potential.12.table = 0:0 1:0\nlambda = 1.0\nz_points = 3\np_points = 4\n"
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == EXIT_OK
+        payload = read_json(out / "ops_audit.json")
+        assert payload["lambda_star"] is None
+        assert all(row["lambda_mu"] == 0.0 for row in payload["contraction"])
+
     def test_ops_audit_boundary_violation_reported(self, tmp_path):
         cfg_path = tmp_path / "cfg"
         cfg_path.write_text(
@@ -306,7 +366,7 @@ class TestMain:
         )
         out = tmp_path / "out"
         assert main(["--config", str(cfg_path), "--out", str(out), "--quiet"]) == EXIT_OK
-        payload = json.loads((out / "ops_audit.json").read_text())
+        payload = read_json(out / "ops_audit.json")
         assert payload["contraction"][0]["violated"] is True
         assert payload["contraction"][0]["neumann_bound"] is None
 
@@ -346,7 +406,7 @@ class TestMain:
         assert lines[1].split(",")[:8] == [
             "lambda", "E3", "k", "r2_x", "r2_y", "rho2", "eps_R7", "kinetic_norm"
         ]
-        payload = json.loads((out / "three_sweep.json").read_text())
+        payload = read_json(out / "three_sweep.json")
         assert payload["lambda_cr"] < payload["lambda_star"]
         assert payload["bracket"][0] < payload["lambda_cr"] < payload["bracket"][1]
         assert payload["cond_N"] >= 1.0
@@ -373,7 +433,7 @@ class TestMain:
         x, y = header.index("r2_x"), header.index("r2_y")
         assert len(rows) == 5
         assert all(r.split(",")[x] == r.split(",")[y] for r in rows[1:])
-        three = json.loads(outs[0]["absorb.json"])["three_body"]
+        three = read_json(tmp_path / "a" / "absorb.json")["three_body"]
         assert three["cond_N"] >= 1.0
         assert three["dropped_directions"] == 0
 

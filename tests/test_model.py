@@ -12,7 +12,6 @@ from threshold_lab.model import (
     separation_forms,
     sqrt_potential_fourier,
     uniform_system,
-    validate_r6,
     zero_potential,
 )
 
@@ -117,34 +116,34 @@ class TestFourier:
 
 
 class TestR6Validation:
-    def test_gaussian_passes(self):
-        assert validate_r6(GAUSS).passed
-
     def test_negative_tabulated_fails_nonnegativity(self):
+        # the table is the only input that can break V >= 0, and the
+        # interpolant stays within its samples, so the samples are checked
         r = np.linspace(0.0, 3.0, 61)
-        bad = PairPotential(
-            "tabulated", 1.0, table=tuple((float(x), float(np.exp(-x) - 0.5)) for x in r)
-        )
-        rep = validate_r6(bad)
-        assert not rep.passed
-        assert any("nonnegativity" in f for f in rep.failures)
+        with pytest.raises(ValidationError, match=r"nonnegativity: V\(0\.7\) = -0\.00341"):
+            PairPotential(
+                "tabulated", 1.0, table=tuple((float(x), float(np.exp(-x) - 0.5)) for x in r)
+            )
 
-    def test_slow_powerlaw_fails_l1_only(self):
-        class Slow:
-            range_ = 1.0
-            support_radius = None
-            effective_radius = 40.0
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_table_value_rejected(self, value):
+        with pytest.raises(ValidationError, match="not a finite value"):
+            PairPotential("tabulated", 1.0, table=((0.0, 1.0), (1.0, value), (2.0, 0.0)))
 
-            def profile(self, r):
-                return (1.0 + np.asarray(r, dtype=float)) ** -2.5
+    @pytest.mark.parametrize("V", [GAUSS, EXPO, WELL])
+    def test_builtin_envelope_is_the_profile(self, V):
+        r = np.linspace(0.0, 3.0 * V.effective_radius, 4001)
+        assert np.array_equal(V.envelope(r), V.profile(r))
 
-            def envelope(self, r):
-                return self.profile(r)
-
-        rep = validate_r6(Slow())
-        assert not rep.passed
-        assert not rep.l1_finite
-        assert rep.l2_finite
+    def test_table_envelope_is_the_later_maximum(self):
+        # a dip at r = 1 and a bump at r = 2: F keeps the bump's height 0.6
+        # across the dip, and is 0 beyond the table
+        bump = PairPotential("tabulated", 1.0, table=((0, 1), (1, 0.1), (2, 0.6), (3, 0)))
+        r = np.array([0.0, 0.2, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
+        v = bump.profile(r)
+        expected = np.maximum(v, [1.0, 0.6, 0.6, 0.6, 0.6, 0.0, 0.0, 0.0])
+        assert np.array_equal(bump.envelope(r), expected)
+        assert bump.envelope(0.5) == 0.6
 
     def test_moment_raises_on_divergent_integral(self):
         class Slow:
@@ -202,12 +201,18 @@ class TestSystem:
 
 class TestRandomTabulatedProfiles:
     def test_r6_and_scaling_hold_for_random_nonnegative_tables(self):
+        # R6 by construction: V >= 0 between the samples (to rounding), and
+        # the envelope dominates V and is non-increasing
         rng = np.random.default_rng(17)
         for _ in range(10):
             r = np.linspace(0.0, rng.uniform(2.0, 6.0), 60)
             vals = rng.uniform(0.0, 1.0, size=r.size) * np.exp(-r)
             pot = PairPotential("tabulated", 1.0, table=tuple(zip(r.tolist(), vals.tolist())))
-            assert validate_r6(pot).passed
+            dense = np.linspace(0.0, 1.1 * r[-1], 20001)
+            v, env = pot.profile(dense), pot.envelope(dense)
+            assert np.min(v) >= -1e-15
+            assert np.all(env >= v)
+            assert np.all(np.diff(env) <= 0.0)
             c1 = potential_moment_c(pot, 1.0)
             alpha = rng.uniform(0.5, 2.0)
             assert potential_moment_c(pot, alpha) * alpha ** 3 == pytest.approx(

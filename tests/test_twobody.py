@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import jn_zeros
 
 from threshold_lab.errors import BracketError, DegenerateInputError
@@ -187,6 +188,25 @@ class TestSize:
 
 
 class TestShootingOracle:
+    def test_deep_square_well_ground_state(self, monkeypatch):
+        # two bound states at 12 lambda*: the node bisection narrows to one,
+        # then one Brent root lands on the closed form k cot(k) = -kappa,
+        # k^2 = lam - kappa^2, of the unit well (alpha = 1)
+        lam = 12.0 * SW_LAMBDA_STAR
+        runs = []
+        shoot = tb.shooting_oracle
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return shoot(*args, **kwargs)
+
+        monkeypatch.setattr(tb, "shooting_oracle", counted)
+        energy = tb.oracle_binding_energy(WELL, FRAME, lam)
+        kappa = brentq(lambda q: math.sqrt(lam - q * q) / math.tan(math.sqrt(lam - q * q)) + q,
+                       math.sqrt(lam - math.pi ** 2) + 1e-9, math.sqrt(lam - math.pi ** 2 / 4.0))
+        assert energy == pytest.approx(-kappa ** 2, rel=1e-12)
+        assert len(runs) <= 35
+
     def test_square_well_below_threshold_no_node(self):
         res = tb.shooting_oracle(WELL, FRAME, math.pi ** 2 / 4.0 - 1e-6, 0.0)
         assert tb.total_nodes(res, 0.0) == 0
