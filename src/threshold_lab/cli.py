@@ -274,12 +274,17 @@ def _resolve_coupling(cfg: ExperimentConfig):
 def run_two_critical(cfg: ExperimentConfig) -> int:
     system, margin = _resolve_coupling(cfg)
     pairs = {}
+    oracles = {}   # the oracle sees only the potential and alpha
     for pair, frame in _pair_frames(system).items():
         lam_star = margin.lambda_stars[pair]
         entry = {"mu0": 1.0 / lam_star, "lambda_star": None,
                  "lambda_star_oracle": None, "oracle_rel_diff": None}
         if lam_star < math.inf:   # a pair with no attraction has no threshold
-            oracle = tb.oracle_critical_coupling(system.potential(pair), frame)
+            pot = system.potential(pair)
+            key = (pot, frame.alpha)
+            if key not in oracles:
+                oracles[key] = tb.oracle_critical_coupling(pot, frame)
+            oracle = oracles[key]
             entry.update(lambda_star=lam_star, lambda_star_oracle=oracle,
                          oracle_rel_diff=abs(lam_star - oracle) / oracle)
         pairs[f"{pair[0]}{pair[1]}"] = entry

@@ -84,7 +84,9 @@ def _fiber_base_norm(V: PairPotential, frame: JacobiFrame, kappa: float) -> floa
     sqv = np.sqrt(V.profile(frame.alpha * rule.nodes))
     sw = np.sqrt(rule.weights)
     m = sw[:, None] * (B * sqv[None, :]) / sw[None, :]
-    return float(np.linalg.norm(m, 2))
+    # the largest eigenvalue of m^T m is the squared spectral norm, without
+    # the full SVD behind np.linalg.norm(m, 2)
+    return float(np.sqrt(np.linalg.eigvalsh(m.T @ m)[-1]))
 
 
 def fiber_norms(V: PairPotential, frame: JacobiFrame, z: float, p: float):

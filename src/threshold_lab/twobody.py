@@ -254,13 +254,23 @@ def _tail_masses(u, scale: float, radii):
 # Shooting oracle (independent of the kernel route)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# steps per block of the prefix product.  A block grows u by at most about
+# exp(SCAN_BLOCK kappa h); at the energies the oracle brackets that stays
+# under e^4, far inside the float range the 1e200 guard leaves
+SCAN_BLOCK = 256
+
+
+@dataclass(frozen=True, eq=False)
 class ShootingResult:
     nodes: int
     defect: float
-    u_end: float
+    u: np.ndarray   # u at every grid point i * step
     du_end: float
     step: float
+
+    @property
+    def u_end(self) -> float:
+        return float(self.u[-1])
 
 
 def _integration_span(V: PairPotential, frame: JacobiFrame) -> float:
@@ -268,17 +278,61 @@ def _integration_span(V: PairPotential, frame: JacobiFrame) -> float:
     return 1.25 * V.effective_radius / frame.alpha + 1.0
 
 
+def _rk4_step_increments(w_left, w_half, w_right, h: float):
+    """Entries (a, b, c, d) of M - I for the RK4 step matrices M of u'' = w u.
+
+    The radial equation is linear, so one RK4 step maps (u, u') through a
+    fixed 2x2 matrix M; the stage increments applied to the unit vectors
+    (1, 0) and (0, 1) give the columns (a, c) and (b, d) of M - I.  Keeping
+    the identity apart stops the rounding of 1 + O(h^2) entries, the same
+    on every step of a flat stretch of V, from adding up along the grid.
+    """
+    h2 = 0.5 * h
+
+    def increment(u, du):
+        k1u, k1v = du, w_left * u
+        k2u, k2v = du + h2 * k1v, w_half * (u + h2 * k1u)
+        k3u, k3v = du + h2 * k2v, w_half * (u + h2 * k2u)
+        k4u, k4v = du + h * k3v, w_right * (u + h * k3u)
+        return ((h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+                (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+
+    a, c = increment(1.0, 0.0)
+    b, d = increment(0.0, 1.0)
+    return a, b, c, d
+
+
+def _block_prefix_products(a, b, c, d):
+    """Prefix products M_j ... M_1 within each row of (n_blocks, SCAN_BLOCK) arrays.
+
+    The arrays hold M - I and are overwritten with the products minus I,
+    by Hillis-Steele doubling: after the pass with shift s, entry j holds
+    the product of the steps j - 2s + 1 ... j of its block.  In that form
+    (I + X)(I + Y) = I + X + Y + XY.
+    """
+    s = 1
+    while s < a.shape[1]:
+        xa, xb, xc, xd = a[:, s:], b[:, s:], c[:, s:], d[:, s:]
+        ya, yb, yc, yd = a[:, :-s], b[:, :-s], c[:, :-s], d[:, :-s]
+        a2 = xa + ya + (xa * ya + xb * yc)
+        b2 = xb + yb + (xa * yb + xb * yd)
+        c2 = xc + yc + (xc * ya + xd * yc)
+        d2 = xd + yd + (xc * yb + xd * yd)
+        a[:, s:], b[:, s:], c[:, s:], d[:, s:] = a2, b2, c2, d2
+        s *= 2
+
+
 def shooting_oracle(V: PairPotential, frame: JacobiFrame, lam: float,
-                    energy: float, n_steps: int = 20000,
-                    trajectory: list | None = None) -> ShootingResult:
+                    energy: float, n_steps: int = 20000) -> ShootingResult:
     """Integrate -u'' - lam V(alpha r) u = E u outward from u(0) = 0.
 
-    Fixed-step RK4; returns the sign-change count and the matching defect
-    u' + kappa u at the outer boundary (kappa = sqrt(-E); at E = 0 the
-    defect is u', the coefficient of the growing exterior solution).
+    Fixed-step RK4; returns the sign-change count of u and the matching
+    defect u' + kappa u at the outer boundary (kappa = sqrt(-E); at E = 0
+    the defect is u', the coefficient of the growing exterior solution).
     For discontinuous profiles the step is snapped to the support edge so
-    every RK4 step sees a smooth right-hand side.  A ``trajectory`` list
-    receives u at every grid point i * step.
+    every RK4 step sees a smooth right-hand side.  The trajectory is the
+    prefix product of the RK4 step matrices, taken block by block with the
+    state carried between blocks; ``u`` holds it at every grid point.
     """
     if lam < 0.0:
         raise ValueError("coupling must be >= 0")
@@ -301,42 +355,38 @@ def shooting_oracle(V: PairPotential, frame: JacobiFrame, lam: float,
     w_half = -(lam * V.profile(frame.alpha * (grid[:-1] + 0.5 * h)) + energy)
     w_right = -(lam * V.profile(frame.alpha * (grid[1:] - eps)) + energy)
 
+    n_blocks = -(-n_steps // SCAN_BLOCK)
+    # zero increments pad the last block with identity steps, which leave
+    # the end state and the sign sequence as they are
+    pad = n_blocks * SCAN_BLOCK - n_steps
+    a, b, c, d = (np.concatenate([m, np.zeros(pad)]).reshape(n_blocks, SCAN_BLOCK)
+                  for m in _rk4_step_increments(w_left, w_half, w_right, h))
+    _block_prefix_products(a, b, c, d)
+
+    us = np.empty(n_blocks * SCAN_BLOCK + 1)
+    signs = np.empty(us.size, dtype=np.int8)
+    us[0], signs[0] = 0.0, 0
     u, du = 0.0, 1.0
-    if trajectory is not None:
-        trajectory.append(u)
-    nodes = 0
-    prev = 0.0
-    h2 = 0.5 * h
-    for i in range(n_steps):
-        w0 = w_left[i]
-        wh = w_half[i]
-        w1 = w_right[i]
-        k1u, k1v = du, w0 * u
-        k2u, k2v = du + h2 * k1v, wh * (u + h2 * k1u)
-        k3u, k3v = du + h2 * k2v, wh * (u + h2 * k2u)
-        k4u, k4v = du + h * k3v, w1 * (u + h * k3u)
-        u_new = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        du_new = du + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        u, du = u_new, du_new
-        if prev != 0.0 and u != 0.0 and (prev < 0.0) != (u < 0.0):
-            nodes += 1
-        if u != 0.0:
-            prev = u
-        mag = max(abs(u), abs(du))
+    for k in range(n_blocks):
+        bu = u + (a[k] * u + b[k] * du)
+        bdu = du + (c[k] * u + d[k] * du)
+        sl = slice(k * SCAN_BLOCK + 1, (k + 1) * SCAN_BLOCK + 1)
+        us[sl] = bu
+        signs[sl] = np.sign(bu)   # taken before a rescaling can flush them to 0
+        u, du = float(bu[-1]), float(bdu[-1])
+        mag = max(np.max(np.abs(bu)), np.max(np.abs(bdu)))
         if mag > 1e200:  # linear ODE: rescaling changes nothing observable
+            us[:sl.stop] /= mag
             u /= mag
             du /= mag
-            prev = math.copysign(min(abs(prev), 1.0), prev)
-            if trajectory is not None:
-                trajectory[:] = [v / mag for v in trajectory]
-        if trajectory is not None:
-            trajectory.append(u)
+    nonzero = signs[signs != 0]
+    nodes = int(np.count_nonzero(nonzero[1:] != nonzero[:-1]))
     kappa = math.sqrt(-energy) if energy < 0.0 else 0.0
     scale = max(abs(u), abs(du), 1e-300)
     return ShootingResult(
         nodes=nodes,
         defect=(du + kappa * u) / scale,
-        u_end=u,
+        u=us[:n_steps + 1],
         du_end=du,
         step=h,
     )
@@ -409,16 +459,17 @@ def oracle_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> f
             hi = mid
         else:
             lo = mid
-    return brentq(lambda E: shoot(E).defect, lo, hi, xtol=1e-14, rtol=8.9e-16)
+    # E2 shrinks toward 0 at threshold, so the stop is relative: a negligible
+    # xtol leaves rtol in charge
+    return brentq(lambda E: shoot(E).defect, lo, hi, xtol=1e-300, rtol=8.9e-16)
 
 
 def oracle_mean_square_radius(V: PairPotential, frame: JacobiFrame, lam: float) -> float:
     """<r^2> of the oracle ground state, exterior tail added in closed form."""
     energy = oracle_binding_energy(V, frame, lam)
     kappa = math.sqrt(-energy)
-    us = []
-    res = shooting_oracle(V, frame, lam, energy, n_steps=40000, trajectory=us)
-    us = np.asarray(us)
+    res = shooting_oracle(V, frame, lam, energy, n_steps=40000)
+    us = res.u
     grid = res.step * np.arange(len(us))
     uu = us ** 2
     norm = float(np.trapezoid(uu, grid))

@@ -16,6 +16,7 @@ from threshold_lab.cli import (
     main,
 )
 from threshold_lab.errors import ConfigError
+from threshold_lab import twobody as tb
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -207,6 +208,27 @@ class TestMain:
             assert payload["pairs"][pair] == uniform["pairs"][pair]
         assert payload["eps_R7"] == uniform["eps_R7"]
         assert payload["R7_satisfied"] is True
+
+    @pytest.mark.parametrize("masses,runs", [("1 1 1", 1), ("1 1 4", 2)])
+    def test_one_oracle_run_per_distinct_pair(self, tmp_path, monkeypatch, masses, runs):
+        # the oracle sees only the potential and alpha; masses 1 1 4 give
+        # pair 12 one alpha and pairs 13 and 23 another
+        calls = []
+        oracle = tb.oracle_critical_coupling
+
+        def counted(*args):
+            calls.append(args)
+            return oracle(*args)
+
+        monkeypatch.setattr(tb, "oracle_critical_coupling", counted)
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text(SQUARE_WELL_CFG.replace("masses = 1 1 1", f"masses = {masses}"))
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == EXIT_OK
+        assert len(calls) == runs
+        payload = read_json(tmp_path / "out" / "two_critical.json")
+        for info in payload["pairs"].values():
+            assert info["oracle_rel_diff"] <= 1e-4
 
     def test_missing_config_file(self, capsys):
         assert main(["--config", "/nonexistent/cfg"]) == EXIT_CONFIG

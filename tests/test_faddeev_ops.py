@@ -90,6 +90,16 @@ class TestFiberNorms:
         n2 = fo.fiber_norms(v2, FRAME, 0.5, 0.5)[2]
         assert n2 / n1 == pytest.approx(math.sqrt(2.0), rel=1e-10)
 
+    @pytest.mark.parametrize("kappa", [1e-3, 0.1, 1.0, 10.0])
+    def test_base_norm_equals_largest_singular_value(self, kappa):
+        # the fiber matrix rebuilt here, its norm by a full SVD
+        rule = tb.bs_radial_rule(GAUSS, FRAME.alpha, z=kappa)
+        sqv = np.sqrt(GAUSS.profile(FRAME.alpha * rule.nodes))
+        sw = np.sqrt(rule.weights)
+        m = sw[:, None] * (tb.green_row_operator(kappa, rule) * sqv[None, :]) / sw[None, :]
+        assert fo._fiber_base_norm(GAUSS, FRAME, kappa) == pytest.approx(
+            np.linalg.norm(m, 2), rel=1e-14)
+
     def test_z_domain_guard(self):
         with pytest.raises(ValueError):
             fo.fiber_norms(GAUSS, FRAME, 0.0, 1.0)

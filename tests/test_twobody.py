@@ -187,7 +187,67 @@ class TestSize:
         assert r2_wide / r2_narrow == pytest.approx(s ** 2, rel=1e-4)
 
 
+def scalar_rk4(V, lam, energy, n_steps=20000):
+    """Step-by-step RK4 recurrence of the radial equation, with the grid,
+    one-sided samples and node rule of ``shooting_oracle``: the reference
+    its product form must reproduce.  Returns (nodes, u_end, du_end)."""
+    r_max = tb._integration_span(V, FRAME)
+    h = r_max / n_steps
+    if V.support_radius is not None:
+        edge_r = V.support_radius / FRAME.alpha
+        h = edge_r / max(1, math.ceil(edge_r / h))
+        n_steps = math.ceil(r_max / h)
+    grid = h * np.arange(n_steps + 1)
+    eps = 1e-9 * h
+    w_left = -(lam * V.profile(FRAME.alpha * (grid[:-1] + eps)) + energy)
+    w_half = -(lam * V.profile(FRAME.alpha * (grid[:-1] + 0.5 * h)) + energy)
+    w_right = -(lam * V.profile(FRAME.alpha * (grid[1:] - eps)) + energy)
+    u, du = 0.0, 1.0
+    nodes = 0
+    prev = 0.0
+    h2 = 0.5 * h
+    for w0, wh, w1 in zip(w_left.tolist(), w_half.tolist(), w_right.tolist()):
+        k1u, k1v = du, w0 * u
+        k2u, k2v = du + h2 * k1v, wh * (u + h2 * k1u)
+        k3u, k3v = du + h2 * k2v, wh * (u + h2 * k2u)
+        k4u, k4v = du + h * k3v, w1 * (u + h * k3u)
+        u, du = (u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+                 du + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+        if prev != 0.0 and u != 0.0 and (prev < 0.0) != (u < 0.0):
+            nodes += 1
+        if u != 0.0:
+            prev = u
+    return nodes, u, du
+
+
 class TestShootingOracle:
+    @pytest.mark.parametrize("V,factor,energy,nodes", [
+        (WELL, 0.9, 0.0, 0),
+        (WELL, 12.0, 0.0, 2),
+        (WELL, 12.0, -10.0, 1),
+        (EXPO, 1.5, 0.0, 1),
+        (EXPO, 1.5, -0.05, 0),
+        (GAUSS, 1.0, 0.0, 0),
+        (GAUSS, 1.5, -0.3, 0),
+    ], ids=["well-E0", "well-12x-E0", "well-12x-bound", "expo-E0", "expo-bound",
+            "gauss-E0", "gauss-bound"])
+    def test_product_form_matches_scalar_recurrence(self, V, factor, energy, nodes):
+        lam = factor * tb.critical_coupling(V, FRAME)
+        res = tb.shooting_oracle(V, FRAME, lam, energy)
+        ref_nodes, u_end, du_end = scalar_rk4(V, lam, energy)
+        assert res.nodes == ref_nodes == nodes
+        # relative to the state (u, u'): u' alone vanishes at threshold
+        scale = max(abs(u_end), abs(du_end))
+        assert abs(res.u_end - u_end) <= 1e-12 * scale
+        assert abs(res.du_end - du_end) <= 1e-12 * scale
+
+    def test_rescaling_guard_keeps_growth_finite(self):
+        # kappa = 316 over the Gaussian span grows u by far more than 1e200
+        res = tb.shooting_oracle(GAUSS, FRAME, 0.0, -1e5)
+        assert res.nodes == 0
+        assert np.all(np.isfinite(res.u))
+        assert abs(res.defect - 2.0) <= 1e-12
+
     def test_deep_square_well_ground_state(self, monkeypatch):
         # two bound states at 12 lambda*: the node bisection narrows to one,
         # then one Brent root lands on the closed form k cot(k) = -kappa,
