@@ -386,36 +386,32 @@ def run_ims_audit(cfg: ExperimentConfig) -> int:
     system, _ = _resolve_coupling(cfg)
     samples = cfg.options["samples"]
     part = ims.build_partition(system)
-    mesh = ims.shell_mesh(samples, seed=cfg.seed + 101)
-    j, _ = part.evaluate(mesh, with_gradient=False)
-    partition_defect = float(np.max(np.abs(np.sum(j ** 2, axis=1) - 1.0)))
-    cone = ims.verify_support_cone(part, mesh)
+    audit = ims.mesh_audit(part, ims.shell_mesh(samples, seed=cfg.seed + 101))
     radii = [2.0, 4.0, 8.0, 16.0]
     decay = ims.gradient_decay_audit(part, radii, seed=cfg.seed + 7)
-    identity = ims.ims_identity_check(system, part, mesh[: min(samples, 20000)])
     payload = {
         "experiment": "ims_audit",
         "theta": part.theta,
         "delta": part.delta,
         "samples": samples,
-        "partition_defect": partition_defect,
-        "measured_cone_constant": cone.measured_c,
-        "cone_passed": cone.passed,
+        "partition_defect": audit.partition_defect,
+        "measured_cone_constant": audit.cone_constant,
+        "cone_passed": audit.cone_passed,
         "gradient_radii": list(decay.radii),
         "gradient_maxima": list(decay.max_grad_sq),
         "gradient_scaling_ok": decay.scaling_ok,
         "gradient_fd_max_rel_diff": decay.fd_max_rel_diff,
-        "identity_passed": identity.passed,
-        "regroup_defect": identity.max_regroup_defect,
-        "cone_envelope_excess": identity.max_cone_envelope_excess,
+        "identity_passed": audit.identity_passed,
+        "regroup_defect": audit.regroup_defect,
+        "cone_envelope_excess": audit.envelope_excess,
     }
     write_json(cfg, "ims_audit.json", payload)
     write_csv(cfg, "ims_gradient.csv", ["radius", "max_grad_sq"],
               list(zip(decay.radii, decay.max_grad_sq)))
-    ok = (partition_defect <= 1e-10 and cone.passed and decay.scaling_ok
-          and decay.fd_max_rel_diff <= 1e-6 and identity.passed)
+    ok = (audit.cone_passed and audit.identity_passed and decay.scaling_ok
+          and decay.fd_max_rel_diff <= 1e-6)
     _say(cfg, f"ims audit: {'all pass' if ok else 'FAILURES PRESENT'} "
-              f"(C = {cone.measured_c:.4f})")
+              f"(C = {audit.cone_constant:.4f})")
     return EXIT_OK
 
 

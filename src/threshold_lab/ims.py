@@ -18,7 +18,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, qmc
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 from .errors import ValidationError
 from .model import ParticleSystem, separation_forms
@@ -177,7 +178,7 @@ def _sobol(d: int, n: int, seed: int) -> np.ndarray:
 
 def _directions(u):
     """Unit vectors in 6D from uniform samples u (n, 6), through normal deviates."""
-    g = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
+    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
     g /= np.linalg.norm(g, axis=1)[:, None]
     return g
 
@@ -192,40 +193,75 @@ def shell_mesh(n: int, seed: int, rho_min: float = 1.0, rho_max: float = 32.0) -
     u = _sobol(7, n, seed)
     g = _directions(u[:, :6])
     rho = rho_min * (rho_max / rho_min) ** u[:, 6]
-    # keep radii strictly above rho_min so cone audits stay in |q| > 1
+    # keep radii strictly above rho_min so mesh audits stay in |q| > 1
     rho = np.maximum(rho, rho_min * (1.0 + 1e-9))
     return g * rho[:, None]
 
 
 @dataclass(frozen=True)
-class ConeReport:
-    measured_c: float
-    per_region: tuple
-    samples: int
-    passed: bool
+class MeshAudit:
+    partition_defect: float
+    cone_constant: float
+    cone_per_region: tuple
+    regroup_defect: float
+    envelope_excess: float
+    cone_passed: bool
+    identity_passed: bool
 
 
-def verify_support_cone(part: IMSPartition, mesh: np.ndarray) -> ConeReport:
-    """Minimum normalized separation over each region's support."""
+def mesh_audit(part: IMSPartition, mesh: np.ndarray) -> MeshAudit:
+    """Pointwise checks of the partition on a mesh with |q| > 1, from one
+    evaluation of J.
+
+    Measures max |sum J_s^2 - 1|; the cone constant, the least normalized
+    separation over each region's support J_s > 1e-14 by the region's own
+    forms; the regrouping of the full interaction into cluster pieces plus
+    localization error by the pair labels; and the excess of the cross terms
+    V J_s^2 over the envelope F(theta |q|) on the support J_s > 1e-12.
+    """
     mesh = np.atleast_2d(np.asarray(mesh, dtype=float))
     rho = np.linalg.norm(mesh, axis=1)
     if np.any(rho <= 1.0):
-        raise ValueError("support-cone mesh must satisfy |q| > 1")
+        raise ValueError("audit mesh must satisfy |q| > 1")
     j, _ = part.evaluate(mesh, with_gradient=False)
+    j_sq = j ** 2
+    partition_defect = float(np.max(np.abs(np.sum(j_sq, axis=1) - 1.0)))
+
+    system = part.system
+    forms = separation_forms(system, (1, 2))
+    pair_vals = {pair: system.potential(pair).profile(m)
+                 for pair, (_, m) in zip(forms, _separations(forms.items(), mesh))}
+    v_total = system.coupling * sum(pair_vals.values())
+    regrouped = np.zeros(mesh.shape[0])
     minima = []
+    excess = 0.0
     for s, pairs in enumerate(part.regions):
+        # region s carries the cluster pair of the other two particles plus
+        # the cross pairs it lists, which make up its localization error
+        cluster = tuple(sorted({1, 2, 3} - {s + 1}))
+        v_region = pair_vals[cluster] + sum(pair_vals[pair] for pair, _ in pairs)
+        regrouped += j_sq[:, s] * (system.coupling * v_region)
+
         on = j[:, s] > 1e-14
-        if not np.any(on):
-            minima.append(math.inf)
-            continue
-        minima.append(min(float(np.min(m / rho[on]))
-                              for _, m in _separations(pairs, mesh[on])))
-    measured = min(minima)
-    return ConeReport(
-        measured_c=measured,
-        per_region=tuple(minima),
-        samples=mesh.shape[0],
-        passed=measured > 0.0,
+        minima.append(min(float(np.min(m / rho[on])) for _, m in _separations(pairs, mesh[on]))
+                      if np.any(on) else math.inf)
+
+        on = j[:, s] > 1e-12
+        if np.any(on):
+            for pair, _ in pairs:
+                env = system.potential(pair).envelope(part.theta * rho[on])
+                excess = max(excess, float(np.max(pair_vals[pair][on] * j_sq[on, s] - env)))
+    regroup_defect = float(np.max(np.abs(regrouped - v_total)))
+    cone = min(minima)
+    return MeshAudit(
+        partition_defect=partition_defect,
+        cone_constant=cone,
+        cone_per_region=tuple(minima),
+        regroup_defect=regroup_defect,
+        envelope_excess=excess,
+        cone_passed=cone > 0.0,
+        identity_passed=(partition_defect <= 1e-10 and regroup_defect <= 1e-10
+                         and excess <= 1e-12),
     )
 
 
@@ -281,61 +317,3 @@ def gradient_fd_check(part: IMSPartition, n_points: int = 100, seed: int = 8) ->
         scale = np.maximum(1.0, np.abs(grad[:, :, k]))
         worst = max(worst, float(np.max(diff / scale)))
     return worst
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    max_partition_defect: float
-    max_regroup_defect: float
-    max_cone_envelope_excess: float
-    passed: bool
-
-
-def ims_identity_check(system: ParticleSystem, part: IMSPartition,
-                       mesh: np.ndarray) -> IdentityReport:
-    """Pointwise identities behind the localization formula.
-
-    Checks sum J_s^2 = 1, the regrouping of the full interaction into the
-    cluster pieces plus localization error, and the envelope decay of the
-    cross terms along the support cones.
-    """
-    mesh = np.atleast_2d(np.asarray(mesh, dtype=float))
-    j, _ = part.evaluate(mesh, with_gradient=False)
-    part_defect = float(np.max(np.abs(np.sum(j ** 2, axis=1) - 1.0)))
-
-    lam = system.coupling
-    forms = separation_forms(system, (1, 2))
-    pair_vals = {pair: system.potential(pair).profile(m)
-                 for pair, (_, m) in zip(forms, _separations(forms.items(), mesh))}
-    v_total = lam * sum(pair_vals.values())
-    regrouped = np.zeros(mesh.shape[0])
-    for s, pairs in enumerate(part.regions):
-        # region s carries the cluster pair of the other two particles plus
-        # the cross pairs it lists, which make up its localization error
-        cluster = tuple(sorted({1, 2, 3} - {s + 1}))
-        v_region = pair_vals[cluster] + sum(pair_vals[pair] for pair, _ in pairs)
-        regrouped += j[:, s] ** 2 * (lam * v_region)
-    regroup_defect = float(np.max(np.abs(regrouped - v_total)))
-
-    rho = np.linalg.norm(mesh, axis=1)
-    outside = rho > 1.0
-    excess = 0.0
-    if np.any(outside):
-        c = part.theta
-        jo = j[outside]
-        rho_o = rho[outside]
-        for s, pairs in enumerate(part.regions):
-            on = jo[:, s] > 1e-12
-            if not np.any(on):
-                continue
-            for pair, _ in pairs:
-                pot = system.potential(pair)
-                v_here = pair_vals[pair][outside][on]
-                env = pot.envelope(c * rho_o[on])
-                excess = max(excess, float(np.max(v_here * jo[on, s] ** 2 - env)))
-    return IdentityReport(
-        max_partition_defect=part_defect,
-        max_regroup_defect=regroup_defect,
-        max_cone_envelope_excess=excess,
-        passed=part_defect <= 1e-10 and regroup_defect <= 1e-10 and excess <= 1e-12,
-    )

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import ValidationError
-from .quadrature import QuadratureRule, composite_gauss_legendre, gauss_legendre
+from .quadrature import composite_gauss_legendre, gauss_legendre
 
 POTENTIAL_KINDS = ("gaussian", "exponential", "square_well", "tabulated")
 PAIRS = ((1, 2), (1, 3), (2, 3))
@@ -217,39 +216,13 @@ def separation_forms(system: ParticleSystem, frame_pair=(1, 2)) -> dict:
 
 # radial nodes of potential_moment_c
 MOMENT_NODES = 256
-# the tail integral doubles its panel up to TAIL_DOUBLINGS times and stops
-# once a panel adds less than TAIL_REL_FLOOR of the total
-TAIL_DOUBLINGS = 28
-TAIL_REL_FLOOR = 1e-10
-
-
-def _divergence_guard(f, start: float, label: str) -> float:
-    """Integrate f over [start, inf) by doubling panels, flagging divergence.
-
-    Panel contributions of an integrable tail must decay; a panel that
-    stops shrinking relative to the accumulated total marks the integral
-    as divergent.
-    """
-    total = 0.0
-    prev = math.inf
-    a = start
-    for _ in range(TAIL_DOUBLINGS):
-        rule = gauss_legendre(48, a, 2.0 * a)
-        part = rule.integrate(f)
-        total += part
-        if part > max(prev, TAIL_REL_FLOOR * max(total, 1.0)):
-            raise ValidationError(f"R6 violated: {label} appears divergent")
-        if part <= TAIL_REL_FLOOR * max(total, 1.0):
-            return total
-        prev = part
-        a *= 2.0
-    raise ValidationError(f"R6 violated: {label} tail did not converge")
 
 
 def potential_moment_c(V: PairPotential, alpha: float) -> float:
     """c = integral of V(alpha x) d^3x by radial quadrature.
 
-    Scaling law: c(alpha) = c(1) / alpha^3.
+    The integral runs over |x| <= effective_radius / alpha; beyond it V is
+    zero or below e^-40.  Scaling law: c(alpha) = c(1) / alpha^3.
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
@@ -257,16 +230,7 @@ def potential_moment_c(V: PairPotential, alpha: float) -> float:
     def integrand(r):
         return 4.0 * math.pi * V.profile(alpha * r) * r ** 2
 
-    if V.support_radius is not None:
-        return gauss_legendre(MOMENT_NODES, 0.0, V.support_radius / alpha).integrate(integrand)
-    core = gauss_legendre(MOMENT_NODES, 0.0, V.effective_radius / alpha).integrate(integrand)
-    tail = _divergence_guard(integrand, V.effective_radius / alpha, "integral of V")
-    return core + tail
-
-
-@lru_cache(maxsize=128)
-def _uniform_composite(r_max: float, panels: int, n_per_panel: int = 8) -> QuadratureRule:
-    return composite_gauss_legendre(np.linspace(0.0, r_max, panels + 1), n_per_panel)
+    return gauss_legendre(MOMENT_NODES, 0.0, V.effective_radius / alpha).integrate(integrand)
 
 
 def sqrt_potential_fourier(V: PairPotential, p: float) -> float:
@@ -281,7 +245,7 @@ def sqrt_potential_fourier(V: PairPotential, p: float) -> float:
     # panel count follows the sine oscillation, quantized so rules are reused
     need = max(8, int(math.ceil(p * r_max / math.pi)) + 4)
     panels = min(1 << (need - 1).bit_length(), 2048)
-    rule = _uniform_composite(float(r_max), panels)
+    rule = composite_gauss_legendre(np.linspace(0.0, r_max, panels + 1), 8)
 
     amp = np.sqrt(V.profile(rule.nodes)) * rule.nodes
     if p == 0.0:

@@ -100,14 +100,15 @@ def composite_gauss_legendre(edges, n_per_panel: int) -> QuadratureRule:
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be strictly increasing with at least two entries")
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        panel = gauss_legendre(n_per_panel, a, b)
-        nodes.append(panel.nodes)
-        weights.append(panel.weights)
+    return _composite(tuple(edges.tolist()), n_per_panel)
+
+
+@lru_cache(maxsize=128)
+def _composite(edges: tuple, n_per_panel: int) -> QuadratureRule:
+    panels = [gauss_legendre(n_per_panel, a, b) for a, b in zip(edges[:-1], edges[1:])]
     return QuadratureRule(
-        nodes=np.concatenate(nodes),
-        weights=np.concatenate(weights),
-        domain=(float(edges[0]), float(edges[-1])),
-        spec=("composite", tuple(edges.tolist()), n_per_panel),
+        nodes=np.concatenate([p.nodes for p in panels]),
+        weights=np.concatenate([p.weights for p in panels]),
+        domain=(edges[0], edges[-1]),
+        spec=("composite", edges, n_per_panel),
     )

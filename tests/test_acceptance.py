@@ -163,17 +163,15 @@ def test_criterion_6_ims_audits():
     system = uniform_system("gaussian", 1.0, 2.0)
     part = ims.build_partition(system)
     mesh = ims.shell_mesh(100000, seed=11)
-    j, _ = part.evaluate(mesh, with_gradient=False)
-    defect = float(np.max(np.abs(np.sum(j ** 2, axis=1) - 1.0)))
-    cone = ims.verify_support_cone(part, mesh)
+    audit = ims.mesh_audit(part, mesh)
     decay = ims.gradient_decay_audit(part, [2.0, 4.0, 8.0, 16.0])
     ratio_2_16 = decay.max_grad_sq[0] / decay.max_grad_sq[-1]
     scaling_ok = (16.0 / 2.0) ** 2 / 2.0 <= ratio_2_16 <= (16.0 / 2.0) ** 2 * 2.0
     report(
         6, "IMS partition: unity, support cone, 1/r^2 gradient decay, exact gradients",
-        defect <= 1e-10 and cone.passed and scaling_ok
+        audit.partition_defect <= 1e-10 and audit.cone_passed and scaling_ok
         and decay.fd_max_rel_diff <= 1e-6,
-        f"defect {defect:.1e}, C = {cone.measured_c:.3f}, "
+        f"defect {audit.partition_defect:.1e}, C = {audit.cone_constant:.3f}, "
         f"fd {decay.fd_max_rel_diff:.1e}",
     )
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from threshold_lab.errors import ValidationError
-from threshold_lab.model import uniform_system
+from threshold_lab.model import PairPotential, ParticleSystem, uniform_system
 from threshold_lab import ims
 
 SYSTEM = uniform_system("gaussian", 1.0, 2.0)
@@ -18,6 +18,11 @@ def partition():
 @pytest.fixture(scope="module")
 def mesh():
     return ims.shell_mesh(100000, seed=11, rho_min=1.0, rho_max=32.0)
+
+
+@pytest.fixture(scope="module")
+def audit(partition, mesh):
+    return ims.mesh_audit(partition, mesh)
 
 
 class TestConstruction:
@@ -77,22 +82,22 @@ class TestConstruction:
 
 
 class TestSupportCone:
-    def test_measured_constant_positive(self, partition, mesh):
-        rep = ims.verify_support_cone(partition, mesh)
-        assert rep.passed
-        assert rep.measured_c >= partition.theta - 1e-9
+    def test_measured_constant_positive(self, partition, audit):
+        assert audit.cone_passed
+        assert audit.cone_constant >= partition.theta - 1e-9
+        assert audit.cone_constant == min(audit.cone_per_region)
 
     def test_delta_to_zero_approaches_theta(self, mesh):
         sub = mesh[:30000]
         cs = []
         for delta in (0.05, 0.02, 0.005):
             p = ims.build_partition(SYSTEM, delta=delta)
-            cs.append(ims.verify_support_cone(p, sub).measured_c)
+            cs.append(ims.mesh_audit(p, sub).cone_constant)
         assert all(abs(c - 0.15) < 0.02 for c in cs)
 
     def test_interior_mesh_rejected(self, partition):
         with pytest.raises(ValueError):
-            ims.verify_support_cone(partition, ims.sphere_mesh(16, seed=1, radius=0.8))
+            ims.mesh_audit(partition, ims.sphere_mesh(16, seed=1, radius=0.8))
 
 
 class TestGradients:
@@ -113,13 +118,31 @@ class TestGradients:
             ims.gradient_decay_audit(partition, [4.0, 2.0])
 
 
+class _NoEnvelope(PairPotential):
+    """A Gaussian pair whose claimed envelope is zero: V is not below it."""
+
+    def envelope(self, r):
+        return np.zeros_like(np.asarray(r, dtype=float))
+
+
 class TestIdentity:
-    def test_pointwise_identities(self, partition, mesh):
-        rep = ims.ims_identity_check(SYSTEM, partition, mesh[:20000])
-        assert rep.passed
-        assert rep.max_partition_defect <= 1e-10
-        assert rep.max_regroup_defect <= 1e-10
-        assert rep.max_cone_envelope_excess <= 1e-12
+    def test_pointwise_identities(self, audit):
+        assert audit.identity_passed
+        assert audit.partition_defect <= 1e-10
+        assert audit.regroup_defect <= 1e-10
+        assert audit.envelope_excess <= 1e-12
+
+    def test_one_partition_evaluation(self, partition, monkeypatch):
+        calls = []
+        evaluate = ims.IMSPartition.evaluate
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(ims.IMSPartition, "evaluate", counted)
+        ims.mesh_audit(partition, ims.shell_mesh(512, seed=3))
+        assert len(calls) == 1
 
     def test_mislabelled_region_fails(self, partition, mesh):
         # region 1 (particle 1 far) must list the pairs (1, 2) and (1, 3);
@@ -129,20 +152,26 @@ class TestIdentity:
         regions[0] = ((p12, f12), ((2, 3), f13))
         bad = ims.IMSPartition(partition.system, partition.theta, partition.delta,
                                tuple(regions))
-        rep = ims.ims_identity_check(SYSTEM, bad, mesh[:20000])
-        assert not rep.passed
-        assert rep.max_regroup_defect > 1e-3
+        rep = ims.mesh_audit(bad, mesh[:20000])
+        assert not rep.identity_passed
+        assert rep.regroup_defect > 1e-3
+
+    def test_envelope_below_potential_fails(self, mesh):
+        gauss = PairPotential("gaussian", 1.0)
+        pots = {(1, 2): gauss, (1, 3): _NoEnvelope("gaussian", 1.0), (2, 3): gauss}
+        part = ims.build_partition(ParticleSystem((1.0, 1.0, 1.0), pots, 2.0))
+        rep = ims.mesh_audit(part, mesh[:20000])
+        assert rep.partition_defect <= 1e-10 and rep.regroup_defect <= 1e-10
+        assert not rep.identity_passed
+        assert rep.envelope_excess > 1e-3
 
 
 class TestAsymmetricMasses:
     def test_audits_hold_for_mass_ratio_ten(self):
         system = uniform_system("gaussian", 1.0, 2.0, masses=(1.0, 3.0, 10.0))
         part = ims.build_partition(system)
-        mesh = ims.shell_mesh(30000, seed=21)
-        j, _ = part.evaluate(mesh, with_gradient=False)
-        assert np.max(np.abs(np.sum(j ** 2, axis=1) - 1.0)) <= 1e-10
-        cone = ims.verify_support_cone(part, mesh)
-        assert cone.passed and cone.measured_c >= part.theta - 1e-9
+        rep = ims.mesh_audit(part, ims.shell_mesh(30000, seed=21))
+        assert rep.partition_defect <= 1e-10
+        assert rep.cone_passed and rep.cone_constant >= part.theta - 1e-9
         assert ims.gradient_fd_check(part, n_points=60) <= 1e-6
-        rep = ims.ims_identity_check(system, part, mesh[:8000])
-        assert rep.passed
+        assert rep.identity_passed

@@ -145,19 +145,6 @@ class TestR6Validation:
         assert np.array_equal(bump.envelope(r), expected)
         assert bump.envelope(0.5) == 0.6
 
-    def test_moment_raises_on_divergent_integral(self):
-        class Slow:
-            range_ = 1.0
-            support_radius = None
-            effective_radius = 40.0
-            kind = "custom"
-
-            def profile(self, r):
-                return (1.0 + np.asarray(r, dtype=float)) ** -2.5
-
-        with pytest.raises(ValidationError):
-            potential_moment_c(Slow(), 1.0)
-
 
 class TestSystem:
     def test_invalid_masses_and_coupling(self):
