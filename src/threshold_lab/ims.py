@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import ValidationError
 from .model import ParticleSystem, separation_forms
@@ -170,6 +169,7 @@ def _separations(pairs, q):
 
 
 def _sobol(d: int, n: int, seed: int) -> np.ndarray:
+    from scipy.stats import qmc  # costly import, needed only by the IMS meshes
     sob = qmc.Sobol(d=d, scramble=True, seed=seed)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", message="The balance properties")

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ValidationError
 from .quadrature import composite_gauss_legendre, gauss_legendre
@@ -58,6 +57,7 @@ class PairPotential:
                                       "is not a finite value >= 0")
             # the monotone cubic stays within the range of its two samples on
             # each interval, so V >= 0 at the samples is V >= 0 everywhere
+            from scipy.interpolate import PchipInterpolator  # costly import, tables only
             object.__setattr__(self, "_interp", PchipInterpolator(r, v, extrapolate=False))
         elif self.table is not None:
             raise ValueError("only tabulated potentials carry a table")
@@ -242,7 +242,8 @@ def sqrt_potential_fourier(V: PairPotential, p: float) -> float:
     if p < 0.0:
         raise ValueError("momentum magnitude must be >= 0")
     r_max = V.effective_radius
-    # panel count follows the sine oscillation, quantized so rules are reused
+    # panel count follows the sine oscillation, rounded up to a power of two;
+    # the rounding fixes the node set behind c~ and the shipped audits
     need = max(8, int(math.ceil(p * r_max / math.pi)) + 4)
     panels = min(1 << (need - 1).bit_length(), 2048)
     rule = composite_gauss_legendre(np.linspace(0.0, r_max, panels + 1), 8)

@@ -1,10 +1,10 @@
 """Deterministic 1D quadrature rules used by every kernel-discretization module.
 
 Two rule families cover all integrals in the lab: affinely mapped
-Gauss-Legendre rules on finite intervals, and their push-forward to
-[0, inf) through the rational substitution r = scale * t / (1 - t).
-Rules are cached by their defining parameters so repeated sweeps reuse
-identical node sets.
+Gauss-Legendre rules on finite intervals or panels, and their push-forward
+to [0, inf) through the rational substitution r = scale * t / (1 - t).
+Only the reference rule on [-1, 1] is cached, once per order; every rule is
+an array map of it, so equal parameters give bit-identical node sets.
 """
 
 from __future__ import annotations
@@ -35,13 +35,20 @@ class QuadratureRule:
 
 
 @lru_cache(maxsize=None)
-def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
-    """Gauss-Legendre rule with ``n`` points mapped to [a, b]."""
+def _reference_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights of order ``n`` on [-1, 1]."""
     if n < 1:
         raise ValueError("node count must be >= 1")
+    t, w = leggauss(n)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
+    """Gauss-Legendre rule with ``n`` points mapped to [a, b]."""
     if not a < b:
         raise ValueError(f"empty interval [{a}, {b}]")
-    t, w = leggauss(n)
+    t, w = _reference_rule(n)
     half = 0.5 * (b - a)
     return QuadratureRule(
         nodes=a + half * (t + 1.0),
@@ -51,11 +58,8 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     )
 
 
-@lru_cache(maxsize=None)
 def semi_infinite_grid(n: int, scale: float = 1.0) -> QuadratureRule:
     """Rule on [0, inf) via r = scale*t/(1-t), Jacobian folded into the weights."""
-    if n < 1:
-        raise ValueError("node count must be >= 1")
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     base = gauss_legendre(n, 0.0, 1.0)
@@ -76,7 +80,7 @@ def panel_partial_integrals(q: int) -> np.ndarray:
     q-point Gauss-Legendre reference panel; used for product integration of
     semi-separable kernels across the panel containing the kink.
     """
-    t, w = leggauss(q)
+    t, w = _reference_rule(q)
     vander = np.polynomial.legendre.legvander(t, q - 1)  # P_m(t_k)
     coeff = ((2.0 * np.arange(q) + 1.0) / 2.0)[:, None] * (w[None, :] * vander.T)
     anti = np.zeros((q, q))  # anti[i, m] = int_{-1}^{t_i} P_m
@@ -96,19 +100,16 @@ def composite_gauss_legendre(edges, n_per_panel: int) -> QuadratureRule:
 
     Used where integrands carry kinks or oscillations at known locations
     (square-well edges, the sqrt(p) transition of the channel multiplier).
+    Nodes and weights are laid out panel by panel, ``n_per_panel`` each.
     """
-    edges = np.asarray(edges, dtype=float)
+    edges = np.array(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be strictly increasing with at least two entries")
-    return _composite(tuple(edges.tolist()), n_per_panel)
-
-
-@lru_cache(maxsize=128)
-def _composite(edges: tuple, n_per_panel: int) -> QuadratureRule:
-    panels = [gauss_legendre(n_per_panel, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    half = 0.5 * np.diff(edges)
+    t, w = _reference_rule(n_per_panel)
     return QuadratureRule(
-        nodes=np.concatenate([p.nodes for p in panels]),
-        weights=np.concatenate([p.weights for p in panels]),
-        domain=(edges[0], edges[-1]),
+        nodes=(edges[:-1, None] + half[:, None] * (t + 1.0)).ravel(),
+        weights=(half[:, None] * w).ravel(),
+        domain=(float(edges[0]), float(edges[-1])),
         spec=("composite", edges, n_per_panel),
     )

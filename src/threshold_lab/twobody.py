@@ -91,21 +91,17 @@ def green_row_operator(z: float, rule: QuadratureRule) -> np.ndarray:
     r, w = rule.nodes, rule.weights
     B = swave_green(z, r, r) * w[None, :]
     _, edges, q = rule.spec
-    tau_ref = panel_partial_integrals(q)
-    for k in range(len(edges) - 1):
-        a, b = edges[k], edges[k + 1]
-        if z * (b - a) > 4.0:
-            # polynomial interpolation cannot track exp(z r) across such a
-            # panel; leave it plain (these panels sit where V has decayed)
-            continue
-        sl = slice(k * q, (k + 1) * q)
-        rs = r[sl]
-        tau = 0.5 * (b - a) * tau_ref
-        ri = rs[:, None] * np.ones((1, q))
-        rj = np.ones((q, 1)) * rs[None, :]
-        below = _psi_phi(z, ri, rj)   # psi(r_i) phi(r_j)
-        above = _psi_phi(z, rj, ri)   # phi(r_i) psi(r_j)
-        B[sl, sl] = below * tau + above * (w[sl][None, :] - tau)
+    width = np.diff(edges)
+    P = len(width)
+    # polynomial interpolation cannot track exp(z r) across a panel with
+    # z (b - a) > 4; such panels stay plain (they sit where V has decayed)
+    near = z * width <= 4.0
+    rs, ws = r.reshape(P, q)[near], w.reshape(P, q)[near][:, None, :]
+    tau = (0.5 * width[near])[:, None, None] * panel_partial_integrals(q)
+    below = _psi_phi(z, rs[:, :, None], rs[:, None, :])   # psi(r_i) phi(r_j)
+    above = _psi_phi(z, rs[:, None, :], rs[:, :, None])   # phi(r_i) psi(r_j)
+    # the panel-diagonal blocks, written through a (panel, node) view of B
+    B.reshape(P, q, P, q)[near, :, near, :] = below * tau + above * (ws - tau)
     return B
 
 

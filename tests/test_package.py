@@ -18,3 +18,14 @@ def test_benchmark_selftest_passes():
     run = subprocess.run([sys.executable, "-B", "perfbench/selftest.py"], cwd=ROOT,
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+
+
+def test_cli_import_leaves_out_costly_scipy_modules():
+    # scipy.stats (Sobol meshes) and scipy.interpolate (tabulated profiles)
+    # are imported where they are used, not with the package
+    code = ("import sys, threshold_lab.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules))")
+    run = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.strip() == "[]"

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
+from threshold_lab import cli, quadrature
 from threshold_lab.quadrature import (
     composite_gauss_legendre,
     gauss_legendre,
@@ -65,9 +67,58 @@ def test_self_convergence_passes_for_smooth_integrand():
     assert fine == pytest.approx(1.0, abs=1e-11)
 
 
-def test_rules_are_cached():
-    assert gauss_legendre(16, 0.0, 1.0) is gauss_legendre(16, 0.0, 1.0)
-    assert semi_infinite_grid(16, 3.0) is semi_infinite_grid(16, 3.0)
+def counted_leggauss(monkeypatch):
+    """Orders of every leggauss call from a cold quadrature module."""
+    orders = []
+
+    def counted(n):
+        orders.append(n)
+        return leggauss(n)
+
+    for obj in vars(quadrature).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+    monkeypatch.setattr(quadrature, "leggauss", counted)
+    return orders
+
+
+def test_reference_rule_computed_once_per_order(monkeypatch):
+    orders = counted_leggauss(monkeypatch)
+    for a, b in ((0.0, 1.0), (-2.0, 3.5), (1e-3, 0.2)):
+        gauss_legendre(16, a, b)
+    for scale in (0.5, 1.0, 7.0):
+        semi_infinite_grid(16, scale)
+    composite_gauss_legendre([0.0, 0.4, 1.1, 2.0], 16)
+    composite_gauss_legendre([0.0, 0.5], 8)
+    assert sorted(orders) == [8, 16]
+
+
+def test_absorb_run_solves_each_order_once(monkeypatch, tmp_path):
+    orders = counted_leggauss(monkeypatch)
+    cfg = tmp_path / "absorb.cfg"
+    cfg.write_text("experiment = absorb\nmasses = 1 1 1\nkind = gaussian\nrange = 1.0\n"
+                   "budget = 40\nsweep_points = 4\nseed = 7\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert 512 in orders
+    assert len(orders) == len(set(orders))
+
+
+def test_reference_rule_is_read_only():
+    t, w = quadrature._reference_rule(8)
+    with pytest.raises(ValueError):
+        t[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+def test_composite_is_panelwise_mapped_rule():
+    edges = [0.0, 0.4, 1.1, 2.0]
+    comp = composite_gauss_legendre(edges, 16)
+    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        panel = gauss_legendre(16, a, b)
+        assert np.array_equal(comp.nodes[16 * k:16 * (k + 1)], panel.nodes)
+        assert np.array_equal(comp.weights[16 * k:16 * (k + 1)], panel.weights)
+    assert comp.domain == (0.0, 2.0)
 
 
 def test_composite_matches_single_panel():
@@ -81,7 +132,6 @@ def test_panel_partial_integrals_cumulative_exactness():
     # tau[i, j] integrates the Lagrange basis from -1 to node i, so applying
     # it to polynomial samples must reproduce the exact antiderivative
     from threshold_lab.quadrature import panel_partial_integrals
-    from numpy.polynomial.legendre import leggauss
 
     for q in (4, 8, 12):
         tau = panel_partial_integrals(q)

@@ -550,6 +550,28 @@ class TestCriticalCoupling3Body:
         assert verdict(br_loose, asm_loose) == tight == "non-spreading-consistent"
 
 
+def ladder_crossing(system, tol_energy):
+    """lambda_cr on a 24 x 24 product-Gaussian ladder (Hiyama, Kino, Kamimura).
+
+    Forms (1/a^2, 0, 1/b^2) with pair widths a and spectator widths b in
+    geometric progression; the symmetrized assembler supplies the other two
+    channels.  Like the grown basis, its crossing is a variational upper
+    bound; wider ladders move it by less than 1e-7 relative.
+    """
+    asm = t3._Assembler(system, system.identical_bosons)
+    for a in np.geomspace(0.05, 100.0, 24):
+        for b in np.geomspace(0.1, 3000.0, 24):
+            asm.add((1.0 / a ** 2, 0.0, 1.0 / b ** 2))
+    return t3._crossing(asm, tol_energy)
+
+
+class TestLadderOracle:
+    def test_flagship_lambda_cr_sits_just_above_ladder(self, grown):
+        br, asm = grown[150]
+        lam_ladder = ladder_crossing(asm.system, br.tol_energy)
+        assert 0.0 <= (br.lambda_cr - lam_ladder) / br.lambda_star <= 2e-4
+
+
 class TestVariationalPrinciple:
     def test_energy_never_rises_along_flagship_basis(self, grown):
         # the budget-150 basis rebuilt prefix by prefix at one fixed coupling

@@ -292,6 +292,42 @@ class TestShootingOracle:
         assert tb.total_nodes(res, 0.0) == 1
 
 
+def looped_green_row_operator(z, rule):
+    """The panel-by-panel build of green_row_operator, kept as its reference."""
+    r, w = rule.nodes, rule.weights
+    B = tb.swave_green(z, r, r) * w[None, :]
+    _, edges, q = rule.spec
+    tau_ref = tb.panel_partial_integrals(q)
+    for k in range(len(edges) - 1):
+        a, b = edges[k], edges[k + 1]
+        if z * (b - a) > 4.0:
+            continue
+        sl = slice(k * q, (k + 1) * q)
+        rs = r[sl]
+        tau = 0.5 * (b - a) * tau_ref
+        ri = rs[:, None] * np.ones((1, q))
+        rj = np.ones((q, 1)) * rs[None, :]
+        below = tb._psi_phi(z, ri, rj)
+        above = tb._psi_phi(z, rj, ri)
+        B[sl, sl] = below * tau + above * (w[sl][None, :] - tau)
+    return B
+
+
+class TestGreenRowOperator:
+    # (potential, z, product-integrated panels of the 16): z = 0, every panel
+    # product-integrated, some panels plain, every panel plain
+    @pytest.mark.parametrize("V,z,near", [
+        (GAUSS, 0.0, 16), (GAUSS, 2.0, 16), (GAUSS, 10.0, 5), (GAUSS, 40.0, 0),
+        (WELL, 0.0, 16), (WELL, 2.0, 16), (WELL, 200.0, 1), (WELL, 1000.0, 0),
+    ], ids=["gauss-0", "gauss-all", "gauss-some", "gauss-none",
+            "well-0", "well-all", "well-some", "well-none"])
+    def test_matches_panel_loop_exactly(self, V, z, near):
+        rule = tb.bs_radial_rule(V, FRAME.alpha, z=z)
+        assert int(np.sum(z * np.diff(rule.spec[1]) <= 4.0)) == near
+        assert np.array_equal(tb.green_row_operator(z, rule),
+                              looped_green_row_operator(z, rule))
+
+
 class TestTabulatedAndAsymmetric:
     def test_tabulated_profile_matches_its_source(self):
         # a densely sampled gaussian table must reproduce the gaussian
