@@ -26,8 +26,8 @@ from . import faddeev_ops as fo
 from . import ims
 from . import threebody as t3
 from . import twobody as tb
-from .errors import (AccuracyError, ConfigError, DegenerateInputError, HypothesisError,
-                     ThresholdLabError, ValidationError)
+from .errors import (ConfigError, DegenerateInputError, HypothesisError, ThresholdLabError,
+                     ValidationError)
 from .model import PAIRS, PairPotential, ParticleSystem, jacobi_frame
 
 EXIT_OK = 0
@@ -383,7 +383,8 @@ def run_ops_audit(cfg: ExperimentConfig) -> int:
 
 
 def run_ims_audit(cfg: ExperimentConfig) -> int:
-    system, _ = _resolve_coupling(cfg)
+    # the pair lambda* are solved only to scale lambda_factor
+    system = cfg.system if cfg.lambda_factor is None else _resolve_coupling(cfg)[0]
     samples = cfg.options["samples"]
     part = ims.build_partition(system)
     audit = ims.mesh_audit(part, ims.shell_mesh(samples, seed=cfg.seed + 101))
@@ -416,14 +417,14 @@ def run_ims_audit(cfg: ExperimentConfig) -> int:
 
 
 def _three_body_sweep(cfg: ExperimentConfig, name: str):
-    """Bracket lambda_cr, sweep the bound records just above it, write them to ``name``.
+    """Bracket lambda_cr, sweep the couplings just above it, write the records to ``name``.
 
     Returns the bracket, the records, their spreading verdict and the
     summary fields that every three-body JSON carries.  HypothesisError if a
-    sweep coupling reaches lambda* (R7).
+    sweep coupling reaches lambda* (R7); BracketError if one has no bound
+    state.
     """
-    system = cfg.system
-    bracket, asm = t3.critical_coupling_3body(system, cfg.budget, cfg.seed)
+    bracket, asm = t3.critical_coupling_3body(cfg.system, cfg.budget, cfg.seed)
     lam_star = bracket.lambda_star
     offsets = np.geomspace(*SWEEP_OFFSETS, cfg.options["sweep_points"])
     lams = bracket.lambda_cr + offsets * lam_star
@@ -432,12 +433,7 @@ def _three_body_sweep(cfg: ExperimentConfig, name: str):
             raise HypothesisError(
                 f"sweep coupling lambda = {float(lam)!r} reaches the two-body "
                 f"critical coupling lambda* = {lam_star!r} (R7)")
-    records = [r for r in t3.sweep_three_body(system, lams, asm, lam_star)
-               if r.bound]
-    if len(records) < 4:
-        raise AccuracyError(
-            "three-body sweep produced fewer than 4 bound points; raise the budget"
-        )
+    records = t3.sweep_three_body(asm, lams, lam_star)
     write_csv(cfg, name,
               ["lambda", "E3", "k", "r2_x", "r2_y", "rho2", "eps_R7", "kinetic_norm"]
               + [f"T_{R:g}" for R, _ in records[0].tail],

@@ -5,10 +5,6 @@ class ThresholdLabError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class AccuracyError(ThresholdLabError):
-    """A numerical result failed its self-convergence or tolerance check."""
-
-
 class ValidationError(ThresholdLabError):
     """An input violated one of the standing model assumptions."""
 
@@ -18,7 +14,8 @@ class DegenerateInputError(ThresholdLabError):
 
 
 class BracketError(ThresholdLabError):
-    """A root/threshold search failed to bracket a sign change."""
+    """A root/threshold search failed to bracket a sign change, or a coupling
+    has no bound state to solve for."""
 
 
 class FitError(ThresholdLabError):

@@ -300,11 +300,12 @@ class _Assembler:
 
         The update is exact where ``solve_ground`` would drop no direction,
         so the full solve scores the rest: a candidate with
-        r^2 <= RESIDUAL_FRACTION * d, every candidate when the committed
-        overlap already has a dropped direction, and a candidate whose
-        bordered overlap would have one.  The bordered overlap is an
+        r^2 <= RESIDUAL_FRACTION * d, and a candidate whose bordered overlap
+        would have a dropped direction.  The bordered overlap is an
         arrowhead in the eigenbasis of N, so its extreme eigenvalues come
-        from the same secular solver.
+        from the same secular solver.  Bordering cannot raise s_min or lower
+        s_max (Cauchy interlacing), so once the committed overlap has a
+        dropped direction, so has every bordered one.
         """
         forms = np.atleast_2d(np.asarray(forms, dtype=float))
         _, (b_n, b_t, b_v), (d_n, d_t, d_v), _ = self._border(forms)
@@ -330,7 +331,7 @@ class _Assembler:
         s_min, min_ok = _secular_lowest(span.s, beta, d_n)
         neg_max, max_ok = _secular_lowest(-span.s[::-1], beta[:, ::-1], -d_n)
         kept = s_min > (1.0 + DROP_MARGIN) * DROP_TOL * -neg_max
-        exact &= independent & min_ok & max_ok & kept & (span.dropped == 0)
+        exact &= independent & min_ok & max_ok & kept
         for i in np.flatnonzero(~exact):
             energies[i] = _bordered_ground(H, self.N, b_h[i], b_n[i], d_h[i], d_n[i])
         return energies
@@ -662,18 +663,17 @@ def grow_basis(system: ParticleSystem, budget: int, seed: int,
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One coupling point of a sweep: energy, sizes, tails, diagnostics."""
+    """One bound point of a sweep: E3 < 0, k = sqrt(-E3), sizes, tails, diagnostics."""
 
     coupling: float
     E3: float
-    k: float | None
+    k: float
     r2_x: float
     r2_y: float
     rho2: float
     tail: tuple
     eps_R7: float
     kinetic_norm: float
-    bound: bool
 
 
 def _expectations(asm: _Assembler, c: np.ndarray):
@@ -696,14 +696,12 @@ def tail_masses(asm: _Assembler, c: np.ndarray, radii, seed=None):
 
 def record_point(asm: _Assembler, system_coupling: float, eps_r7: float,
                  tail_radii) -> SweepRecord:
-    """Solve at one coupling and assemble the full sweep record."""
+    """Solve at one coupling and assemble its sweep record; BracketError,
+    naming the coupling, if the basis holds no bound state there (E3 >= 0)."""
     e3, c = asm.solve(system_coupling)
     if e3 >= 0.0:
-        return SweepRecord(
-            coupling=system_coupling, E3=e3, k=None,
-            r2_x=math.nan, r2_y=math.nan, rho2=math.nan,
-            tail=(), eps_R7=eps_r7, kinetic_norm=math.nan, bound=False,
-        )
+        raise BracketError(
+            f"no three-body bound state at coupling {system_coupling!r}: E3 = {e3!r}")
     mom = _expectations(asm, c)
     tails = tail_masses(asm, c, tail_radii)
     return SweepRecord(
@@ -716,7 +714,6 @@ def record_point(asm: _Assembler, system_coupling: float, eps_r7: float,
         tail=tuple(tails),
         eps_R7=float(eps_r7),
         kinetic_norm=math.sqrt(max(mom["h0sq"], 0.0)),
-        bound=True,
     )
 
 
@@ -823,16 +820,16 @@ def critical_coupling_3body(system: ParticleSystem, budget: int, seed: int):
     ), asm
 
 
-def sweep_three_body(system: ParticleSystem, couplings, asm: _Assembler,
-                     lambda_star: float):
-    """Fixed-basis sweep over couplings, one SweepRecord per point.
+def sweep_three_body(asm: _Assembler, couplings, lambda_star: float):
+    """Fixed-basis sweep of ``asm.system`` over couplings, one SweepRecord per point.
 
     ``lambda_star`` is the smallest pair critical coupling (as carried by
     ``CriticalBracket.lambda_star``); each record's eps_R7 is its distance
     below it.  Tails are taken at TAIL_MULTIPLES of the longest pair
-    range.
+    range.  BracketError (``record_point``) at the first coupling where
+    the basis holds no bound state.
     """
-    rng = max(p.range_ for p in system.potentials.values())
+    rng = max(p.range_ for p in asm.system.potentials.values())
     tail_radii = tuple(m * rng for m in TAIL_MULTIPLES)
     records = []
     for lam in couplings:
@@ -857,7 +854,7 @@ class SpreadingVerdict:
 def spreading_diagnostic(points) -> SpreadingVerdict:
     """Classify a sweep as (non-)spreading-consistent from its tail masses.
 
-    ``points`` holds one (|E|, <r^2>, tails) triple per bound sweep point,
+    ``points`` holds one (|E|, <r^2>, tails) triple per sweep point,
     with tails the (R, T(R)) pairs at radii shared by all points.
     Non-spreading: some fixed radius keeps at least half the mass inside
     along the whole sweep.  Spreading: every recorded radius ends up with

@@ -172,8 +172,9 @@ def subcriticality_margin(system: ParticleSystem) -> MarginReport:
     return MarginReport(coupling=system.coupling, lambda_stars=stars)
 
 
-def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float):
-    """E2 = -z*^2 with lambda mu(z*) = 1, or None for subcritical coupling.
+def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> float:
+    """E2 = -z*^2 with lambda mu(z*) = 1; BracketError for a coupling at or
+    below lambda*, which has no bound state.
 
     z* is Brent's root of lambda mu(z) - 1 on [0, z_hi], with z_hi the
     first doubling from 1 where lambda mu(z_hi) < 1, at brentq's default
@@ -192,7 +193,7 @@ def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float):
         return known[z]
 
     if lam * mu(0.0) <= 1.0:
-        return None
+        raise BracketError(f"coupling {lam} is subcritical; no bound state")
     z_hi = 1.0
     for _ in range(64):
         if lam * mu(z_hi) < 1.0:
@@ -210,8 +211,6 @@ def _bs_wavefunction(V: PairPotential, frame: JacobiFrame, lam: float):
     Returns u, the scale of the semi-infinite grids that integrate it, and E2.
     """
     e2 = twobody_binding_energy(V, frame, lam)
-    if e2 is None:
-        raise BracketError(f"coupling {lam} is subcritical; no bound state")
     z_star = math.sqrt(-e2)
     wrule = bs_radial_rule(V, frame.alpha, z=z_star)
     m = bs_matrix(V, frame, z_star, wrule)
@@ -499,8 +498,9 @@ def sweep_two_body(V: PairPotential, frame: JacobiFrame, offsets):
 
     lambda* comes from ``critical_coupling`` (DegenerateInputError for a
     potential with no attraction); each offset g > 0 gives one point above
-    it.  Each point solves its bound state once; <r^2> and the tails at
-    TAIL_MULTIPLES of range / alpha come from that one BS eigenvector.
+    it, and an offset g <= 0 raises BracketError.  Each point solves its
+    bound state once; <r^2> and the tails at TAIL_MULTIPLES of range / alpha
+    come from that one BS eigenvector.
     """
     lam_star = critical_coupling(V, frame)
     tail_radii = tuple(k * V.range_ / frame.alpha for k in TAIL_MULTIPLES)

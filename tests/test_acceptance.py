@@ -51,9 +51,7 @@ def absorb_run():
     bracket, asm = t3.critical_coupling_3body(system, budget=150, seed=7)
     lam_star = min(tb.subcriticality_margin(system).lambda_stars.values())
     offsets = np.geomspace(3e-2, 2e-5, 10)
-    records = t3.sweep_three_body(
-        system, bracket.lambda_cr + offsets * lam_star, asm, lam_star
-    )
+    records = t3.sweep_three_body(asm, bracket.lambda_cr + offsets * lam_star, lam_star)
     elapsed = time.monotonic() - t_start
     return {
         "bracket": bracket,

@@ -16,6 +16,7 @@ from threshold_lab.cli import (
     main,
 )
 from threshold_lab.errors import ConfigError
+from threshold_lab import threebody as t3
 from threshold_lab import twobody as tb
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -356,7 +357,7 @@ class TestMain:
         assert payload["identity_passed"] is True
         assert payload["cone_envelope_excess"] <= 1e-12
 
-    @pytest.mark.parametrize("experiment", ["two_critical", "ops_audit"])
+    @pytest.mark.parametrize("experiment", ["two_critical", "ops_audit", "ims_audit"])
     def test_lambda_factor_without_attraction_exit_1(self, tmp_path, capsys, experiment):
         # lambda* = inf on every pair leaves lambda_factor nothing to scale
         cfg_path = tmp_path / "cfg"
@@ -366,6 +367,23 @@ class TestMain:
                      "--quiet"]) == EXIT_NUMERICAL
         assert "lambda_factor" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("*.json"))
+
+    def test_ims_audit_with_lambda_solves_no_lambda_star(self, tmp_path, monkeypatch):
+        # lambda* only scales lambda_factor, so a run given lambda solves none
+        calls = []
+        critical = tb.critical_coupling
+
+        def counted(*args):
+            calls.append(args)
+            return critical(*args)
+
+        monkeypatch.setattr(tb, "critical_coupling", counted)
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text("experiment = ims_audit\nmasses = 1 1 1\nkind = gaussian\n"
+                            "range = 1.0\nlambda = 2.0\nsamples = 2000\nseed = 4\n")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == EXIT_OK
+        assert calls == []
 
     def test_ops_audit_pair_without_attraction_reported_null(self, tmp_path):
         cfg_path = tmp_path / "cfg"
@@ -433,6 +451,36 @@ class TestMain:
         assert payload["bracket"][0] < payload["lambda_cr"] < payload["bracket"][1]
         assert payload["cond_N"] >= 1.0
         assert payload["dropped_directions"] == 0
+
+    def test_unbound_sweep_point_exits_1(self, tmp_path, monkeypatch, capsys):
+        # the third of 10 sweep points solves to E3 = 0: the run fails there,
+        # naming the coupling, instead of writing the other 9 rows
+        record_point = t3.record_point
+        couplings = []
+
+        def third_unbound(asm, coupling, eps_r7, tail_radii):
+            couplings.append(coupling)
+            if len(couplings) != 3:
+                return record_point(asm, coupling, eps_r7, tail_radii)
+            solve = asm.solve
+            asm.solve = lambda lam: (0.0, solve(lam)[1])
+            try:
+                return record_point(asm, coupling, eps_r7, tail_radii)
+            finally:
+                del asm.solve
+
+        monkeypatch.setattr(t3, "record_point", third_unbound)
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text(
+            "experiment = three_sweep\nmasses = 1 1 1\nkind = gaussian\n"
+            "range = 1.0\nbudget = 20\nsweep_points = 10\nseed = 7\n"
+        )
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg_path), "--out", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert f"no three-body bound state at coupling {couplings[2]!r}" in err
+        assert not (out / "three_sweep.csv").exists()
 
     def test_absorb_symmetric_moments_and_conditioning(self, tmp_path):
         # x^2 and y^2 are the same matrix on a symmetrized basis, so the

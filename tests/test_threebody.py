@@ -340,22 +340,21 @@ def ground_record(system, budget, seed):
     """Grow a basis at the system coupling and record its ground state."""
     asm = t3.assembler_for(t3.grow_basis(system, budget, seed), system)
     lam_star = min(tb.subcriticality_margin(system).lambda_stars.values())
-    (rec,) = t3.sweep_three_body(system, [system.coupling], asm, lam_star)
+    (rec,) = t3.sweep_three_body(asm, [system.coupling], lam_star)
     return rec
 
 
 class TestGroundEnergy:
     def test_tiny_coupling_unbound(self):
         sys3 = uniform_system("gaussian", 1.0, 1e-6)
-        rec = ground_record(sys3, budget=6, seed=1)
-        assert not rec.bound
-        assert rec.k is None
+        with pytest.raises(BracketError, match="no three-body bound state at coupling 1e-06"):
+            ground_record(sys3, budget=6, seed=1)
 
     def test_borromean_point(self, lam_star):
         # bound three bosons with strictly subcritical pairs
         sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
         rec = ground_record(sys3, budget=40, seed=3)
-        assert rec.bound and rec.E3 < 0.0
+        assert rec.E3 < 0.0
         assert rec.eps_R7 > 0.0
         assert rec.k == pytest.approx(math.sqrt(-rec.E3))
         taus = [t for _, t in rec.tail]
@@ -536,8 +535,7 @@ class TestCriticalCoupling3Body:
                                                           monkeypatch):
         def verdict(br, asm):
             lams = br.lambda_cr + np.geomspace(3e-2, 2e-5, 10) * lam_star
-            records = t3.sweep_three_body(asm.system, lams, asm, br.lambda_star)
-            assert all(r.bound for r in records)
+            records = t3.sweep_three_body(asm, lams, br.lambda_star)
             return t3.spreading_diagnostic(
                 [(abs(r.E3), r.rho2, r.tail) for r in records]).verdict
 
@@ -611,9 +609,8 @@ class TestTailKernels:
     def test_tails_fall_and_obey_markov_along_sweep(self, bracket, lam_star):
         br, asm = bracket
         lams = [br.lambda_cr + off * lam_star for off in SWEEP_OFFSETS]
-        records = t3.sweep_three_body(asm.system, lams, asm, br.lambda_star)
+        records = t3.sweep_three_body(asm, lams, br.lambda_star)
         for rec in records:
-            assert rec.bound
             taus = [T for _, T in rec.tail]
             assert all(b <= a for a, b in zip(taus, taus[1:]))
             assert all(T <= rec.rho2 / R ** 2 for R, T in rec.tail)

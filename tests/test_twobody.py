@@ -116,10 +116,11 @@ class TestSubcriticalityMargin:
 
 
 class TestBindingEnergy:
-    def test_subcritical_returns_none(self):
+    def test_subcritical_raises(self):
         lam_star = tb.critical_coupling(GAUSS, FRAME)
-        assert tb.twobody_binding_energy(GAUSS, FRAME, 0.9 * lam_star) is None
-        assert tb.twobody_binding_energy(GAUSS, FRAME, lam_star) is None
+        for lam in (0.9 * lam_star, lam_star):
+            with pytest.raises(BracketError, match=f"coupling {lam!r} is subcritical"):
+                tb.twobody_binding_energy(GAUSS, FRAME, lam)
 
     @pytest.mark.parametrize("V", [WELL, GAUSS], ids=["well", "gauss"])
     def test_matches_oracle_at_1p2_critical(self, V):
@@ -380,7 +381,7 @@ class TestSweep:
         assert point.E2 == tb.twobody_binding_energy(GAUSS, FRAME, point.coupling)
 
     def test_subcritical_sweep_rejected(self):
-        with pytest.raises(BracketError):
+        with pytest.raises(BracketError, match="subcritical"):
             tb.sweep_two_body(GAUSS, FRAME, [-0.5])
 
     def test_no_attraction_rejected(self):
