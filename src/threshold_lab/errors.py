@@ -18,6 +18,10 @@ class BracketError(ThresholdLabError):
     has no bound state to solve for."""
 
 
+class ConvergenceError(ThresholdLabError):
+    """An iteration did not meet its stopping rule within its step limit."""
+
+
 class FitError(ThresholdLabError):
     """A potential fit exceeded its residual tolerance."""
 

@@ -161,14 +161,22 @@ class MarginReport:
 
 
 def subcriticality_margin(system: ParticleSystem) -> MarginReport:
-    """Margin eps > 0 certifies that no pair is bound or resonant."""
+    """Margin eps > 0 certifies that no pair is bound or resonant.
+
+    lambda* depends only on the potential and the frame's alpha, so it is
+    solved once per distinct (potential, alpha): once for three equal pairs.
+    """
     stars = {}
+    solved = {}
     for pair, pot in system.potentials.items():
         frame = jacobi_frame(system, pair)
-        try:
-            stars[pair] = critical_coupling(pot, frame)
-        except DegenerateInputError:
-            stars[pair] = math.inf
+        key = (pot, frame.alpha)
+        if key not in solved:
+            try:
+                solved[key] = critical_coupling(pot, frame)
+            except DegenerateInputError:
+                solved[key] = math.inf
+        stars[pair] = solved[key]
     return MarginReport(coupling=system.coupling, lambda_stars=stars)
 
 

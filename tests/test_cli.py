@@ -398,6 +398,21 @@ class TestMain:
         assert payload["lambda_star"] is None
         assert all(row["lambda_mu"] == 0.0 for row in payload["contraction"])
 
+    def test_shipped_ops_audit_matches_reference(self, tmp_path):
+        # the reference is the output of the full eigen-solve route; the power
+        # iteration may move the two fiber-norm aggregates in their last digits
+        # only (the proxy, a difference of two norms, magnifies rounding)
+        out = tmp_path / "out"
+        assert main(["--config", str(CONFIGS / "ops_audit_gaussian.cfg"), "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        payload = read_json(out / "ops_audit.json")
+        reference = read_json(ROOT / "tests" / "data" / "ops_audit_gaussian.json")
+        fiber, ref_fiber = payload["fiber_audit"], reference["fiber_audit"]
+        assert fiber.pop("sup_norm") == pytest.approx(ref_fiber.pop("sup_norm"), rel=1e-14)
+        assert fiber.pop("continuity_proxy") == pytest.approx(
+            ref_fiber.pop("continuity_proxy"), rel=1e-12)
+        assert payload == reference
+
     def test_ops_audit_boundary_violation_reported(self, tmp_path):
         cfg_path = tmp_path / "cfg"
         cfg_path.write_text(

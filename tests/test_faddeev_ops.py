@@ -3,12 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from threshold_lab.errors import ConvergenceError
 from threshold_lab.model import PairPotential, jacobi_frame, uniform_system
 from threshold_lab import faddeev_ops as fo
 from threshold_lab import twobody as tb
 
 FRAME = jacobi_frame(uniform_system("gaussian", 1.0, 1.0), (1, 2))
 GAUSS = PairPotential("gaussian", 1.0)
+_R = np.linspace(0.0, 3.0, 61)
+POTENTIALS = {
+    "gaussian": GAUSS,
+    "exponential": PairPotential("exponential", 1.0),
+    "square_well": PairPotential("square_well", 1.0),
+    "tabulated": PairPotential("tabulated", 1.0,
+                               table=tuple(zip(_R.tolist(), ((1.0 - _R / 3.0) ** 2).tolist()))),
+}
+KAPPAS = [1e-3, 0.1, 0.5, 1.0, 3.75, 10.0, 10.05]
 
 
 class TestMultiplier:
@@ -37,6 +47,12 @@ def constants():
 @pytest.fixture(scope="module")
 def lam_star():
     return tb.critical_coupling(GAUSS, FRAME)
+
+
+@pytest.fixture(scope="module")
+def base_norms():
+    # every kappa in one stack
+    return {name: fo._base_norms(V, FRAME, np.array(KAPPAS)) for name, V in POTENTIALS.items()}
 
 
 @pytest.fixture(scope="module")
@@ -90,15 +106,48 @@ class TestFiberNorms:
         n2 = fo.fiber_norms(v2, FRAME, 0.5, 0.5)[2]
         assert n2 / n1 == pytest.approx(math.sqrt(2.0), rel=1e-10)
 
-    @pytest.mark.parametrize("kappa", [1e-3, 0.1, 1.0, 10.0])
-    def test_base_norm_equals_largest_singular_value(self, kappa):
-        # the fiber matrix rebuilt here, its norm by a full SVD
-        rule = tb.bs_radial_rule(GAUSS, FRAME.alpha, z=kappa)
-        sqv = np.sqrt(GAUSS.profile(FRAME.alpha * rule.nodes))
-        sw = np.sqrt(rule.weights)
-        m = sw[:, None] * (tb.green_row_operator(kappa, rule) * sqv[None, :]) / sw[None, :]
-        assert fo._fiber_base_norm(GAUSS, FRAME, kappa) == pytest.approx(
-            np.linalg.norm(m, 2), rel=1e-14)
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_base_norm_equals_largest_singular_value(self, base_norms, kappa):
+        # the fiber matrix rebuilt here, its norm by a full SVD; the kappas
+        # reach the exponential's span cap (kappa > 0.5) and the plain
+        # Nystrom panels of z * width > 4
+        for name, V in POTENTIALS.items():
+            rule = tb.bs_radial_rule(V, FRAME.alpha, z=kappa)
+            sqv = np.sqrt(V.profile(FRAME.alpha * rule.nodes))
+            sw = np.sqrt(rule.weights)
+            m = sw[:, None] * (tb.green_row_operator(kappa, rule) * sqv[None, :]) / sw[None, :]
+            assert base_norms[name][KAPPAS.index(kappa)] == pytest.approx(
+                np.linalg.svd(m, compute_uv=False)[0], rel=1e-14), name
+
+    def test_stalled_power_iteration_names_kappa(self):
+        # sigma2 / sigma1 = 1 - 1e-6 leaves the residual near 1e-6 theta for
+        # far more than FIBER_MAX_STEPS steps; the well-separated matrix
+        # beside it converges and is not named
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((16, 16)))
+        stalled = q @ np.diag(np.r_[1.0, 1.0 - 1e-6, np.geomspace(0.5, 1e-3, 14)]) @ q.T
+        separated = q @ np.diag(np.r_[1.0, np.geomspace(0.5, 1e-3, 15)]) @ q.T
+        with pytest.raises(ConvergenceError, match=r"kappa = 0\.5$"):
+            fo._top_singular_values(np.stack([separated, stalled]), np.array([0.25, 0.5]))
+        assert fo._top_singular_values(separated[None], [0.25])[0] == pytest.approx(
+            1.0, rel=1e-14)
+
+    def test_kappa_is_math_hypot(self, monkeypatch):
+        # np.hypot differs from math.hypot in the last bit at some points of
+        # the benchmark's 30 x 48 grid
+        z = np.geomspace(1.0, 1e-4, 30)[:, None]
+        p = np.geomspace(1e-3, 10.0, 48)[None, :]
+        exact = {math.hypot(pj, zi) for zi in z[:, 0] for pj in p[0]}
+        assert np.any(np.hypot(p, z) != np.vectorize(math.hypot)(p, z))
+        seen = []
+
+        def record(V, frame, kappas):
+            seen.extend(kappas.tolist())
+            return np.ones(len(kappas))
+
+        monkeypatch.setattr(fo, "_base_norms", record)
+        fo.fiber_norms(GAUSS, FRAME, z, p)
+        assert len(seen) == len(exact)
+        assert set(seen) == exact
 
     def test_z_domain_guard(self):
         with pytest.raises(ValueError):
@@ -169,6 +218,36 @@ class TestUniformityAudit:
             p_grid=np.geomspace(1e-3, 10.0, 8),
         )
         assert finer.continuity_proxy < audit.continuity_proxy
+
+    def test_one_fiber_norms_call_and_no_eigensolver(self, audit, monkeypatch):
+        calls = []
+        batched = fo.fiber_norms
+
+        def counted(*args):
+            calls.append(args)
+            return batched(*args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("full decomposition reached")
+
+        monkeypatch.setattr(fo, "fiber_norms", counted)
+        for name in ("eigvalsh", "eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        # the fixture has already built the cached quadrature reference rules,
+        # whose nodes come from an eigen-solve
+        again = fo.lemma6_uniformity_audit(
+            GAUSS, FRAME,
+            z_grid=np.geomspace(1.0, 1e-4, 8),
+            p_grid=np.geomspace(1e-3, 10.0, 8),
+        )
+        assert len(calls) == 1
+        assert again == audit
+
+    def test_single_point_matches_audit_sample(self, audit):
+        # a norm depends on its own kappa, not on the grid or the stack
+        for s in audit.samples:
+            n1, n2, ns = fo.fiber_norms(GAUSS, FRAME, s.z, s.p)
+            assert (float(n1), float(n2), float(ns)) == (s.norm_k1, s.norm_k2, s.norm_sum)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

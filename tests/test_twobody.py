@@ -114,6 +114,30 @@ class TestSubcriticalityMargin:
         rep = tb.subcriticality_margin(system)
         assert rep.eps == pytest.approx(min(rep.lambda_stars.values()) - 1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("masses, kinds, solves", [
+        ((1.0, 1.0, 1.0), ("gaussian",) * 3, 1),
+        ((1.0, 1.0, 1.0), ("gaussian", "exponential", "gaussian"), 2),
+        ((1.0, 1.0, 4.0), ("gaussian",) * 3, 2),   # pairs 13 and 23 share alpha
+    ], ids=["identical", "two-potentials", "two-alphas"])
+    def test_one_solve_per_distinct_potential_and_alpha(self, monkeypatch, masses, kinds,
+                                                        solves):
+        from threshold_lab.model import PAIRS, ParticleSystem
+
+        pots = {pair: PairPotential(kind, 1.0) for pair, kind in zip(PAIRS, kinds)}
+        system = ParticleSystem(masses, pots, 1.0)
+        solved = tb.critical_coupling
+        calls = []
+
+        def counted(V, frame):
+            calls.append((V, frame.alpha))
+            return solved(V, frame)
+
+        monkeypatch.setattr(tb, "critical_coupling", counted)
+        rep = tb.subcriticality_margin(system)
+        assert len(calls) == len(set(calls)) == solves
+        for pair in PAIRS:
+            assert rep.lambda_stars[pair] == solved(pots[pair], jacobi_frame(system, pair))
+
 
 class TestBindingEnergy:
     def test_subcritical_raises(self):
