@@ -253,10 +253,6 @@ def _say(cfg: ExperimentConfig, message: str):
 # Experiments
 # ---------------------------------------------------------------------------
 
-def _pair_frames(system: ParticleSystem):
-    return {pair: jacobi_frame(system, pair) for pair in PAIRS}
-
-
 def _resolve_coupling(cfg: ExperimentConfig):
     """The system with lambda_factor applied relative to the smallest pair
     critical coupling, and its R7 margin, which holds every pair's lambda*.
@@ -274,17 +270,16 @@ def _resolve_coupling(cfg: ExperimentConfig):
 def run_two_critical(cfg: ExperimentConfig) -> int:
     system, margin = _resolve_coupling(cfg)
     pairs = {}
-    oracles = {}   # the oracle sees only the potential and alpha
-    for pair, frame in _pair_frames(system).items():
+    # a pair with no attraction has no threshold to shoot for
+    oracles = tb.per_distinct_pair(
+        system, tb.oracle_critical_coupling,
+        [pair for pair, lam_star in margin.lambda_stars.items() if lam_star < math.inf])
+    for pair in PAIRS:
         lam_star = margin.lambda_stars[pair]
         entry = {"mu0": 1.0 / lam_star, "lambda_star": None,
                  "lambda_star_oracle": None, "oracle_rel_diff": None}
-        if lam_star < math.inf:   # a pair with no attraction has no threshold
-            pot = system.potential(pair)
-            key = (pot, frame.alpha)
-            if key not in oracles:
-                oracles[key] = tb.oracle_critical_coupling(pot, frame)
-            oracle = oracles[key]
+        if pair in oracles:
+            oracle = oracles[pair]
             entry.update(lambda_star=lam_star, lambda_star_oracle=oracle,
                          oracle_rel_diff=abs(lam_star - oracle) / oracle)
         pairs[f"{pair[0]}{pair[1]}"] = entry

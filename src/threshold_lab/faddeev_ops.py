@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import ConvergenceError
 from .model import (
@@ -78,13 +79,8 @@ def bound_constants(V: PairPotential, frame: JacobiFrame) -> BoundConstants:
 # Fiber norms of K1(z) + K2(z)
 # ---------------------------------------------------------------------------
 
-# kappas per power-iteration stack: 8 matrices of 128 x 128 (1 MB) stay in
-# cache, and stacks of 16 or more ran slower on a 2-core host
-FIBER_STACK = 8
-# a kappa stops once |G x - theta x| <= FIBER_RESIDUAL theta for the unit x;
-# the audit grids need at most 47 steps, so the cap only catches a stall
+# kappa stops once its Ritz pair (theta, y) has |G y - theta y| <= FIBER_RESIDUAL theta
 FIBER_RESIDUAL = 1e-9
-FIBER_MAX_STEPS = 1000
 
 
 def _fiber_matrix(V: PairPotential, frame: JacobiFrame, kappa: float) -> np.ndarray:
@@ -96,48 +92,57 @@ def _fiber_matrix(V: PairPotential, frame: JacobiFrame, kappa: float) -> np.ndar
     return sw[:, None] * (B * sqv[None, :]) / sw[None, :]
 
 
-def _top_singular_values(m: np.ndarray, kappas) -> np.ndarray:
-    """Largest singular value of each matrix of the stack m (k, n, n).
+def _top_ritz_pair(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
+    """Largest eigenvalue of the symmetric tridiagonal T(diag, off) and the
+    last component of its unit eigenvector, NaN if LAPACK fails.
 
-    Power iteration x <- G x on G = m^T m, applied as m^T (m x), from the
-    positive start x = (1, ..., 1).  G is entrywise positive where V^(1/2)
-    is (the Green kernel is), so by Perron-Frobenius its top eigenvalue is
-    simple and the start has a component along it.  The Rayleigh quotient
-    theta = |m x|^2 of a unit x with residual r = |G x - theta x| lies
-    within r^2 / gap of that eigenvalue (Kato-Temple), so the stop at
-    r <= FIBER_RESIDUAL theta leaves rounding only: lambda2 / lambda1 <= 0.67
-    was measured on the audit grids.  A converged matrix leaves the stack,
-    so each result depends on its own matrix alone, not on the stack.
-    ``kappas`` labels the matrices for the error message.
+    Bisection (dstebz) finds that one eigenvalue and inverse iteration
+    (dstein) its vector; T is never fully decomposed.
     """
-    out = np.empty(len(m))
-    live = np.arange(len(m))
-    x = np.ones(m.shape[:2])
-    x /= np.linalg.norm(x, axis=1)[:, None]
-    for _ in range(FIBER_MAX_STEPS):
-        y = np.matmul(m, x[:, :, None])[:, :, 0]
-        gx = np.matmul(y[:, None, :], m)[:, 0, :]
-        theta = np.sum(y * y, axis=1)
-        done = np.linalg.norm(gx - theta[:, None] * x, axis=1) <= FIBER_RESIDUAL * theta
-        if done.any():
-            out[live[done]] = np.sqrt(theta[done])
-            if done.all():
-                return out
-            live, m, gx = live[~done], m[~done], gx[~done]
-        x = gx / np.linalg.norm(gx, axis=1)[:, None]
+    k = len(diag)
+    if k == 1:
+        return float(diag[0]), 1.0
+    _, w, block, split, info = lapack.dstebz(diag, off, 3, 0.0, 0.0, k, k, 0.0, "B")
+    if info:
+        return math.nan, math.nan
+    s, info = lapack.dstein(diag, off, w[:1], block, split)
+    return (float(w[0]), float(s[-1, 0])) if info == 0 else (math.nan, math.nan)
+
+
+def _top_singular_value(m: np.ndarray, kappa: float) -> float:
+    """Largest singular value of the square matrix m, by Lanczos on G = m^T m.
+
+    G is applied as m^T (m q), from the start q = (1, ..., 1) / sqrt(n), and
+    each new Lanczos vector is orthogonalized twice against all earlier ones.
+    After j steps the top Ritz pair (theta, y) of the tridiagonal T_j has
+    residual |G y - theta y| = beta_j |s_j|, so the stop at beta_j |s_j| <=
+    FIBER_RESIDUAL theta costs no extra product with G.  By the Kato-Temple
+    bound theta then lies within (FIBER_RESIDUAL theta)^2 / gap of the top
+    eigenvalue of G.  The step count grows like 1 / sqrt(gap), not like
+    1 / gap as for a power iteration, and the Krylov space is all of R^n
+    after n steps, where the Ritz value is exact; failing the stop by then
+    (a non-finite m) raises ConvergenceError naming kappa.  The start needs
+    a component along the top eigenvector: on the audit grids G is
+    entrywise positive, so by Perron-Frobenius that eigenvector is positive.
+    """
+    n = m.shape[1]
+    basis = np.empty((n, n))
+    diag = np.empty(n)
+    off = np.empty(n)
+    q = np.full(n, n ** -0.5)
+    for j in range(n):
+        basis[j] = q
+        w = (m @ q) @ m
+        diag[j] = w @ q
+        for _ in range(2):
+            w -= (basis[:j + 1] @ w) @ basis[:j + 1]
+        off[j] = math.sqrt(w @ w)
+        theta, s_last = _top_ritz_pair(diag[:j + 1], off[:j])
+        if off[j] * abs(s_last) <= FIBER_RESIDUAL * theta:
+            return math.sqrt(theta)
+        q = w / off[j]
     raise ConvergenceError(
-        f"fiber norm power iteration took more than {FIBER_MAX_STEPS} steps at kappa = "
-        + ", ".join(repr(float(k)) for k in np.asarray(kappas)[live]))
-
-
-def _base_norms(V: PairPotential, frame: JacobiFrame, kappas: np.ndarray) -> np.ndarray:
-    """|m(kappa)| for each kappa of a 1-D array, FIBER_STACK matrices at a time."""
-    out = np.empty(len(kappas))
-    for start in range(0, len(kappas), FIBER_STACK):
-        stack = kappas[start:start + FIBER_STACK]
-        m = np.stack([_fiber_matrix(V, frame, k) for k in stack])
-        out[start:start + len(stack)] = _top_singular_values(m, stack)
-    return out
+        f"fiber norm Lanczos run met no stop in {n} steps at kappa = {kappa!r}")
 
 
 def fiber_norms(V: PairPotential, frame: JacobiFrame, z, p):
@@ -147,7 +152,7 @@ def fiber_norms(V: PairPotential, frame: JacobiFrame, z, p):
     shape.  K1 and K2 share the resolvent-times-V^(1/2) kernel and differ
     only in the scalar multipliers t(p)+1 and z, so one singular value
     serves all three.  It depends on kappa = hypot(p, z) alone and is
-    computed once per distinct kappa.
+    computed once per distinct kappa, each on its own.
     """
     z, p = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(p, dtype=float))
     if not np.all((z > 0.0) & (z <= 1.0)):
@@ -156,7 +161,8 @@ def fiber_norms(V: PairPotential, frame: JacobiFrame, z, p):
     # math.hypot, not np.hypot: the two differ in the last bit at some points
     kappa = np.vectorize(math.hypot, otypes=[float])(p, z)
     kappas, where = np.unique(kappa.ravel(), return_inverse=True)
-    base = _base_norms(V, frame, kappas)[where].reshape(kappa.shape)
+    base = np.array([_top_singular_value(_fiber_matrix(V, frame, k), float(k)) for k in kappas])
+    base = base[where].reshape(kappa.shape)
     return m1 * base, z * base, (m1 + z) * base
 
 
@@ -255,12 +261,14 @@ def lemma6_uniformity_audit(V: PairPotential, frame: JacobiFrame,
     continuity itself is not finitely checkable).
     """
     z_grid = np.asarray(list(z_grid), dtype=float)
-    if z_grid.size == 0:
-        raise ValueError("z grid must be nonempty")
     p_grid = np.asarray(list(p_grid), dtype=float)
+    if z_grid.size == 0 or p_grid.size == 0:
+        raise ValueError("z and p grids must be nonempty")
 
-    constants = bound_constants(V, frame)
+    # the norms first: fiber_norms rejects a z outside (0, 1] before the
+    # constants' quadratures run
     n1, n2, norms = fiber_norms(V, frame, z_grid[:, None], p_grid[None, :])
+    constants = bound_constants(V, frame)
     samples = tuple(
         FiberSample(
             z=float(z), p=float(p),

@@ -160,24 +160,35 @@ class MarginReport:
         return self.eps > 0.0
 
 
-def subcriticality_margin(system: ParticleSystem) -> MarginReport:
-    """Margin eps > 0 certifies that no pair is bound or resonant.
+def per_distinct_pair(system: ParticleSystem, solve, pairs=None) -> dict:
+    """{pair: solve(potential, frame)} over ``pairs`` (default: every pair).
 
-    lambda* depends only on the potential and the frame's alpha, so it is
-    solved once per distinct (potential, alpha): once for three equal pairs.
+    lambda* and its shooting oracle depend only on the potential and the
+    frame's alpha, so solve runs once per distinct (potential, alpha): once
+    for three equal pairs.
     """
-    stars = {}
     solved = {}
-    for pair, pot in system.potentials.items():
-        frame = jacobi_frame(system, pair)
+    out = {}
+    for pair in system.potentials if pairs is None else pairs:
+        pot, frame = system.potential(pair), jacobi_frame(system, pair)
         key = (pot, frame.alpha)
         if key not in solved:
-            try:
-                solved[key] = critical_coupling(pot, frame)
-            except DegenerateInputError:
-                solved[key] = math.inf
-        stars[pair] = solved[key]
-    return MarginReport(coupling=system.coupling, lambda_stars=stars)
+            solved[key] = solve(pot, frame)
+        out[pair] = solved[key]
+    return out
+
+
+def subcriticality_margin(system: ParticleSystem) -> MarginReport:
+    """Margin eps > 0 certifies that no pair is bound or resonant."""
+
+    def star(pot, frame):
+        try:
+            return critical_coupling(pot, frame)
+        except DegenerateInputError:
+            return math.inf
+
+    return MarginReport(coupling=system.coupling,
+                        lambda_stars=per_distinct_pair(system, star))
 
 
 def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> float:

@@ -49,10 +49,17 @@ def lam_star():
     return tb.critical_coupling(GAUSS, FRAME)
 
 
-@pytest.fixture(scope="module")
-def base_norms():
-    # every kappa in one stack
-    return {name: fo._base_norms(V, FRAME, np.array(KAPPAS)) for name, V in POTENTIALS.items()}
+def _svd_norm(V, frame, kappa):
+    """|m(kappa)| by a full SVD of the fiber matrix rebuilt here."""
+    rule = tb.bs_radial_rule(V, frame.alpha, z=kappa)
+    sqv = np.sqrt(V.profile(frame.alpha * rule.nodes))
+    sw = np.sqrt(rule.weights)
+    m = sw[:, None] * (tb.green_row_operator(kappa, rule) * sqv[None, :]) / sw[None, :]
+    return np.linalg.svd(m, compute_uv=False)[0]
+
+
+def _base_norm(V, frame, kappa):
+    return fo._top_singular_value(fo._fiber_matrix(V, frame, kappa), kappa)
 
 
 @pytest.fixture(scope="module")
@@ -107,44 +114,55 @@ class TestFiberNorms:
         assert n2 / n1 == pytest.approx(math.sqrt(2.0), rel=1e-10)
 
     @pytest.mark.parametrize("kappa", KAPPAS)
-    def test_base_norm_equals_largest_singular_value(self, base_norms, kappa):
-        # the fiber matrix rebuilt here, its norm by a full SVD; the kappas
-        # reach the exponential's span cap (kappa > 0.5) and the plain
-        # Nystrom panels of z * width > 4
+    def test_base_norm_equals_largest_singular_value(self, kappa):
+        # the kappas reach the exponential's span cap (kappa > 0.5) and the
+        # plain Nystrom panels of z * width > 4
         for name, V in POTENTIALS.items():
-            rule = tb.bs_radial_rule(V, FRAME.alpha, z=kappa)
-            sqv = np.sqrt(V.profile(FRAME.alpha * rule.nodes))
-            sw = np.sqrt(rule.weights)
-            m = sw[:, None] * (tb.green_row_operator(kappa, rule) * sqv[None, :]) / sw[None, :]
-            assert base_norms[name][KAPPAS.index(kappa)] == pytest.approx(
-                np.linalg.svd(m, compute_uv=False)[0], rel=1e-14), name
+            assert _base_norm(V, FRAME, kappa) == pytest.approx(
+                _svd_norm(V, FRAME, kappa), rel=1e-14), name
 
-    def test_stalled_power_iteration_names_kappa(self):
-        # sigma2 / sigma1 = 1 - 1e-6 leaves the residual near 1e-6 theta for
-        # far more than FIBER_MAX_STEPS steps; the well-separated matrix
-        # beside it converges and is not named
-        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((16, 16)))
-        stalled = q @ np.diag(np.r_[1.0, 1.0 - 1e-6, np.geomspace(0.5, 1e-3, 14)]) @ q.T
-        separated = q @ np.diag(np.r_[1.0, np.geomspace(0.5, 1e-3, 15)]) @ q.T
+    @pytest.mark.parametrize("kind, range_, masses, kappa", [
+        ("square_well", 5.0, (1.0, 1.0, 1.0), 10.05),
+        ("square_well", 1.0, (20.0, 20.0, 1.0), 10.05),
+        ("tabulated", 1.0, (1e4, 1e4, 1.0), 2.0),
+    ], ids=["wide-well", "heavy-pair", "tabulated-heavy-pair"])
+    def test_base_norm_on_wide_spans(self, kind, range_, masses, kappa):
+        # a wide span range / alpha at large kappa closes the gap of m^T m
+        # (lambda2 / lambda1 = 0.95 and 0.98 for the two square wells), where
+        # a power iteration needs hundreds of steps; Lanczos needs a few dozen
+        table = POTENTIALS["tabulated"].table if kind == "tabulated" else None
+        system = uniform_system(kind, range_, 1.0, masses=masses, table=table)
+        V, frame = system.potential((1, 2)), jacobi_frame(system, (1, 2))
+        assert _base_norm(V, frame, kappa) == pytest.approx(
+            _svd_norm(V, frame, kappa), rel=1e-14)
+
+    def test_near_degenerate_top_resolved(self):
+        # sigma2 / sigma1 = 1 - 1e-9 above an evenly spread spectrum: a power
+        # iteration would need about 1e10 steps, Lanczos ends within n
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((128, 128)))
+        sigma = np.r_[1.0, 1.0 - 1e-9, np.linspace(1.0 - 1e-6, 0.0, 127)[1:]]
+        m = q @ np.diag(sigma) @ q.T
+        assert fo._top_singular_value(m, 0.25) == pytest.approx(1.0, rel=1e-14)
+
+    def test_unresolved_matrix_names_kappa(self):
+        m = np.eye(16)
+        m[3, 5] = np.nan
         with pytest.raises(ConvergenceError, match=r"kappa = 0\.5$"):
-            fo._top_singular_values(np.stack([separated, stalled]), np.array([0.25, 0.5]))
-        assert fo._top_singular_values(separated[None], [0.25])[0] == pytest.approx(
-            1.0, rel=1e-14)
+            fo._top_singular_value(m, 0.5)
 
     def test_kappa_is_math_hypot(self, monkeypatch):
         # np.hypot differs from math.hypot in the last bit at some points of
-        # the benchmark's 30 x 48 grid
+        # the benchmark's 30 x 48 grid; each distinct kappa is solved once
         z = np.geomspace(1.0, 1e-4, 30)[:, None]
         p = np.geomspace(1e-3, 10.0, 48)[None, :]
         exact = {math.hypot(pj, zi) for zi in z[:, 0] for pj in p[0]}
-        assert np.any(np.hypot(p, z) != np.vectorize(math.hypot)(p, z))
         seen = []
 
-        def record(V, frame, kappas):
-            seen.extend(kappas.tolist())
-            return np.ones(len(kappas))
+        def record(V, frame, kappa):
+            seen.append(kappa)
+            return np.eye(2)
 
-        monkeypatch.setattr(fo, "_base_norms", record)
+        monkeypatch.setattr(fo, "_fiber_matrix", record)
         fo.fiber_norms(GAUSS, FRAME, z, p)
         assert len(seen) == len(exact)
         assert set(seen) == exact
@@ -250,5 +268,17 @@ class TestUniformityAudit:
             assert (float(n1), float(n2), float(ns)) == (s.norm_k1, s.norm_k2, s.norm_sum)
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonempty"):
             fo.lemma6_uniformity_audit(GAUSS, FRAME, z_grid=[], p_grid=[1.0])
+
+    def test_empty_p_grid_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            fo.lemma6_uniformity_audit(GAUSS, FRAME, z_grid=[0.5], p_grid=[])
+
+    def test_z_range_checked_before_constants(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("bound constants computed for a rejected grid")
+
+        monkeypatch.setattr(fo, "bound_constants", forbidden)
+        with pytest.raises(ValueError, match=r"z in \(0, 1\]"):
+            fo.lemma6_uniformity_audit(GAUSS, FRAME, z_grid=[1.5], p_grid=[1.0])
