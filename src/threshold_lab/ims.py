@@ -9,6 +9,10 @@ zero outside the unit ball and blended to equal constants inside radius
 1/2.  Degree-zero homogeneity forces Sum |grad J_s|^2 ~ 1/|q|^2, the decay
 the localization error needs at infinity, and the product form pins the
 support cone |r_i - r_s| >= theta |q| exactly.
+
+Every J_s is a function of the three pair separations alone.  Each is
+formed once per point, in ``PAIRS`` order, and the table ``REGIONS`` of
+pair indices combines them into the region weights.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import ValidationError
-from .model import ParticleSystem, separation_forms
+from .model import PAIRS, ParticleSystem, separation_forms
 
 _INTERIOR = 1.0 / math.sqrt(3.0)
 
@@ -38,6 +42,11 @@ def _smoothstep_prime(t):
     return np.where(inside, 30.0 * t ** 2 * (t - 1.0) ** 2, 0.0)
 
 
+# REGIONS[s] = the indices into PAIRS of the two pairs that hold particle
+# s + 1, its first pair first: region s is where that particle is far away
+REGIONS = ((0, 1), (0, 2), (1, 2))
+
+
 @dataclass(frozen=True)
 class IMSPartition:
     """Evaluatable partition fields J_s and their exact gradients."""
@@ -45,9 +54,8 @@ class IMSPartition:
     system: ParticleSystem
     theta: float
     delta: float
-    # regions[s] = ((pair, (u, v)), (pair, (u, v))): the two separations of
-    # particle s+1 in the frame-(12) linear forms
-    regions: tuple
+    # forms[p] = (u, v): the separation of PAIRS[p] is u x + v y in frame (12)
+    forms: tuple
 
     def evaluate(self, q, with_gradient: bool = True):
         """J values (n, 3) and gradients (n, 3, 6) at configurations q (n, 6)."""
@@ -70,38 +78,33 @@ class IMSPartition:
 
     def _raw_weights(self, q, rho, with_gradient):
         """Unblended region weights w (n, 3): per region, the product of the
-        smoothsteps of its two normalized separations; and their gradients."""
+        smoothsteps of its two normalized pair separations; and their gradients."""
         n = q.shape[0]
-        q_hat = q / rho[:, None] if with_gradient else None
+        seps = [_separation(form, q) for form in self.forms]
+        t = [m / rho for _, m in seps]
+        a = [(tp - self.theta) / self.delta for tp in t]
+        steps = [_smoothstep(ap) for ap in a]
         w = np.empty((n, 3))
-        grad_w = np.zeros((n, 3, 6)) if with_gradient else None
-        for s, pairs in enumerate(self.regions):
-            ws = np.ones(n)
-            parts = []
-            for d, m in _separations(pairs, q):
-                t = m / rho
-                a = (t - self.theta) / self.delta
-                s_val = _smoothstep(a)
-                parts.append((d, m, t, a, s_val))
-                ws = ws * s_val
-            w[:, s] = ws
-            if with_gradient:
-                gs = np.zeros((n, 6))
-                for idx, (d, m, t, a, s_val) in enumerate(parts):
-                    sp = _smoothstep_prime(a) / self.delta
-                    active = sp != 0.0
-                    if not np.any(active):
-                        continue
-                    other = parts[1 - idx][4]
-                    inv_m = np.where(m > 1e-300, 1.0 / m, 0.0)
-                    d_hat = d * inv_m[:, None]
-                    u_c, v_c = pairs[idx][1]
-                    grad_t = np.empty((n, 6))
-                    grad_t[:, :3] = u_c * d_hat / rho[:, None]
-                    grad_t[:, 3:] = v_c * d_hat / rho[:, None]
-                    grad_t -= (t / rho)[:, None] * q_hat
-                    gs += (sp * other)[:, None] * grad_t
-                grad_w[:, s, :] = gs
+        for s, (i, k) in enumerate(REGIONS):
+            w[:, s] = steps[i] * steps[k]
+        if not with_gradient:
+            return w, None
+
+        q_hat = q / rho[:, None]
+        slopes = []  # per pair: the smoothstep slope and grad t
+        for (d, m), tp, ap, (u_c, v_c) in zip(seps, t, a, self.forms):
+            inv_m = np.divide(1.0, m, out=np.zeros_like(m), where=m > 1e-300)
+            d_hat = d * inv_m[:, None]
+            grad_t = np.empty((n, 6))
+            grad_t[:, :3] = u_c * d_hat / rho[:, None]
+            grad_t[:, 3:] = v_c * d_hat / rho[:, None]
+            grad_t -= (tp / rho)[:, None] * q_hat
+            slopes.append((_smoothstep_prime(ap) / self.delta, grad_t))
+        grad_w = np.zeros((n, 3, 6))
+        for s, region in enumerate(REGIONS):
+            for p, other in zip(region, region[::-1]):
+                sp, grad_t = slopes[p]
+                grad_w[:, s, :] += (sp * steps[other])[:, None] * grad_t
         return w, grad_w
 
     def _evaluate_outer(self, q, rho, with_gradient):
@@ -136,17 +139,8 @@ def build_partition(system: ParticleSystem, delta: float = 0.05,
     if theta <= 0.0:
         raise ValueError("threshold must be positive")
     forms = separation_forms(system, (1, 2))
-    regions = []
-    for s in (1, 2, 3):
-        pairs = []
-        for i in (1, 2, 3):
-            if i == s:
-                continue
-            key = (min(i, s), max(i, s))
-            pairs.append((key, forms[key]))
-        regions.append(tuple(pairs))
     part = IMSPartition(system=system, theta=theta, delta=delta,
-                        regions=tuple(regions))
+                        forms=tuple(forms[pair] for pair in PAIRS))
 
     # the normalized fields hide empty coverage; inspect the raw weights
     mesh = sphere_mesh(4096, seed=20210905)
@@ -158,14 +152,12 @@ def build_partition(system: ParticleSystem, delta: float = 0.05,
     return part
 
 
-def _separations(pairs, q):
-    """(d, |d|) with d = u x + v y at configurations q (n, 6), for each
-    (pair, (u, v)) entry of ``pairs``: the pair distances in frame (12)."""
-    out = []
-    for _, (u, v) in pairs:
-        d = u * q[:, :3] + v * q[:, 3:]
-        out.append((d, np.linalg.norm(d, axis=1)))
-    return out
+def _separation(form, q):
+    """(d, |d|) with d = u x + v y at configurations q (n, 6) for one form
+    (u, v): a pair separation in frame (12) and its length."""
+    u, v = form
+    d = u * q[:, :3] + v * q[:, 3:]
+    return d, np.linalg.norm(d, axis=1)
 
 
 def _sobol(d: int, n: int, seed: int) -> np.ndarray:
@@ -183,9 +175,9 @@ def _directions(u):
     return g
 
 
-def sphere_mesh(n: int, seed: int, radius: float = 1.0) -> np.ndarray:
-    """Deterministic quasi-random points on the 6D sphere of given radius."""
-    return radius * _directions(_sobol(6, n, seed))
+def sphere_mesh(n: int, seed: int) -> np.ndarray:
+    """Deterministic quasi-random points on the 6D unit sphere."""
+    return _directions(_sobol(6, n, seed))
 
 
 def shell_mesh(n: int, seed: int, rho_min: float = 1.0, rho_max: float = 32.0) -> np.ndarray:
@@ -211,13 +203,13 @@ class MeshAudit:
 
 def mesh_audit(part: IMSPartition, mesh: np.ndarray) -> MeshAudit:
     """Pointwise checks of the partition on a mesh with |q| > 1, from one
-    evaluation of J.
+    evaluation of J and one set of pair distances.
 
-    Measures max |sum J_s^2 - 1|; the cone constant, the least normalized
-    separation over each region's support J_s > 1e-14 by the region's own
-    forms; the regrouping of the full interaction into cluster pieces plus
-    localization error by the pair labels; and the excess of the cross terms
-    V J_s^2 over the envelope F(theta |q|) on the support J_s > 1e-12.
+    Measures max |sum J_s^2 - 1|; the regrouping of the full interaction
+    into cluster pieces plus localization error by the region table; and,
+    over the two pairs that hold particle s, the cone constant (the least
+    normalized separation on the support J_s > 1e-14) and the excess of the
+    cross terms V J_s^2 over the envelope F(theta |q|) on J_s > 1e-12.
     """
     mesh = np.atleast_2d(np.asarray(mesh, dtype=float))
     rho = np.linalg.norm(mesh, axis=1)
@@ -228,29 +220,28 @@ def mesh_audit(part: IMSPartition, mesh: np.ndarray) -> MeshAudit:
     partition_defect = float(np.max(np.abs(np.sum(j_sq, axis=1) - 1.0)))
 
     system = part.system
-    forms = separation_forms(system, (1, 2))
-    pair_vals = {pair: system.potential(pair).profile(m)
-                 for pair, (_, m) in zip(forms, _separations(forms.items(), mesh))}
-    v_total = system.coupling * sum(pair_vals.values())
+    pots = [system.potential(pair) for pair in PAIRS]
+    dist = [_separation(form, mesh)[1] for form in part.forms]
+    pair_vals = [pot.profile(m) for pot, m in zip(pots, dist)]
+    envelopes = [pot.envelope(part.theta * rho) for pot in pots]
+    v_total = system.coupling * sum(pair_vals)
     regrouped = np.zeros(mesh.shape[0])
     minima = []
     excess = 0.0
-    for s, pairs in enumerate(part.regions):
+    for s in range(3):
+        held = [p for p, pair in enumerate(PAIRS) if s + 1 in pair]
         # region s carries the cluster pair of the other two particles plus
-        # the cross pairs it lists, which make up its localization error
-        cluster = tuple(sorted({1, 2, 3} - {s + 1}))
-        v_region = pair_vals[cluster] + sum(pair_vals[pair] for pair, _ in pairs)
+        # the cross pairs its table row lists, which make up its localization error
+        (cluster,) = {0, 1, 2} - set(held)
+        v_region = pair_vals[cluster] + sum(pair_vals[p] for p in REGIONS[s])
         regrouped += j_sq[:, s] * (system.coupling * v_region)
 
-        on = j[:, s] > 1e-14
-        minima.append(min(float(np.min(m / rho[on])) for _, m in _separations(pairs, mesh[on]))
-                      if np.any(on) else math.inf)
-
+        nearest = np.minimum(dist[held[0]], dist[held[1]]) / rho
+        minima.append(float(np.min(nearest, where=j[:, s] > 1e-14, initial=math.inf)))
         on = j[:, s] > 1e-12
-        if np.any(on):
-            for pair, _ in pairs:
-                env = system.potential(pair).envelope(part.theta * rho[on])
-                excess = max(excess, float(np.max(pair_vals[pair][on] * j_sq[on, s] - env)))
+        for p in held:
+            cross = pair_vals[p] * j_sq[:, s] - envelopes[p]
+            excess = max(excess, float(np.max(cross, where=on, initial=-math.inf)))
     regroup_defect = float(np.max(np.abs(regrouped - v_total)))
     cone = min(minima)
     return MeshAudit(
@@ -259,7 +250,7 @@ def mesh_audit(part: IMSPartition, mesh: np.ndarray) -> MeshAudit:
         cone_per_region=tuple(minima),
         regroup_defect=regroup_defect,
         envelope_excess=excess,
-        cone_passed=cone > 0.0,
+        cone_passed=cone >= part.theta,
         identity_passed=(partition_defect <= 1e-10 and regroup_defect <= 1e-10
                          and excess <= 1e-12),
     )

@@ -179,9 +179,8 @@ class JacobiFrame:
 
 def jacobi_frame(system: ParticleSystem, pair) -> JacobiFrame:
     """Closed-form frame constants for an ordered pair (i, j)."""
+    _canonical_pair(pair)  # validates; the frame keeps the pair's order
     i, j = pair
-    if i == j or not {i, j} <= {1, 2, 3}:
-        raise ValueError(f"invalid pair index {pair!r}")
     (l,) = {1, 2, 3} - {i, j}
     mi, mj, ml = (system.masses[i - 1], system.masses[j - 1], system.masses[l - 1])
     mu = mi * mj / (mi + mj)

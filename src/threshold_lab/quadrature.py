@@ -26,7 +26,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: tuple[float, float]
     spec: tuple
 
     def integrate(self, f) -> float:
@@ -53,7 +52,6 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     return QuadratureRule(
         nodes=a + half * (t + 1.0),
         weights=half * w,
-        domain=(float(a), float(b)),
         spec=("gauss_legendre", n, float(a), float(b)),
     )
 
@@ -67,7 +65,6 @@ def semi_infinite_grid(n: int, scale: float = 1.0) -> QuadratureRule:
     return QuadratureRule(
         nodes=scale * t / (1.0 - t),
         weights=base.weights * scale / (1.0 - t) ** 2,
-        domain=(0.0, np.inf),
         spec=("semi_infinite", n, float(scale)),
     )
 
@@ -110,6 +107,5 @@ def composite_gauss_legendre(edges, n_per_panel: int) -> QuadratureRule:
     return QuadratureRule(
         nodes=(edges[:-1, None] + half[:, None] * (t + 1.0)).ravel(),
         weights=(half[:, None] * w).ravel(),
-        domain=(float(edges[0]), float(edges[-1])),
         spec=("composite", edges, n_per_panel),
     )

@@ -413,6 +413,19 @@ class TestMain:
             ref_fiber.pop("continuity_proxy"), rel=1e-12)
         assert payload == reference
 
+    def test_shipped_ims_audit_matches_reference(self, tmp_path):
+        # the references were written by the region-by-region construction,
+        # which formed each pair separation twice per point; forming each once
+        # must not move a byte
+        out = tmp_path / "out"
+        assert main(["--config", str(CONFIGS / "ims_audit_gaussian.cfg"), "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        data = ROOT / "tests" / "data"
+        assert (out / "ims_audit.json").read_bytes() == \
+            (data / "ims_audit_gaussian.json").read_bytes()
+        assert (out / "ims_gradient.csv").read_bytes() == \
+            (data / "ims_gradient_gaussian.csv").read_bytes()
+
     def test_ops_audit_boundary_violation_reported(self, tmp_path):
         cfg_path = tmp_path / "cfg"
         cfg_path.write_text(

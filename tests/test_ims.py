@@ -45,12 +45,12 @@ class TestConstruction:
 
     def test_comparable_distances_mix_regions(self, partition):
         # equilateral-type configuration: everything strictly between 0 and 1
-        q = ims.sphere_mesh(64, seed=5, radius=3.0)
+        q = 3.0 * ims.sphere_mesh(64, seed=5)
         j, _ = partition.evaluate(q, with_gradient=False)
         assert np.all(np.sum(j ** 2, axis=1) == pytest.approx(1.0, abs=1e-12))
 
     def test_interior_constants(self, partition):
-        q = ims.sphere_mesh(32, seed=3, radius=0.3)
+        q = 0.3 * ims.sphere_mesh(32, seed=3)
         j, g = partition.evaluate(q)
         assert np.allclose(j, 1.0 / math.sqrt(3.0), atol=1e-14)
         assert np.max(np.abs(g)) == 0.0
@@ -67,7 +67,7 @@ class TestConstruction:
 
     def test_degree_zero_homogeneity_on_rays(self, partition):
         # J_s(lambda q) = J_s(q) for lambda >= 1 on unit-sphere rays
-        base = ims.sphere_mesh(256, seed=9, radius=1.0)
+        base = ims.sphere_mesh(256, seed=9)
         j_ref, _ = partition.evaluate(base, with_gradient=False)
         for lam in (1.0, 2.5, 17.0):
             j_lam, _ = partition.evaluate(lam * base, with_gradient=False)
@@ -83,8 +83,9 @@ class TestConstruction:
 
 class TestSupportCone:
     def test_measured_constant_positive(self, partition, audit):
+        # on |q| > 1 the blend is 1, so J_s > 0 forces t > theta exactly
         assert audit.cone_passed
-        assert audit.cone_constant >= partition.theta - 1e-9
+        assert audit.cone_constant >= partition.theta
         assert audit.cone_constant == min(audit.cone_per_region)
 
     def test_delta_to_zero_approaches_theta(self, mesh):
@@ -97,7 +98,7 @@ class TestSupportCone:
 
     def test_interior_mesh_rejected(self, partition):
         with pytest.raises(ValueError):
-            ims.mesh_audit(partition, ims.sphere_mesh(16, seed=1, radius=0.8))
+            ims.mesh_audit(partition, 0.8 * ims.sphere_mesh(16, seed=1))
 
 
 class TestGradients:
@@ -144,17 +145,35 @@ class TestIdentity:
         ims.mesh_audit(partition, ims.shell_mesh(512, seed=3))
         assert len(calls) == 1
 
-    def test_mislabelled_region_fails(self, partition, mesh):
+    def test_mislabelled_region_fails(self, partition, mesh, monkeypatch):
         # region 1 (particle 1 far) must list the pairs (1, 2) and (1, 3);
-        # labelling its second separation as (2, 3) breaks the regrouping
-        regions = list(partition.regions)
-        (p12, f12), (_, f13) = regions[0]
-        regions[0] = ((p12, f12), ((2, 3), f13))
-        bad = ims.IMSPartition(partition.system, partition.theta, partition.delta,
-                               tuple(regions))
-        rep = ims.mesh_audit(bad, mesh[:20000])
+        # swapping it with region 2 makes it list (1, 2) and (2, 3): the
+        # weights still cover the sphere, but the regrouping breaks and J_1
+        # then lives where particles 1 and 3 come close
+        assert ims.REGIONS[:2] == ((0, 1), (0, 2)) and ims.PAIRS[2] == (2, 3)
+        monkeypatch.setattr(ims, "REGIONS", ((0, 2), (0, 1), (1, 2)))
+        rep = ims.mesh_audit(partition, mesh[:20000])
         assert not rep.identity_passed
         assert rep.regroup_defect > 1e-3
+        assert not rep.cone_passed
+        assert rep.cone_per_region[0] < partition.theta
+        assert rep.cone_constant < partition.theta
+
+    def test_one_separation_per_pair_per_point_set(self, partition, mesh, monkeypatch):
+        rows = []
+        separation = ims._separation
+
+        def counted(form, q):
+            rows.append(q.shape[0])
+            return separation(form, q)
+
+        monkeypatch.setattr(ims, "_separation", counted)
+        sub = mesh[:5000]
+        partition._raw_weights(sub, np.linalg.norm(sub, axis=1), with_gradient=True)
+        assert rows == [5000] * 3
+        rows.clear()
+        ims.mesh_audit(partition, sub)
+        assert sum(rows) <= 6 * 5000
 
     def test_envelope_below_potential_fails(self, mesh):
         gauss = PairPotential("gaussian", 1.0)
