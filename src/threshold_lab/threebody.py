@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.optimize import minimize, nnls
+from scipy.optimize import nnls
 from scipy.special import erfc
 
 from .errors import BasisError, BracketError, FitError
@@ -81,64 +81,42 @@ def transform_form(form, T) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Potential representation: nonnegative Gaussian sums
+# Potential representation: nonnegative Gaussian sums on a fixed width ladder
 # ---------------------------------------------------------------------------
+# Widths fixed in advance leave the amplitudes to one nonnegative least-squares
+# solve: exponential-sum approximation on a geometric grid of exponents
+# (Beylkin and Monzon, Appl. Comput. Harmon. Anal. 19 (2005) 17).
 
-FIT_MAX_TERMS = 8
+FIT_WIDTHS = 16
 FIT_REL_TOL = 1e-3
 
 
 @lru_cache(maxsize=32)
 def fit_gaussian_terms(V: PairPotential):
-    """Fit V by a nonnegative sum of at most 8 Gaussians on a radial grid.
+    """Fit V by a nonnegative sum of Gaussians on a fixed ladder of widths.
 
-    Gaussian-kind potentials pass through exactly.  Widths start from a
-    greedy pick over a log-spaced ladder and are polished by Nelder-Mead
-    with the amplitudes re-solved by nonnegative least squares at every
-    step; the residual is relative L2(r^2 dr) and must stay below 1e-3.
-    Deterministic.
+    Gaussian-kind potentials pass through exactly.  Otherwise one nnls solve
+    on a 1200-point radial grid fits V(r) r over FIT_WIDTHS widths from
+    range/12 to 12 range; widths with zero amplitude are dropped.  The
+    residual is relative L2(r^2 dr) and must stay below FIT_REL_TOL, else
+    FitError.  Deterministic.
     """
     if V.kind == "gaussian":
         return ((1.0, V.range_),)
     # extend past compact supports so the fit is forced to decay there
     r_hi = V.effective_radius if V.support_radius is None else 3.0 * V.support_radius
     r = np.linspace(1e-4, r_hi, 1200)
-    target = V.profile(r)
-    b = target * r
+    b = V.profile(r) * r
     b_norm = math.sqrt(float(np.sum(b ** 2)))
     if b_norm == 0.0:
         return ()
-
-    def design_for(widths):
-        return np.exp(-((r[:, None] / widths[None, :]) ** 2)) * r[:, None]
-
-    ladder = np.geomspace(V.range_ / 12.0, 12.0 * V.range_, 48)
-    full = design_for(ladder)
-    col_norms = np.linalg.norm(full, axis=0)
-    selected: list[int] = []
-    resid_vec = b.copy()
-    for _ in range(FIT_MAX_TERMS):
-        scores = full.T @ resid_vec / col_norms
-        k = int(np.argmax(scores))
-        if k not in selected:
-            selected.append(k)
-        coef, _ = nnls(full[:, selected], b)
-        resid_vec = b - full[:, selected] @ coef
-
-    def residual(log_w):
-        coef, rn = nnls(design_for(np.exp(log_w)), b)
-        return rn / b_norm
-
-    x0 = np.log(ladder[sorted(selected)])
-    best = minimize(residual, x0, method="Nelder-Mead",
-                    options=dict(maxiter=3000, xatol=1e-4, fatol=1e-14))
-    widths = np.exp(best.x if best.fun < residual(x0) else x0)
-    coef, rn = nnls(design_for(widths), b)
+    widths = np.geomspace(V.range_ / 12.0, 12.0 * V.range_, FIT_WIDTHS)
+    coef, rn = nnls(np.exp(-((r[:, None] / widths) ** 2)) * r[:, None], b)
     resid = rn / b_norm
     if resid > FIT_REL_TOL:
         raise FitError(
-            f"{V.kind} profile not representable by {FIT_MAX_TERMS} Gaussians: "
-            f"relative L2 residual {resid:.3e} > {FIT_REL_TOL:g}"
+            f"{V.kind} profile not representable on the {FIT_WIDTHS}-width Gaussian "
+            f"ladder: relative L2 residual {resid:.3e} > {FIT_REL_TOL:g}"
         )
     keep = coef > 0.0
     return tuple((float(c), float(w)) for c, w in zip(coef[keep], widths[keep]))

@@ -462,6 +462,21 @@ class TestMain:
         assert "hypothesis violated" in err and "lambda = " in err
         assert not (tmp_path / "out" / "three_sweep.csv").exists()
 
+    def test_three_sweep_unfittable_profile_exits_1(self, tmp_path, capsys):
+        # no nonnegative sum on the Gaussian width ladder fits the square well
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text(
+            "experiment = three_sweep\nmasses = 1 1 1\nkind = square_well\n"
+            "range = 1.0\nbudget = 12\nsweep_points = 4\nseed = 7\n"
+        )
+        out = tmp_path / "out"
+        code = main(["--config", str(cfg_path), "--out", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert "FitError" in err and "residual" in err
+        assert not (out / "three_sweep.csv").exists()
+        assert not (out / "three_sweep.json").exists()
+
     def test_three_sweep_small_budget(self, tmp_path):
         cfg_path = tmp_path / "cfg"
         cfg_path.write_text(

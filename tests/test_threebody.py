@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, jn_zeros
 from scipy.stats import norm as norm_dist
 
 from threshold_lab.errors import BasisError, BracketError, FitError
@@ -723,7 +723,7 @@ class TestFit:
 
     def test_exponential_within_tolerance(self):
         terms = t3.fit_gaussian_terms(PairPotential("exponential", 1.0))
-        assert 1 <= len(terms) <= 8
+        assert 1 <= len(terms) <= t3.FIT_WIDTHS
         assert all(s >= 0.0 for s, _ in terms)
         r = np.linspace(1e-4, 40.0, 3000)
         fit = sum(s * np.exp(-((r / b) ** 2)) for s, b in terms)
@@ -732,6 +732,31 @@ class TestFit:
         )
         assert rel <= 1e-3
 
+    def test_one_nnls_solve(self, monkeypatch):
+        calls = []
+        nnls = t3.nnls
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return nnls(*args, **kwargs)
+
+        monkeypatch.setattr(t3, "nnls", counted)
+        t3.fit_gaussian_terms.cache_clear()
+        t3.fit_gaussian_terms(PairPotential("exponential", 1.0))
+        assert len(calls) == 1
+        assert not hasattr(t3, "minimize")
+
+    def test_fitted_profile_keeps_lambda_star(self):
+        # lambda* of the fitted exponential, tabulated and solved as a pair
+        # potential, against the exact j01^2/4 (range 1, equal masses)
+        terms = t3.fit_gaussian_terms(PairPotential("exponential", 1.0))
+        r = np.linspace(0.0, 60.0, 24001)
+        v = sum(s * np.exp(-((r / b) ** 2)) for s, b in terms)
+        fitted = PairPotential("tabulated", 1.0, table=tuple(zip(r.tolist(), v.tolist())))
+        frame = jacobi_frame(uniform_system("exponential", 1.0, 1.0), (1, 2))
+        exact = jn_zeros(0, 1)[0] ** 2 / 4.0
+        assert tb.critical_coupling(fitted, frame) == pytest.approx(exact, rel=1e-5)
+
     def test_square_well_rejected(self):
-        with pytest.raises(FitError):
+        with pytest.raises(FitError, match="residual"):
             t3.fit_gaussian_terms(PairPotential("square_well", 1.0))
