@@ -3,10 +3,14 @@
 After the partial Fourier transform in the spectator coordinate, the
 channel operator (H0 + z^2)^(-1) V^(1/2) B(z) acts fiber-wise in the
 spectator momentum p.  Each fiber is a 3D resolvent kernel times
-V^(1/2)(alpha x) and the scalar multiplier (t(p) + 1) + z, so its s-wave
-reduction reuses the two-body Nystrom machinery.  The genuinely
-cross-channel object is audited through its Hilbert-Schmidt norm, which
-collapses to a 1D momentum integral with the constants c, c', c~ in front.
+V^(1/2)(alpha x) and the scalar multiplier (t(p) + 1) + z.  Its s-wave
+reduction m(kappa), kappa = hypot(p, z), is the two-body Nystrom matrix,
+applied as an operator and never formed: its Green kernel is
+semi-separable, so the panel-diagonal blocks and one sum per panel carry
+all of it, and the norms of every kappa come from one batched Lanczos
+iteration.  The genuinely cross-channel object is audited through its
+Hilbert-Schmidt norm, which collapses to a 1D momentum integral with the
+constants c, c', c~ in front.
 """
 
 from __future__ import annotations
@@ -24,8 +28,14 @@ from .model import (
     plancherel_fourier_mass,
     potential_moment_c,
 )
-from .quadrature import composite_gauss_legendre, semi_infinite_grid
-from .twobody import bs_max_eigenvalue, bs_radial_rule, green_row_operator
+from .quadrature import composite_gauss_legendre, composite_nodes, semi_infinite_grid
+from .twobody import (
+    RADIAL_EDGES,
+    RADIAL_ORDER,
+    bs_max_eigenvalue,
+    bs_radial_edges,
+    panel_diagonal_blocks,
+)
 
 
 def t_multiplier(p: float) -> float:
@@ -81,15 +91,66 @@ def bound_constants(V: PairPotential, frame: JacobiFrame) -> BoundConstants:
 
 # kappa stops once its Ritz pair (theta, y) has |G y - theta y| <= FIBER_RESIDUAL theta
 FIBER_RESIDUAL = 1e-9
+# array elements per kappa chunk of the fiber operator's panel-diagonal
+# blocks; bounds the memory of fiber_norms
+FIBER_BLOCK_ELEMENTS = 2 ** 18
 
 
-def _fiber_matrix(V: PairPotential, frame: JacobiFrame, kappa: float) -> np.ndarray:
-    """Nystrom matrix m of the s-wave kernel g_kappa(r,r') V^(1/2)(alpha r') on L^2."""
-    rule = bs_radial_rule(V, frame.alpha, z=kappa)
-    B = green_row_operator(kappa, rule)
-    sqv = np.sqrt(V.profile(frame.alpha * rule.nodes))
-    sw = np.sqrt(rule.weights)
-    return sw[:, None] * (B * sqv[None, :]) / sw[None, :]
+class _FiberGram:
+    """G = m^T m for the fiber matrices m(kappa) of a batch of kappas, never formed.
+
+    m(kappa) = diag(sw) B diag(V^(1/2) / sw) is the Nystrom matrix of
+    g_kappa(r, r') V^(1/2)(alpha r') on L^2, with B the
+    ``green_row_operator`` of kappa on its own ``bs_radial_rule`` and sw the
+    square roots of the weights.  Its panel-diagonal blocks are kept as
+    (K, P, q, q) arrays.  Across panels the kernel factors as
+    g(r, r') = e^(-kappa |r - r'|) h(min(r, r')), h(r) = -expm1(-2 kappa r) / (2 kappa),
+    so the off-diagonal blocks act through one weighted sum per panel and a
+    P x P matrix of the decays e^(-kappa (e_p - e_(p'+1))) from the right
+    edge of panel p' < p to the left edge of panel p.  Every exponent is
+    <= 0, so nothing overflows at any kappa * span.  Each kappa's products
+    are elementwise maps and sums along its own rows, so they do not depend
+    on which other kappas share the batch.
+    """
+
+    def __init__(self, V: PairPotential, frame: JacobiFrame, kappas: np.ndarray):
+        edges = bs_radial_edges(V, frame.alpha, kappas)
+        r, w = composite_nodes(edges, RADIAL_ORDER)
+        k = kappas[:, None, None]
+        sw = np.sqrt(w)
+        sqv = np.sqrt(V.profile(frame.alpha * r))
+        blocks = panel_diagonal_blocks(kappas, r, w, np.diff(edges))
+        h = -np.expm1(-2.0 * k * r) / (2.0 * k)
+        gap = edges[:, :-1, None] - edges[:, None, 1:]
+        self.n = r.shape[1] * r.shape[2]
+        self.full = (
+            sw,                                              # left scaling of m
+            sw * sqv,                                        # right scaling of m
+            np.exp(-k * (edges[:, 1:, None] - r)) * h,       # to the right edge
+            np.exp(-k * (r - edges[:, :-1, None])),          # from the left edge
+            np.tril(np.exp(-k * np.maximum(gap, 0.0)), -1),  # panel p' < p to p
+            sw[..., :, None] * blocks * (sqv / sw)[..., None, :],
+        )
+        self.rows, self.parts = None, None
+
+    @staticmethod
+    def _green(v, right, left, decay):
+        """sum over r' outside the panel of r of g(r, r') v(r'), v (k, P, q)."""
+        below = np.einsum("kpt,kt->kp", decay, np.einsum("kpq,kpq->kp", right, v))
+        above = np.einsum("ktp,kt->kp", decay, np.einsum("kpq,kpq->kp", left, v))
+        return left * below[..., None] + right * above[..., None]
+
+    def __call__(self, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """G x for x (k, n), one row per kappa of ``rows``, indices into the batch."""
+        if rows is not self.rows:   # the running set changed: slice its parts once
+            self.rows, self.parts = rows, [a[rows] for a in self.full]
+        sw, swv, right, left, decay, blocks = self.parts
+        x = x.reshape(sw.shape)
+        y = sw * self._green(swv * x, right, left, decay) \
+            + np.einsum("kpij,kpj->kpi", blocks, x)
+        g = swv * self._green(sw * y, right, left, decay) \
+            + np.einsum("kpij,kpi->kpj", blocks, y)
+        return g.reshape(len(rows), self.n)
 
 
 def _top_ritz_pair(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
@@ -109,40 +170,65 @@ def _top_ritz_pair(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
     return (float(w[0]), float(s[-1, 0])) if info == 0 else (math.nan, math.nan)
 
 
-def _top_singular_value(m: np.ndarray, kappa: float) -> float:
-    """Largest singular value of the square matrix m, by Lanczos on G = m^T m.
+def _top_singular_values(gram, kappas: np.ndarray, n: int) -> np.ndarray:
+    """Largest singular value of each m(kappa), by Lanczos on G = m^T m.
 
-    G is applied as m^T (m q), from the start q = (1, ..., 1) / sqrt(n), and
-    each new Lanczos vector is orthogonalized twice against all earlier ones.
-    After j steps the top Ritz pair (theta, y) of the tridiagonal T_j has
-    residual |G y - theta y| = beta_j |s_j|, so the stop at beta_j |s_j| <=
+    ``gram(x, rows)`` applies G of the kappas ``kappas[rows]`` to the rows of
+    x (k, n).  Every kappa runs its own Lanczos recursion, all in lockstep:
+    from the start q = (1, ..., 1) / sqrt(n), each new Lanczos vector is
+    orthogonalized twice against all earlier ones.  After j steps the top
+    Ritz pair (theta, y) of the tridiagonal T_j has residual
+    |G y - theta y| = beta_j |s_j|, so the stop at beta_j |s_j| <=
     FIBER_RESIDUAL theta costs no extra product with G.  By the Kato-Temple
     bound theta then lies within (FIBER_RESIDUAL theta)^2 / gap of the top
     eigenvalue of G.  The step count grows like 1 / sqrt(gap), not like
     1 / gap as for a power iteration, and the Krylov space is all of R^n
     after n steps, where the Ritz value is exact; failing the stop by then
-    (a non-finite m) raises ConvergenceError naming kappa.  The start needs
-    a component along the top eigenvector: on the audit grids G is
+    (a non-finite G) raises ConvergenceError naming kappa.  A kappa leaves
+    the batch when it stops, so no beta_j = 0 is divided by.  The start
+    needs a component along the top eigenvector: on the audit grids G is
     entrywise positive, so by Perron-Frobenius that eigenvector is positive.
     """
-    n = m.shape[1]
-    basis = np.empty((n, n))
-    diag = np.empty(n)
-    off = np.empty(n)
-    q = np.full(n, n ** -0.5)
+    norms = np.empty(len(kappas))
+    rows = np.arange(len(kappas))
+    basis = np.empty((len(rows), min(n, 16), n))   # doubled in steps as it fills
+    diag = np.empty((len(rows), n))
+    off = np.empty((len(rows), n))
+    q = np.full((len(rows), n), n ** -0.5)
     for j in range(n):
-        basis[j] = q
-        w = (m @ q) @ m
-        diag[j] = w @ q
+        if j == basis.shape[1]:
+            basis = np.concatenate([basis, np.empty_like(basis[:, :min(j, n - j)])], axis=1)
+        basis[:, j] = q
+        w = gram(q, rows)
+        diag[:, j] = np.einsum("kn,kn->k", w, q)
+        done = basis[:, :j + 1]
         for _ in range(2):
-            w -= (basis[:j + 1] @ w) @ basis[:j + 1]
-        off[j] = math.sqrt(w @ w)
-        theta, s_last = _top_ritz_pair(diag[:j + 1], off[:j])
-        if off[j] * abs(s_last) <= FIBER_RESIDUAL * theta:
-            return math.sqrt(theta)
-        q = w / off[j]
+            w -= np.einsum("kj,kjn->kn", np.einsum("kjn,kn->kj", done, w), done)
+        off[:, j] = np.sqrt(np.einsum("kn,kn->k", w, w))
+        running = np.ones(len(rows), dtype=bool)
+        for i in range(len(rows)):
+            theta, s_last = _top_ritz_pair(diag[i, :j + 1], off[i, :j])
+            if off[i, j] * abs(s_last) <= FIBER_RESIDUAL * theta:
+                norms[rows[i]] = math.sqrt(theta)
+                running[i] = False
+        if not running.all():
+            rows, basis, diag, off, w = (a[running] for a in (rows, basis, diag, off, w))
+            if not len(rows):
+                return norms
+        q = w / off[:, j, None]
     raise ConvergenceError(
-        f"fiber norm Lanczos run met no stop in {n} steps at kappa = {kappa!r}")
+        f"fiber norm Lanczos run met no stop in {n} steps at kappa = {float(kappas[rows[0]])!r}")
+
+
+def _fiber_base_norms(V: PairPotential, frame: JacobiFrame, kappas: np.ndarray) -> np.ndarray:
+    """|m(kappa)| for each kappa, over chunks of the batched operator."""
+    chunk = max(1, FIBER_BLOCK_ELEMENTS // (len(RADIAL_EDGES) - 1) // RADIAL_ORDER ** 2)
+    out = np.empty(len(kappas))
+    for lo in range(0, len(kappas), chunk):
+        part = kappas[lo:lo + chunk]
+        gram = _FiberGram(V, frame, part)
+        out[lo:lo + chunk] = _top_singular_values(gram, part, gram.n)
+    return out
 
 
 def fiber_norms(V: PairPotential, frame: JacobiFrame, z, p):
@@ -152,7 +238,8 @@ def fiber_norms(V: PairPotential, frame: JacobiFrame, z, p):
     shape.  K1 and K2 share the resolvent-times-V^(1/2) kernel and differ
     only in the scalar multipliers t(p)+1 and z, so one singular value
     serves all three.  It depends on kappa = hypot(p, z) alone and is
-    computed once per distinct kappa, each on its own.
+    computed once per distinct kappa; a kappa's norm does not depend on
+    the other kappas of the grid.
     """
     z, p = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(p, dtype=float))
     if not np.all((z > 0.0) & (z <= 1.0)):
@@ -161,8 +248,7 @@ def fiber_norms(V: PairPotential, frame: JacobiFrame, z, p):
     # math.hypot, not np.hypot: the two differ in the last bit at some points
     kappa = np.vectorize(math.hypot, otypes=[float])(p, z)
     kappas, where = np.unique(kappa.ravel(), return_inverse=True)
-    base = np.array([_top_singular_value(_fiber_matrix(V, frame, k), float(k)) for k in kappas])
-    base = base[where].reshape(kappa.shape)
+    base = _fiber_base_norms(V, frame, kappas)[where].reshape(kappa.shape)
     return m1 * base, z * base, (m1 + z) * base
 
 

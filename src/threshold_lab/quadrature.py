@@ -102,10 +102,19 @@ def composite_gauss_legendre(edges, n_per_panel: int) -> QuadratureRule:
     edges = np.array(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("edges must be strictly increasing with at least two entries")
-    half = 0.5 * np.diff(edges)
-    t, w = _reference_rule(n_per_panel)
+    nodes, weights = composite_nodes(edges, n_per_panel)
     return QuadratureRule(
-        nodes=(edges[:-1, None] + half[:, None] * (t + 1.0)).ravel(),
-        weights=(half[:, None] * w).ravel(),
+        nodes=nodes.ravel(),
+        weights=weights.ravel(),
         spec=("composite", edges, n_per_panel),
     )
+
+
+def composite_nodes(edges: np.ndarray, n_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights (..., P, n_per_panel) of the panel-wise rule over each
+    row of ``edges`` (..., P + 1), unchecked; one row gives the arrays of
+    ``composite_gauss_legendre``, many rules are built in one broadcast.
+    """
+    half = 0.5 * np.diff(edges)
+    t, w = _reference_rule(n_per_panel)
+    return edges[..., :-1, None] + half[..., None] * (t + 1.0), half[..., None] * w

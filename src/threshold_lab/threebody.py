@@ -248,14 +248,16 @@ class _Assembler:
         diags = tuple(p * np.sum(self_blocks[key], axis=1) * d_new ** 2 for key in keys)
         return images, rows, diags, d_new
 
-    def add(self, form):
+    def add(self, form, scored=None):
+        """Append ``form``.  ``scored`` is (bordered, i) when ``form`` is row i
+        of an earlier ``_border`` result, whose rows are then reused."""
         form = np.asarray(form, dtype=float)
-        images, rows, diags, d_new = self._border(form)
-        self.N, self.T, self.V = (_bordered(mat, row[0], diag[0]) for mat, row, diag
+        (images, rows, diags, d_new), i = (self._border(form), 0) if scored is None else scored
+        self.N, self.T, self.V = (_bordered(mat, row[i], diag[i]) for mat, row, diag
                                   in zip((self.N, self.T, self.V), rows, diags))
         self.forms = np.vstack([self.forms, form[None, :]])
-        self.images = np.concatenate([self.images, images], axis=0)
-        self.scale = np.append(self.scale, d_new)
+        self.images = np.concatenate([self.images, images[i:i + 1]], axis=0)
+        self.scale = np.append(self.scale, d_new[i])
         self.n += 1
 
     def trial_energy(self, form, coupling: float) -> float:
@@ -285,8 +287,11 @@ class _Assembler:
         s_max (Cauchy interlacing), so once the committed overlap has a
         dropped direction, so has every bordered one.
         """
-        forms = np.atleast_2d(np.asarray(forms, dtype=float))
-        _, (b_n, b_t, b_v), (d_n, d_t, d_v), _ = self._border(forms)
+        return self._score(self._border(forms), coupling)
+
+    def _score(self, bordered, coupling: float) -> np.ndarray:
+        """``trial_energies`` of the forms of a ``_border`` result."""
+        _, (b_n, b_t, b_v), (d_n, d_t, d_v), _ = bordered
         b_h = b_t - coupling * b_v
         d_h = d_t - coupling * d_v
         if self.n == 0:
@@ -613,11 +618,13 @@ def grow_basis(system: ParticleSystem, budget: int, seed: int,
     marginal = 0
     while asm.n < budget:
         cands = np.array([_propose_form(rng, lo, hi, inv_len2) for _ in range(16)])
-        energies = asm.trial_energies(cands, lam)
+        pool = asm._border(cands)
+        energies = asm._score(pool, lam)
         best = int(np.argmin(energies))
         gain = current - energies[best]
         if gain > 1e-8 or asm.n == 0:
-            asm.add(cands[best])
+            # the winner's rows were computed to score it
+            asm.add(cands[best], (pool, best))
             current = min(energies[best], current)
             stalls = 0
             # once gains are marginal relative to the energy the window is

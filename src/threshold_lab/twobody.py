@@ -43,23 +43,30 @@ def swave_green(z: float, r: np.ndarray, rp: np.ndarray) -> np.ndarray:
     return _psi_phi(z, np.maximum(r, rp), np.minimum(r, rp))
 
 
-def _psi_phi(z: float, ri, rj):
+def _psi_phi(z, ri, rj):
     """Separable factor psi(ri) phi(rj) of the Green kernel (rj 'below' branch).
 
     g_z(r, r') = phi_z(min) psi_z(max) with phi_z(t) = sinh(z t)/z and
     psi_z(t) = exp(-z t); the paired form below stays finite for every
     within-panel argument order.  It is e^(-z(ri-rj)) (1 - e^(-2 z rj)) / (2 z),
-    where expm1 keeps the small-z regime free of cancellation.
+    where expm1 keeps the small-z regime free of cancellation.  z is 0, or
+    holds values > 0 that broadcast against ri and rj.
     """
     ri = np.asarray(ri, dtype=float)
     rj = np.asarray(rj, dtype=float)
-    if z == 0.0:
+    if not np.any(z):
         return np.broadcast_to(rj, np.broadcast_shapes(ri.shape, rj.shape)).astype(float)
     return np.exp(-z * (ri - rj)) * (-np.expm1(-2.0 * z * rj)) / (2.0 * z)
 
 
-def bs_radial_rule(V: PairPotential, alpha: float, z: float = 0.0) -> QuadratureRule:
-    """Graded 128-node composite rule (16 panels of 8) over the reach of V^(1/2).
+# panel edges of bs_radial_rule on [0, 1], graded toward the origin, and the
+# Gauss-Legendre order of each panel
+RADIAL_EDGES = (np.arange(17) / 16) ** 1.5
+RADIAL_ORDER = 8
+
+
+def bs_radial_edges(V: PairPotential, alpha: float, z) -> np.ndarray:
+    """Panel edges (..., 17) of ``bs_radial_rule`` at each entry of z (...).
 
     The Birman-Schwinger kernel carries V^(1/2)(alpha r) on both slots, so a
     finite interval with the square-root decay resolved is exact to rounding.
@@ -68,40 +75,63 @@ def bs_radial_rule(V: PairPotential, alpha: float, z: float = 0.0) -> Quadrature
     product-integrated diagonal blocks (the truncated region contributes
     at most sup_{r>span} V / z^2).
     """
+    z = np.asarray(z, dtype=float)
     if V.support_radius is not None:
-        span = V.support_radius / alpha
+        span = np.full(z.shape, V.support_radius / alpha)
     else:
-        span = (8.0 if V.kind == "gaussian" else 60.0) * V.range_ / alpha
-        if z > 0.0:
-            span = min(span, max(30.0 / z, 10.0 * V.range_ / alpha))
-    edges = span * (np.arange(17) / 16) ** 1.5
-    return composite_gauss_legendre(edges, 8)
+        reach = (8.0 if V.kind == "gaussian" else 60.0) * V.range_ / alpha
+        # z = 0 leaves the reach uncapped
+        cap = np.divide(30.0, z, out=np.full(z.shape, np.inf), where=z > 0.0)
+        span = np.minimum(reach, np.maximum(cap, 10.0 * V.range_ / alpha))
+    return span[..., None] * RADIAL_EDGES
+
+
+def bs_radial_rule(V: PairPotential, alpha: float, z: float = 0.0) -> QuadratureRule:
+    """Graded 128-node composite rule (16 panels of 8) over the reach of V^(1/2),
+    on the edges of ``bs_radial_edges``."""
+    return composite_gauss_legendre(bs_radial_edges(V, alpha, z), RADIAL_ORDER)
+
+
+def panel_diagonal_blocks(z, nodes: np.ndarray, weights: np.ndarray,
+                          width: np.ndarray) -> np.ndarray:
+    """The panel-diagonal blocks (..., P, q, q) of ``green_row_operator``.
+
+    ``nodes`` and ``weights`` (..., P, q) hold composite rules panel by
+    panel and ``width`` (..., P) their panel widths; z is a scalar, or one
+    value > 0 per rule (...).  A block is product-integrated through the
+    semi-separable split, which removes the |r - r'| kink error entirely.
+    Polynomial interpolation cannot track exp(z r) across a panel with
+    z (b - a) > 4, so such a block stays plain Nystrom, which is harmless
+    because the kernel has decayed across it (it sits where V has decayed).
+    """
+    z = np.asarray(z, dtype=float)[..., None]   # against width (..., P)
+    q = nodes.shape[-1]
+    ri, rj = nodes[..., :, None], nodes[..., None, :]
+    below = _psi_phi(z[..., None, None], ri, rj)   # psi(r_i) phi(r_j): g for r_i >= r_j
+    above = _psi_phi(z[..., None, None], rj, ri)   # phi(r_i) psi(r_j): g for r_i <= r_j
+    ws = weights[..., None, :]
+    tau = (0.5 * width)[..., None, None] * panel_partial_integrals(q)
+    product = below * tau + above * (ws - tau)
+    plain = np.where(np.tri(q, dtype=bool), below, above) * ws
+    return np.where((z * width <= 4.0)[..., None, None], product, plain)
 
 
 def green_row_operator(z: float, rule: QuadratureRule) -> np.ndarray:
     """Matrix B with (B f)_i ~ integral g_z(r_i, r') f(r') dr' at the nodes.
 
     Off-diagonal panel blocks are plain Nystrom (the kernel is smooth
-    there); blocks on the panel diagonal are product-integrated through the
-    semi-separable split, which removes the |r - r'| kink error entirely.
-    Panels too wide for the exponential factors fall back to plain Nystrom,
-    which is harmless because the kernel has decayed across such panels.
-    ``rule`` is a composite rule, as ``bs_radial_rule`` builds.
+    there); the blocks on the panel diagonal come from
+    ``panel_diagonal_blocks``.  ``rule`` is a composite rule, as
+    ``bs_radial_rule`` builds.
     """
     r, w = rule.nodes, rule.weights
     B = swave_green(z, r, r) * w[None, :]
     _, edges, q = rule.spec
-    width = np.diff(edges)
-    P = len(width)
-    # polynomial interpolation cannot track exp(z r) across a panel with
-    # z (b - a) > 4; such panels stay plain (they sit where V has decayed)
-    near = z * width <= 4.0
-    rs, ws = r.reshape(P, q)[near], w.reshape(P, q)[near][:, None, :]
-    tau = (0.5 * width[near])[:, None, None] * panel_partial_integrals(q)
-    below = _psi_phi(z, rs[:, :, None], rs[:, None, :])   # psi(r_i) phi(r_j)
-    above = _psi_phi(z, rs[:, None, :], rs[:, :, None])   # phi(r_i) psi(r_j)
+    P = len(edges) - 1
+    on = np.arange(P)
     # the panel-diagonal blocks, written through a (panel, node) view of B
-    B.reshape(P, q, P, q)[near, :, near, :] = below * tau + above * (ws - tau)
+    B.reshape(P, q, P, q)[on, :, on, :] = panel_diagonal_blocks(
+        z, r.reshape(P, q), w.reshape(P, q), np.diff(edges))
     return B
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,17 +50,32 @@ def lam_star():
     return tb.critical_coupling(GAUSS, FRAME)
 
 
-def _svd_norm(V, frame, kappa):
-    """|m(kappa)| by a full SVD of the fiber matrix rebuilt here."""
+def _fiber_matrix(V, frame, kappa):
+    """The fiber matrix m(kappa), formed from green_row_operator."""
     rule = tb.bs_radial_rule(V, frame.alpha, z=kappa)
     sqv = np.sqrt(V.profile(frame.alpha * rule.nodes))
     sw = np.sqrt(rule.weights)
-    m = sw[:, None] * (tb.green_row_operator(kappa, rule) * sqv[None, :]) / sw[None, :]
-    return np.linalg.svd(m, compute_uv=False)[0]
+    return sw[:, None] * (tb.green_row_operator(kappa, rule) * sqv[None, :]) / sw[None, :]
+
+
+def _svd_norm(V, frame, kappa):
+    """|m(kappa)| by a full SVD of the fiber matrix rebuilt here."""
+    return np.linalg.svd(_fiber_matrix(V, frame, kappa), compute_uv=False)[0]
 
 
 def _base_norm(V, frame, kappa):
-    return fo._top_singular_value(fo._fiber_matrix(V, frame, kappa), kappa)
+    """|m(kappa)| from one single-point fiber_norms call, and the kappa it
+    solved: |K2| = z |m| at z = kappa, p = 0, and |K1| = |m| beyond p = 1."""
+    if kappa <= 1.0:
+        return fo.fiber_norms(V, frame, kappa, 0.0)[1] / kappa, kappa
+    p = math.sqrt(kappa ** 2 - 1.0)
+    return fo.fiber_norms(V, frame, 1.0, p)[0], math.hypot(p, 1.0)
+
+
+def _explicit_gram(mats):
+    """The batched m^T m callable of explicit matrices m (K, n, n)."""
+    return lambda x, rows: np.einsum("kij,kj->ki", mats[rows].transpose(0, 2, 1),
+                                     np.einsum("kij,kj->ki", mats[rows], x))
 
 
 @pytest.fixture(scope="module")
@@ -118,8 +134,8 @@ class TestFiberNorms:
         # the kappas reach the exponential's span cap (kappa > 0.5) and the
         # plain Nystrom panels of z * width > 4
         for name, V in POTENTIALS.items():
-            assert _base_norm(V, FRAME, kappa) == pytest.approx(
-                _svd_norm(V, FRAME, kappa), rel=1e-14), name
+            norm, solved = _base_norm(V, FRAME, kappa)
+            assert norm == pytest.approx(_svd_norm(V, FRAME, solved), rel=1e-14), name
 
     @pytest.mark.parametrize("kind, range_, masses, kappa", [
         ("square_well", 5.0, (1.0, 1.0, 1.0), 10.05),
@@ -133,8 +149,8 @@ class TestFiberNorms:
         table = POTENTIALS["tabulated"].table if kind == "tabulated" else None
         system = uniform_system(kind, range_, 1.0, masses=masses, table=table)
         V, frame = system.potential((1, 2)), jacobi_frame(system, (1, 2))
-        assert _base_norm(V, frame, kappa) == pytest.approx(
-            _svd_norm(V, frame, kappa), rel=1e-14)
+        norm, solved = _base_norm(V, frame, kappa)
+        assert norm == pytest.approx(_svd_norm(V, frame, solved), rel=1e-14)
 
     def test_near_degenerate_top_resolved(self):
         # sigma2 / sigma1 = 1 - 1e-9 above an evenly spread spectrum: a power
@@ -142,13 +158,22 @@ class TestFiberNorms:
         q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((128, 128)))
         sigma = np.r_[1.0, 1.0 - 1e-9, np.linspace(1.0 - 1e-6, 0.0, 127)[1:]]
         m = q @ np.diag(sigma) @ q.T
-        assert fo._top_singular_value(m, 0.25) == pytest.approx(1.0, rel=1e-14)
+        (norm,) = fo._top_singular_values(_explicit_gram(m[None]), np.array([0.25]), 128)
+        assert norm == pytest.approx(1.0, rel=1e-14)
 
     def test_unresolved_matrix_names_kappa(self):
         m = np.eye(16)
         m[3, 5] = np.nan
         with pytest.raises(ConvergenceError, match=r"kappa = 0\.5$"):
-            fo._top_singular_value(m, 0.5)
+            fo._top_singular_values(_explicit_gram(m[None]), np.array([0.5]), 16)
+
+    def test_non_finite_batch_member_names_its_kappa(self):
+        # the finite members stop and leave the batch; the non-finite one
+        # runs all n steps alone and is named
+        mats = np.random.default_rng(3).random((3, 16, 16))
+        mats[1, 3, 5] = np.nan
+        with pytest.raises(ConvergenceError, match=r"kappa = 0\.5$"):
+            fo._top_singular_values(_explicit_gram(mats), np.array([0.25, 0.5, 0.75]), 16)
 
     def test_kappa_is_math_hypot(self, monkeypatch):
         # np.hypot differs from math.hypot in the last bit at some points of
@@ -158,14 +183,63 @@ class TestFiberNorms:
         exact = {math.hypot(pj, zi) for zi in z[:, 0] for pj in p[0]}
         seen = []
 
-        def record(V, frame, kappa):
-            seen.append(kappa)
-            return np.eye(2)
+        class Recorded:
+            """The identity on R^2, recording the kappas it is built for."""
+            n = 2
 
-        monkeypatch.setattr(fo, "_fiber_matrix", record)
+            def __init__(self, V, frame, kappas):
+                seen.extend(kappas.tolist())
+
+            def __call__(self, x, rows):
+                return x
+
+        monkeypatch.setattr(fo, "_FiberGram", Recorded)
         fo.fiber_norms(GAUSS, FRAME, z, p)
         assert len(seen) == len(exact)
         assert set(seen) == exact
+
+    @pytest.mark.parametrize("name", list(POTENTIALS))
+    def test_batched_gram_matches_explicit_matrix(self, name):
+        # one batch of every kappa: for the two profiles of unbounded
+        # support it holds plain Nystrom panels (kappa * width > 4), and for
+        # the exponential kappas of different spans (the cap 30 / kappa)
+        V, kappas = POTENTIALS[name], np.array(KAPPAS)
+        edges = tb.bs_radial_edges(V, FRAME.alpha, kappas)
+        if V.support_radius is None:
+            assert np.any(kappas[:, None] * np.diff(edges) > 4.0)
+        if name == "exponential":
+            assert len(set(edges[:, -1])) > 2
+        gram = fo._FiberGram(V, FRAME, kappas)
+        x = np.random.default_rng(1).standard_normal((len(kappas), gram.n))
+        got = gram(x, np.arange(len(kappas)))
+        for k, kappa in enumerate(kappas):
+            m = _fiber_matrix(V, FRAME, kappa)
+            want = m.T @ (m @ x[k])
+            assert np.max(np.abs(got[k] - want)) <= 1e-14 * np.max(np.abs(want)), kappa
+        # the rows left in the batch see the same operator, to the bit
+        rows = np.array([1, 4, 5])
+        assert np.array_equal(gram(x[rows], rows), got[rows])
+
+    @pytest.mark.parametrize("name", list(POTENTIALS))
+    def test_norm_independent_of_batch(self, name, monkeypatch):
+        V, kappas = POTENTIALS[name], np.array(KAPPAS)
+        batched = fo._fiber_base_norms(V, FRAME, kappas)
+        alone = [fo._fiber_base_norms(V, FRAME, kappas[k:k + 1])[0] for k in range(len(kappas))]
+        assert batched.tolist() == alone
+        # chunks of three kappas per operator
+        monkeypatch.setattr(fo, "FIBER_BLOCK_ELEMENTS", 3 * 16 * 8 * 8)
+        assert fo._fiber_base_norms(V, FRAME, kappas).tolist() == alone
+
+    def test_memory_bounded_on_benchmark_grid(self):
+        z = np.geomspace(1.0, 1e-4, 30)[:, None]
+        p = np.geomspace(1e-3, 10.0, 48)[None, :]
+        tracemalloc.start()
+        try:
+            fo.fiber_norms(GAUSS, FRAME, z, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
 
     def test_z_domain_guard(self):
         with pytest.raises(ValueError):

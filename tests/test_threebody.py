@@ -203,6 +203,27 @@ class TestSolveGround:
             assert trial == pytest.approx(asm.solve(sys3.coupling)[0], abs=1e-12)
         assert np.array_equal(asm.forms, basis.forms)
 
+    def test_winner_committed_from_its_pool(self, lam_star, monkeypatch):
+        # grow_basis borders each pool of 16 once and commits the winner from
+        # the rows that scored it; they are the rows add() would compute
+        sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
+        sizes = []
+        border = t3._Assembler._border
+
+        def counted(self, forms):
+            sizes.append(len(np.atleast_2d(forms)))
+            return border(self, forms)
+
+        monkeypatch.setattr(t3._Assembler, "_border", counted)
+        basis = t3.grow_basis(sys3, 20, seed=3)
+        assert set(sizes) == {16}
+        monkeypatch.undo()
+        asm = t3._Assembler(sys3, True)
+        for form in basis.forms:
+            asm.add(form)
+        for key in ("forms", "images", "scale", "N", "T", "V"):
+            assert np.array_equal(getattr(asm, key), getattr(basis, key)), key
+
     def test_degenerate_basis_error(self):
         with pytest.raises(BasisError):
             t3.solve_ground(np.array([[1.0]]), np.array([[0.0]]))
