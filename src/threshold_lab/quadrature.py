@@ -56,17 +56,19 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
     )
 
 
+def half_line_map(t: np.ndarray, w: np.ndarray, scale: float):
+    """Nodes and weights on [0, 1) pushed to [0, inf) by r = scale*t/(1-t),
+    the Jacobian folded into the weights; arrays of any matching shape."""
+    return scale * t / (1.0 - t), w * scale / (1.0 - t) ** 2
+
+
 def semi_infinite_grid(n: int, scale: float = 1.0) -> QuadratureRule:
-    """Rule on [0, inf) via r = scale*t/(1-t), Jacobian folded into the weights."""
+    """Gauss-Legendre rule of order ``n`` on [0, 1) under ``half_line_map``."""
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     base = gauss_legendre(n, 0.0, 1.0)
-    t = base.nodes
-    return QuadratureRule(
-        nodes=scale * t / (1.0 - t),
-        weights=base.weights * scale / (1.0 - t) ** 2,
-        spec=("semi_infinite", n, float(scale)),
-    )
+    return QuadratureRule(*half_line_map(base.nodes, base.weights, scale),
+                          spec=("semi_infinite", n, float(scale)))
 
 
 @lru_cache(maxsize=16)

@@ -844,7 +844,9 @@ def spreading_diagnostic(points) -> SpreadingVerdict:
     Non-spreading: some fixed radius keeps at least half the mass inside
     along the whole sweep.  Spreading: every recorded radius ends up with
     tail mass near 1.  The attached exponent is the log-log slope of
-    <r^2> against 1/|E|.
+    <r^2> against 1/|E|, and the last-decade ratio is <r^2>(E_min) over
+    <r^2>(10 E_min), linear in log|E| between points (NaN when the sweep
+    spans less than a decade).
     """
     points = sorted(points, key=lambda pt: -pt[0])
     if len(points) < 4:
@@ -856,12 +858,14 @@ def spreading_diagnostic(points) -> SpreadingVerdict:
         R: max(tail[i][1] for tail in tails) for i, R in enumerate(radii)
     }
     xs = np.log([1.0 / e for e, _, _ in points])
-    ys = np.log([size for _, size, _ in points])
+    sizes = np.array([size for _, size, _ in points])
     if np.ptp(xs) > 0.0:
-        exponent = float(np.polyfit(xs, ys, 1)[0])
+        exponent = float(np.polyfit(xs, np.log(sizes), 1)[0])
     else:
         exponent = math.nan  # constant sweep: no slope to fit
-    ratio = points[-1][1] / points[0][1]
+    decade = math.log(10.0)
+    ratio = (sizes[-1] / np.interp(xs[-1] - decade, xs, sizes)
+             if np.ptp(xs) >= decade else math.nan)
 
     r0 = next((R for R in radii if sup_by_radius[R] <= 0.5), None)
     if r0 is not None:

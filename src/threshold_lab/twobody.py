@@ -26,14 +26,18 @@ from .model import JacobiFrame, PairPotential, ParticleSystem, jacobi_frame
 from .quadrature import (
     QuadratureRule,
     composite_gauss_legendre,
-    gauss_legendre,
+    composite_nodes,
+    half_line_map,
     panel_partial_integrals,
-    semi_infinite_grid,
 )
 
 
 # radii of the tail masses, in units of the pair range (two-body: range / alpha)
 TAIL_MULTIPLES = (1.0, 2.0, 4.0, 8.0, 16.0)
+# the control sweep's mass rule: MASS_PANELS Gauss-Legendre panels of MASS_ORDER
+# nodes between consecutive tail radii, in t of the map r = scale t/(1 - t)
+MASS_ORDER = 32
+MASS_PANELS = 2
 
 
 def swave_green(z: float, r: np.ndarray, rp: np.ndarray) -> np.ndarray:
@@ -254,44 +258,33 @@ def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> 
     return -z_star ** 2
 
 
-def _bs_wavefunction(V: PairPotential, frame: JacobiFrame, lam: float):
-    """Radial ground state u, reconstructed from the BS eigenvector at z*.
+def _bound_state_size(V: PairPotential, frame: JacobiFrame, lam: float, radii):
+    """(E2, <r^2>, (R, T(R)) at each of the increasing ``radii``) at ``lam``.
 
-    Returns u, the scale of the semi-infinite grids that integrate it, and E2.
+    Every R/(R + scale) is a panel edge of the mass rule, so T(R) is the mass
+    of the panels beyond R over the norm: a sum of positive terms.
     """
     e2 = twobody_binding_energy(V, frame, lam)
     z_star = math.sqrt(-e2)
     wrule = bs_radial_rule(V, frame.alpha, z=z_star)
-    m = bs_matrix(V, frame, z_star, wrule)
-    vals, vecs = np.linalg.eigh(m)
-    psi = vecs[:, -1]
+    psi = np.linalg.eigh(bs_matrix(V, frame, z_star, wrule))[1][:, -1]
     phi = psi / np.sqrt(wrule.weights)
     sqv = np.sqrt(V.profile(frame.alpha * wrule.nodes))
 
-    def u(s):
-        s = np.asarray(s, dtype=float)
-        g = swave_green(z_star, s, wrule.nodes)
-        return lam * g @ (wrule.weights * sqv * phi)
-
-    return u, max(3.0 * V.range_ / frame.alpha, 3.0 / z_star), e2
-
-
-def _mean_square_radius(u, scale: float) -> float:
-    mrule = semi_infinite_grid(256, scale)
-    uu = u(mrule.nodes) ** 2
-    norm = float(np.dot(mrule.weights, uu))
-    return float(np.dot(mrule.weights, mrule.nodes ** 2 * uu)) / norm
-
-
-def _tail_masses(u, scale: float, radii):
-    mrule = semi_infinite_grid(512, scale)
-    norm = float(np.dot(mrule.weights, u(mrule.nodes) ** 2))
-    out = []
-    for R in radii:
-        inner_rule = gauss_legendre(512, 0.0, float(R))
-        inner = float(np.dot(inner_rule.weights, u(inner_rule.nodes) ** 2))
-        out.append((float(R), max(0.0, 1.0 - inner / norm)))
-    return out
+    scale = max(3.0 * V.range_ / frame.alpha, 3.0 / z_star)
+    cuts = np.concatenate([[0.0], radii / (radii + scale), [1.0]])
+    # MASS_PANELS equal panels between consecutive cuts, the cuts kept exact
+    edges = np.interp(np.arange(MASS_PANELS * (len(cuts) - 1) + 1) / MASS_PANELS,
+                      np.arange(len(cuts)), cuts)
+    r, w = half_line_map(*composite_nodes(edges, MASS_ORDER), scale)
+    u = lam * (swave_green(z_star, r.ravel(), wrule.nodes) @ (wrule.weights * sqv * phi))
+    uu = u.reshape(r.shape) ** 2
+    mass = np.sum(w * uu, axis=1)
+    norm = float(np.sum(mass))
+    beyond = np.cumsum(mass[::-1])[::-1]   # mass of panel k and all after it
+    tails = tuple((float(R), float(beyond[MASS_PANELS * (k + 1)]) / norm)
+                  for k, R in enumerate(radii))
+    return e2, float(np.sum(w * r ** 2 * uu)) / norm, tails
 
 
 # ---------------------------------------------------------------------------
@@ -548,21 +541,16 @@ def sweep_two_body(V: PairPotential, frame: JacobiFrame, offsets):
     lambda* comes from ``critical_coupling`` (DegenerateInputError for a
     potential with no attraction); each offset g > 0 gives one point above
     it, and an offset g <= 0 raises BracketError.  Each point solves its
-    bound state once; <r^2> and the tails at TAIL_MULTIPLES of range / alpha
-    come from that one BS eigenvector.
+    bound state once and rebuilds u from its BS eigenvector once, on the
+    mass rule: <r^2>, the norm and the tails at TAIL_MULTIPLES of
+    range / alpha (and beyond the last) are sums over its panels.
     """
     lam_star = critical_coupling(V, frame)
-    tail_radii = tuple(k * V.range_ / frame.alpha for k in TAIL_MULTIPLES)
+    tail_radii = np.array(TAIL_MULTIPLES) * V.range_ / frame.alpha
     points = []
     for g in offsets:
         lam = float(lam_star * (1.0 + g))
-        u, scale, e2 = _bs_wavefunction(V, frame, lam)
-        points.append(TwoBodyPoint(
-            coupling=lam,
-            lambda_star=lam_star,
-            E2=e2,
-            r2=_mean_square_radius(u, scale),
-            eps_R7=lam_star - lam,
-            tail=tuple(_tail_masses(u, scale, tail_radii)),
-        ))
+        e2, r2, tail = _bound_state_size(V, frame, lam, tail_radii)
+        points.append(TwoBodyPoint(coupling=lam, lambda_star=lam_star, E2=e2, r2=r2,
+                                   eps_R7=lam_star - lam, tail=tail))
     return points

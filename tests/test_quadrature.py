@@ -99,8 +99,8 @@ def test_absorb_run_solves_each_order_once(monkeypatch, tmp_path):
     cfg.write_text("experiment = absorb\nmasses = 1 1 1\nkind = gaussian\nrange = 1.0\n"
                    "budget = 40\nsweep_points = 4\nseed = 7\n")
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
-    assert 512 in orders
-    assert len(orders) == len(set(orders))
+    # the BS radial panels and the tail-mass rules; no order above 32
+    assert sorted(orders) == [8, 32]
 
 
 def test_reference_rule_is_read_only():

@@ -696,6 +696,20 @@ class TestSpreadingDiagnostic:
         assert verdict.verdict == "spreading-consistent"
         assert verdict.size_exponent == pytest.approx(1.0, abs=1e-9)
 
+    def test_last_decade_ratio_interpolates_in_log_energy(self):
+        # <r^2> = 2 + log10(1/|E|) is linear in log|E|, so the interpolated
+        # <r^2>(10 E_min) = <r^2>(1e-2) = 4 between the points at 10^-1.3
+        # and 10^-2.2 is exact, against <r^2>(E_min) = 5
+        tail = ((1.0, 0.4),)
+        points = [(10.0 ** -k, 2.0 + k, tail) for k in (0.5, 1.3, 2.2, 3.0)]
+        verdict = t3.spreading_diagnostic(points)
+        assert verdict.rho2_ratio_last_decade == pytest.approx(1.25, rel=1e-12)
+
+    def test_last_decade_ratio_needs_a_decade(self):
+        tail = ((1.0, 0.4),)
+        points = [(e, 1.0 / e, tail) for e in (1e-3, 5e-4, 3e-4, 2e-4)]
+        assert math.isnan(t3.spreading_diagnostic(points).rho2_ratio_last_decade)
+
     def test_insufficient_records(self):
         point = (1e-3, 5.0, ((1.0, 0.4),))
         with pytest.raises(ValueError):

@@ -189,6 +189,29 @@ class TestBindingEnergy:
         assert all(abs(a) > abs(b) for a, b in zip(es, es[1:]))
 
 
+def oracle_tails(V, lam, radii):
+    """T(R) of the shooting-oracle ground state: the trapezoid rule on the
+    oracle's grid, plus the exterior u_end^2 exp(-2 kappa (R - r_end)) / (2 kappa)
+    in closed form."""
+    energy = tb.oracle_binding_energy(V, FRAME, lam)
+    kappa = math.sqrt(-energy)
+    res = tb.shooting_oracle(V, FRAME, lam, energy, n_steps=40000)
+    grid = res.step * np.arange(len(res.u))
+    uu = res.u ** 2
+    r_end = grid[-1]
+
+    def exterior(R):
+        return res.u_end ** 2 * math.exp(-2.0 * kappa * (R - r_end)) / (2.0 * kappa)
+
+    def beyond(R):
+        if R >= r_end:
+            return exterior(R)
+        r = np.concatenate([[R], grid[np.searchsorted(grid, R):]])
+        return float(np.trapezoid(np.interp(r, grid, uu), r)) + exterior(r_end)
+
+    return [beyond(R) / beyond(0.0) for R in radii]
+
+
 class TestSize:
     def test_deep_well_matches_oracle(self):
         (point,) = tb.sweep_two_body(WELL, FRAME, [4.0])
@@ -196,6 +219,19 @@ class TestSize:
         r2_oracle = tb.oracle_mean_square_radius(WELL, FRAME, point.coupling)
         assert r2 == pytest.approx(r2_oracle, rel=1e-3)
         assert 0.1 < r2 < 10.0  # comparable to the well radius squared
+
+    @pytest.mark.parametrize("V, g, rel", [(GAUSS, 1e-4, 1e-8), (WELL, 1e-3, 1e-7)])
+    def test_near_threshold_matches_oracle(self, V, g, rel):
+        (point,) = tb.sweep_two_body(V, FRAME, [g])
+        r2_oracle = tb.oracle_mean_square_radius(V, FRAME, point.coupling)
+        assert point.r2 == pytest.approx(r2_oracle, rel=rel)
+
+    @pytest.mark.parametrize("V", [GAUSS, EXPO, WELL])
+    def test_tails_match_oracle(self, V):
+        for point in tb.sweep_two_body(V, FRAME, [1e-1, 1e-2, 1e-3]):
+            radii = [R for R, _ in point.tail]
+            expected = oracle_tails(V, point.coupling, radii)
+            assert [t for _, t in point.tail] == pytest.approx(expected, abs=1e-5)
 
     def test_size_divergence_exponent(self):
         points = tb.sweep_two_body(GAUSS, FRAME, np.geomspace(1e-1, 1e-4, 7))
