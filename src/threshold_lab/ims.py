@@ -12,7 +12,9 @@ support cone |r_i - r_s| >= theta |q| exactly.
 
 Every J_s is a function of the three pair separations alone.  Each is
 formed once per point, in ``PAIRS`` order, and the table ``REGIONS`` of
-pair indices combines them into the region weights.
+pair indices combines them into the region weights.  ``shell_mesh`` draws
+and ``mesh_audit`` checks configurations in blocks of ``AUDIT_BLOCK``
+points, so their working memory does not grow with the mesh.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from .errors import ValidationError
 from .model import PAIRS, ParticleSystem, separation_forms
 
 _INTERIOR = 1.0 / math.sqrt(3.0)
+
+# points per block of shell_mesh and mesh_audit: their temporaries scale with
+# the block, not with the mesh, and every result is the same for any block size
+AUDIT_BLOCK = 2 ** 14
 
 
 def _smoothstep(t):
@@ -57,11 +63,22 @@ class IMSPartition:
     # forms[p] = (u, v): the separation of PAIRS[p] is u x + v y in frame (12)
     forms: tuple
 
-    def evaluate(self, q, with_gradient: bool = True):
-        """J values (n, 3) and gradients (n, 3, 6) at configurations q (n, 6)."""
+    def evaluate(self, q, with_gradient: bool = True, seps=None):
+        """J values (n, 3) and gradients (n, 3, 6) at configurations q (n, 6).
+
+        ``seps`` may pass the pair separations of q, as
+        ``self._separations(q, with_gradient)`` forms them, so a caller that
+        needs them too forms each only once.
+        """
         q = np.atleast_2d(np.asarray(q, dtype=float))
         n = q.shape[0]
         rho = np.linalg.norm(q, axis=1)
+        if seps is None:
+            seps = self._separations(q, with_gradient)
+        elif (len(seps) != len(self.forms)
+              or any(m.shape != (n,) for _, m in seps)
+              or (with_gradient and any(d is None for d, _ in seps))):
+            raise ValueError("seps must be self._separations(q, with_gradient)")
         j = np.empty((n, 3))
         grad = np.zeros((n, 3, 6)) if with_gradient else None
 
@@ -70,17 +87,22 @@ class IMSPartition:
 
         out = ~inner
         if np.any(out):
-            jo, go = self._evaluate_outer(q[out], rho[out], with_gradient)
+            outer = [(None if d is None else d[out], m[out]) for d, m in seps]
+            jo, go = self._evaluate_outer(q[out], rho[out], outer, with_gradient)
             j[out] = jo
             if with_gradient:
                 grad[out] = go
         return (j, grad) if with_gradient else (j, None)
 
-    def _raw_weights(self, q, rho, with_gradient):
+    def _separations(self, q, with_vectors):
+        """Per pair of PAIRS, (d, |d|) at configurations q (n, 6), where d is
+        the pair separation in frame (12); d is None unless with_vectors."""
+        return [_separation(form, q, with_vectors) for form in self.forms]
+
+    def _raw_weights(self, q, rho, seps, with_gradient):
         """Unblended region weights w (n, 3): per region, the product of the
         smoothsteps of its two normalized pair separations; and their gradients."""
         n = q.shape[0]
-        seps = [_separation(form, q) for form in self.forms]
         t = [m / rho for _, m in seps]
         a = [(tp - self.theta) / self.delta for tp in t]
         steps = [_smoothstep(ap) for ap in a]
@@ -107,11 +129,11 @@ class IMSPartition:
                 grad_w[:, s, :] += (sp * steps[other])[:, None] * grad_t
         return w, grad_w
 
-    def _evaluate_outer(self, q, rho, with_gradient):
+    def _evaluate_outer(self, q, rho, seps, with_gradient):
         blend_arg = (rho - 0.5) / 0.5
         B = _smoothstep(blend_arg)
         Bp = _smoothstep_prime(blend_arg) / 0.5
-        w, grad_w = self._raw_weights(q, rho, with_gradient)
+        w, grad_w = self._raw_weights(q, rho, seps, with_gradient)
 
         w_tilde = (1.0 - B)[:, None] + B[:, None] * w
         norm_sq = np.sum(w_tilde ** 2, axis=1)
@@ -144,7 +166,8 @@ def build_partition(system: ParticleSystem, delta: float = 0.05,
 
     # the normalized fields hide empty coverage; inspect the raw weights
     mesh = sphere_mesh(4096, seed=20210905)
-    w, _ = part._raw_weights(mesh, np.linalg.norm(mesh, axis=1), with_gradient=False)
+    w, _ = part._raw_weights(mesh, np.linalg.norm(mesh, axis=1),
+                             part._separations(mesh, False), with_gradient=False)
     if np.min(np.sum(w ** 2, axis=1)) <= 0.0:
         raise ValidationError(
             f"thresholds theta={theta}, delta={delta} do not cover the sphere"
@@ -152,20 +175,33 @@ def build_partition(system: ParticleSystem, delta: float = 0.05,
     return part
 
 
-def _separation(form, q):
+def _separation(form, q, with_vector):
     """(d, |d|) with d = u x + v y at configurations q (n, 6) for one form
-    (u, v): a pair separation in frame (12) and its length."""
+    (u, v): a pair separation in frame (12) and its length.  d is None unless
+    with_vector."""
     u, v = form
     d = u * q[:, :3] + v * q[:, 3:]
-    return d, np.linalg.norm(d, axis=1)
+    return (d if with_vector else None), np.linalg.norm(d, axis=1)
+
+
+def _sobol_blocks(d: int, n: int, seed: int):
+    """(start, u) for consecutive draws u of at most AUDIT_BLOCK points from one
+    scrambled Sobol' generator: together, bit for bit, the points of one draw
+    of n."""
+    from scipy.stats import qmc  # costly import, needed only by the IMS meshes
+    sob = qmc.Sobol(d=d, scramble=True, seed=seed)
+    for start in range(0, n, AUDIT_BLOCK):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="The balance properties")
+            u = sob.random(min(AUDIT_BLOCK, n - start))
+        yield start, u
 
 
 def _sobol(d: int, n: int, seed: int) -> np.ndarray:
-    from scipy.stats import qmc  # costly import, needed only by the IMS meshes
-    sob = qmc.Sobol(d=d, scramble=True, seed=seed)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="The balance properties")
-        return sob.random(n)
+    u = np.empty((n, d))
+    for start, block in _sobol_blocks(d, n, seed):
+        u[start:start + len(block)] = block
+    return u
 
 
 def _directions(u):
@@ -181,13 +217,15 @@ def sphere_mesh(n: int, seed: int) -> np.ndarray:
 
 
 def shell_mesh(n: int, seed: int, rho_min: float = 1.0, rho_max: float = 32.0) -> np.ndarray:
-    """Quasi-random configurations with log-uniform radii in (rho_min, rho_max]."""
-    u = _sobol(7, n, seed)
-    g = _directions(u[:, :6])
-    rho = rho_min * (rho_max / rho_min) ** u[:, 6]
-    # keep radii strictly above rho_min so mesh audits stay in |q| > 1
-    rho = np.maximum(rho, rho_min * (1.0 + 1e-9))
-    return g * rho[:, None]
+    """Quasi-random configurations with log-uniform radii in (rho_min, rho_max],
+    built block by block from one Sobol' sequence in 7 dimensions."""
+    mesh = np.empty((n, 6))
+    for start, u in _sobol_blocks(7, n, seed):
+        rho = rho_min * (rho_max / rho_min) ** u[:, 6]
+        # keep radii strictly above rho_min so mesh audits stay in |q| > 1
+        rho = np.maximum(rho, rho_min * (1.0 + 1e-9))
+        np.multiply(_directions(u[:, :6]), rho[:, None], out=mesh[start:start + len(u)])
+    return mesh
 
 
 @dataclass(frozen=True)
@@ -202,30 +240,55 @@ class MeshAudit:
 
 
 def mesh_audit(part: IMSPartition, mesh: np.ndarray) -> MeshAudit:
-    """Pointwise checks of the partition on a mesh with |q| > 1, from one
-    evaluation of J and one set of pair distances.
+    """Pointwise checks of the partition on a mesh with |q| > 1, block by block
+    of AUDIT_BLOCK points, each from one evaluation of J and one set of pair
+    distances.
 
     Measures max |sum J_s^2 - 1|; the regrouping of the full interaction
     into cluster pieces plus localization error by the region table; and,
     over the two pairs that hold particle s, the cone constant (the least
     normalized separation on the support J_s > 1e-14) and the excess of the
-    cross terms V J_s^2 over the envelope F(theta |q|) on J_s > 1e-12.
+    cross terms V J_s^2 over the envelope F(theta |q|) on J_s > 1e-12.  The
+    blocks combine by max and min, so no result depends on the block size.
     """
     mesh = np.atleast_2d(np.asarray(mesh, dtype=float))
-    rho = np.linalg.norm(mesh, axis=1)
+    pots = [part.system.potential(pair) for pair in PAIRS]
+    # one row per block; an empty mesh gives (0, 6), which np.max rejects
+    stats = np.array([_audit_block(part, pots, mesh[start:start + AUDIT_BLOCK])
+                      for start in range(0, mesh.shape[0], AUDIT_BLOCK)]).reshape(-1, 6)
+    partition_defect, regroup_defect, excess = (float(x) for x in np.max(stats[:, :3], axis=0))
+    cone_per_region = tuple(float(c) for c in np.min(stats[:, 3:], axis=0))
+    cone = min(cone_per_region)
+    return MeshAudit(
+        partition_defect=partition_defect,
+        cone_constant=cone,
+        cone_per_region=cone_per_region,
+        regroup_defect=regroup_defect,
+        envelope_excess=excess,
+        cone_passed=cone >= part.theta,
+        identity_passed=(partition_defect <= 1e-10 and regroup_defect <= 1e-10
+                         and excess <= 1e-12),
+    )
+
+
+def _audit_block(part: IMSPartition, pots, q):
+    """The checks of mesh_audit on one block q: its partition and regrouping
+    defects, envelope excess and the cone constant of each region.  Its
+    temporaries are freed on return, before the next block is checked."""
+    rho = np.linalg.norm(q, axis=1)
     if np.any(rho <= 1.0):
         raise ValueError("audit mesh must satisfy |q| > 1")
-    j, _ = part.evaluate(mesh, with_gradient=False)
+    seps = part._separations(q, False)
+    j, _ = part.evaluate(q, with_gradient=False, seps=seps)
     j_sq = j ** 2
-    partition_defect = float(np.max(np.abs(np.sum(j_sq, axis=1) - 1.0)))
+    partition_defect = np.max(np.abs(np.sum(j_sq, axis=1) - 1.0))
 
     system = part.system
-    pots = [system.potential(pair) for pair in PAIRS]
-    dist = [_separation(form, mesh)[1] for form in part.forms]
+    dist = [m for _, m in seps]
     pair_vals = [pot.profile(m) for pot, m in zip(pots, dist)]
     envelopes = [pot.envelope(part.theta * rho) for pot in pots]
     v_total = system.coupling * sum(pair_vals)
-    regrouped = np.zeros(mesh.shape[0])
+    regrouped = np.zeros(q.shape[0])
     minima = []
     excess = 0.0
     for s in range(3):
@@ -237,23 +300,13 @@ def mesh_audit(part: IMSPartition, mesh: np.ndarray) -> MeshAudit:
         regrouped += j_sq[:, s] * (system.coupling * v_region)
 
         nearest = np.minimum(dist[held[0]], dist[held[1]]) / rho
-        minima.append(float(np.min(nearest, where=j[:, s] > 1e-14, initial=math.inf)))
+        minima.append(np.min(nearest, where=j[:, s] > 1e-14, initial=math.inf))
         on = j[:, s] > 1e-12
         for p in held:
             cross = pair_vals[p] * j_sq[:, s] - envelopes[p]
             excess = max(excess, float(np.max(cross, where=on, initial=-math.inf)))
-    regroup_defect = float(np.max(np.abs(regrouped - v_total)))
-    cone = min(minima)
-    return MeshAudit(
-        partition_defect=partition_defect,
-        cone_constant=cone,
-        cone_per_region=tuple(minima),
-        regroup_defect=regroup_defect,
-        envelope_excess=excess,
-        cone_passed=cone >= part.theta,
-        identity_passed=(partition_defect <= 1e-10 and regroup_defect <= 1e-10
-                         and excess <= 1e-12),
-    )
+    regroup_defect = np.max(np.abs(regrouped - v_total))
+    return (partition_defect, regroup_defect, excess, *minima)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +129,12 @@ class _NoEnvelope(PairPotential):
         return np.zeros_like(np.asarray(r, dtype=float))
 
 
+def _zero_envelope_partition():
+    gauss = PairPotential("gaussian", 1.0)
+    pots = {(1, 2): gauss, (1, 3): _NoEnvelope("gaussian", 1.0), (2, 3): gauss}
+    return ims.build_partition(ParticleSystem((1.0, 1.0, 1.0), pots, 2.0))
+
+
 class TestIdentity:
     def test_pointwise_identities(self, audit):
         assert audit.identity_passed
@@ -144,6 +153,10 @@ class TestIdentity:
         monkeypatch.setattr(ims.IMSPartition, "evaluate", counted)
         ims.mesh_audit(partition, ims.shell_mesh(512, seed=3))
         assert len(calls) == 1
+        calls.clear()
+        n = 5 * ims.AUDIT_BLOCK // 2
+        ims.mesh_audit(partition, ims.shell_mesh(n, seed=3))
+        assert len(calls) == math.ceil(n / ims.AUDIT_BLOCK) == 3
 
     def test_mislabelled_region_fails(self, partition, mesh, monkeypatch):
         # region 1 (particle 1 far) must list the pairs (1, 2) and (1, 3);
@@ -163,26 +176,112 @@ class TestIdentity:
         rows = []
         separation = ims._separation
 
-        def counted(form, q):
-            rows.append(q.shape[0])
-            return separation(form, q)
+        def counted(form, q, with_vector):
+            rows.append((q.shape[0], with_vector))
+            return separation(form, q, with_vector)
 
         monkeypatch.setattr(ims, "_separation", counted)
         sub = mesh[:5000]
-        partition._raw_weights(sub, np.linalg.norm(sub, axis=1), with_gradient=True)
-        assert rows == [5000] * 3
+        partition.evaluate(sub)
+        assert rows == [(5000, True)] * 3
         rows.clear()
+        # the audit's three distances feed its evaluation; no vector d is kept
         ims.mesh_audit(partition, sub)
-        assert sum(rows) <= 6 * 5000
+        assert rows == [(5000, False)] * 3
+
+    def test_passed_separations_checked(self, partition, mesh):
+        sub = mesh[:500]
+        j, _ = partition.evaluate(sub, with_gradient=False)
+        shared, _ = partition.evaluate(sub, with_gradient=False,
+                                       seps=partition._separations(sub, False))
+        assert shared.tobytes() == j.tobytes()
+        # the gradient needs the vectors d, which with_vectors=False drops
+        with pytest.raises(ValueError):
+            partition.evaluate(sub, seps=partition._separations(sub, False))
+        with pytest.raises(ValueError):
+            partition.evaluate(sub, with_gradient=False,
+                               seps=partition._separations(mesh[:400], False))
 
     def test_envelope_below_potential_fails(self, mesh):
-        gauss = PairPotential("gaussian", 1.0)
-        pots = {(1, 2): gauss, (1, 3): _NoEnvelope("gaussian", 1.0), (2, 3): gauss}
-        part = ims.build_partition(ParticleSystem((1.0, 1.0, 1.0), pots, 2.0))
-        rep = ims.mesh_audit(part, mesh[:20000])
+        rep = ims.mesh_audit(_zero_envelope_partition(), mesh[:20000])
         assert rep.partition_defect <= 1e-10 and rep.regroup_defect <= 1e-10
         assert not rep.identity_passed
         assert rep.envelope_excess > 1e-3
+
+
+class TestBlocks:
+    """The audit and its mesh run in blocks of AUDIT_BLOCK points; no result
+    depends on the block size, and memory does not grow with the mesh."""
+
+    N = 4500  # four blocks of 1000 and a partial fifth
+
+    @pytest.fixture()
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(ims, "AUDIT_BLOCK", 1000)
+
+    def test_audit_independent_of_block_size(self, partition, monkeypatch):
+        mesh = ims.shell_mesh(self.N, seed=17)
+        full = ims.mesh_audit(partition, mesh)  # one block at the default size
+        monkeypatch.setattr(ims, "AUDIT_BLOCK", 1000)
+        assert ims.shell_mesh(self.N, seed=17).tobytes() == mesh.tobytes()
+        small = ims.mesh_audit(partition, mesh)
+        for field in dataclasses.fields(ims.MeshAudit):
+            assert getattr(small, field.name) == getattr(full, field.name), field.name
+
+    def test_broken_partitions_fail_in_small_blocks(self, partition, small_blocks,
+                                                    monkeypatch):
+        mesh = ims.shell_mesh(self.N, seed=17)
+        rep = ims.mesh_audit(_zero_envelope_partition(), mesh)
+        assert not rep.identity_passed and rep.envelope_excess > 1e-3
+        monkeypatch.setattr(ims, "REGIONS", ((0, 2), (0, 1), (1, 2)))
+        rep = ims.mesh_audit(partition, mesh)
+        assert not rep.identity_passed and rep.regroup_defect > 1e-3
+        assert not rep.cone_passed and rep.cone_per_region[0] < partition.theta
+
+    def test_interior_point_in_last_block_rejected(self, partition, small_blocks):
+        mesh = ims.shell_mesh(self.N, seed=17)
+        mesh[4321] *= 0.9 / np.linalg.norm(mesh[4321])
+        with pytest.raises(ValueError):
+            ims.mesh_audit(partition, mesh)
+
+    def test_block_draws_keep_sobol_points(self):
+        from scipy.stats import qmc
+
+        n, seed = 5 * ims.AUDIT_BLOCK // 2, 29
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="The balance properties")
+            u = qmc.Sobol(7, scramble=True, seed=seed).random(n)
+        assert ims._sobol(7, n, seed).tobytes() == u.tobytes()
+        # shell_mesh as one draw: directions from the first six coordinates,
+        # log-uniform radii in (1, 32] from the seventh
+        rho = np.maximum(32.0 ** u[:, 6], 1.0 + 1e-9)
+        single = ims._directions(u[:, :6]) * rho[:, None]
+        assert ims.shell_mesh(n, seed).tobytes() == single.tobytes()
+
+    def test_audit_memory_flat_in_mesh_size(self, partition):
+        ims.mesh_audit(partition, ims.shell_mesh(64, seed=1))  # settle lazy setup
+        peaks = []
+        for blocks in (1, 8):
+            mesh = ims.shell_mesh(blocks * ims.AUDIT_BLOCK, seed=5)
+            tracemalloc.start()
+            try:
+                ims.mesh_audit(partition, mesh)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+
+    def test_shell_mesh_memory_bounded_by_blocks(self):
+        ims.shell_mesh(64, seed=1)  # settle the scipy.stats import
+        n = 8 * ims.AUDIT_BLOCK
+        tracemalloc.start()
+        try:
+            mesh = ims.shell_mesh(n, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_bytes = ims.AUDIT_BLOCK * 6 * mesh.itemsize
+        assert peak - mesh.nbytes <= 5 * block_bytes
 
 
 class TestAsymmetricMasses:
