@@ -382,9 +382,9 @@ def run_ims_audit(cfg: ExperimentConfig) -> int:
     system = cfg.system if cfg.lambda_factor is None else _resolve_coupling(cfg)[0]
     samples = cfg.options["samples"]
     part = ims.build_partition(system)
-    audit = ims.mesh_audit(part, ims.shell_mesh(samples, seed=cfg.seed + 101))
+    audit = ims.mesh_audit(part, ims.audit_mesh(samples))
     radii = [2.0, 4.0, 8.0, 16.0]
-    decay = ims.gradient_decay_audit(part, radii, seed=cfg.seed + 7)
+    decay = ims.gradient_decay_audit(part, radii)
     payload = {
         "experiment": "ims_audit",
         "theta": part.theta,

@@ -10,30 +10,33 @@ zero outside the unit ball and blended to equal constants inside radius
 the localization error needs at infinity, and the product form pins the
 support cone |r_i - r_s| >= theta |q| exactly.
 
-Every J_s is a function of the three pair separations alone.  Each is
-formed once per point, in ``PAIRS`` order, and the table ``REGIONS`` of
-pair indices combines them into the region weights.  ``shell_mesh`` draws
-and ``mesh_audit`` checks configurations in blocks of ``AUDIT_BLOCK``
-points, so their working memory does not grow with the mesh.
+Every J_s is a function of the three pair separations u x + v y over |q|,
+each formed once per point in ``PAIRS`` order and combined by the table
+``REGIONS``.  A rotation of x and y keeps J and Sum |grad J_s|^2, and on
+|q| >= 1 so does a change of |q|: every audit runs on ``shape_mesh``, a
+grid of the two hyperspherical shape angles (chi, phi).  ``mesh_audit``
+checks blocks of ``AUDIT_BLOCK`` points, so its memory does not grow with
+the mesh.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ValidationError
 from .model import PAIRS, ParticleSystem, separation_forms
 
 _INTERIOR = 1.0 / math.sqrt(3.0)
 
-# points per block of shell_mesh and mesh_audit: their temporaries scale with
-# the block, not with the mesh, and every result is the same for any block size
+# points per block of mesh_audit: its temporaries scale with the block, not
+# with the mesh, and every result is the same for any block size
 AUDIT_BLOCK = 2 ** 14
+
+# side of the (chi, phi) grid of the cover check and the gradient audit
+SHAPE_GRID = 65
 
 
 def _smoothstep(t):
@@ -165,12 +168,17 @@ def build_partition(system: ParticleSystem, delta: float = 0.05,
                         forms=tuple(forms[pair] for pair in PAIRS))
 
     # the normalized fields hide empty coverage; inspect the raw weights
-    mesh = sphere_mesh(4096, seed=20210905)
+    mesh = shape_mesh(SHAPE_GRID)
     w, _ = part._raw_weights(mesh, np.linalg.norm(mesh, axis=1),
                              part._separations(mesh, False), with_gradient=False)
-    if np.min(np.sum(w ** 2, axis=1)) <= 0.0:
+    uncovered = np.flatnonzero(np.sum(w ** 2, axis=1) <= 0.0)
+    if uncovered.size:
+        x1, y1, y2 = mesh[uncovered[0], [0, 3, 4]]
         raise ValidationError(
-            f"thresholds theta={theta}, delta={delta} do not cover the sphere"
+            f"thresholds theta={theta}, delta={delta} do not cover the sphere: "
+            f"{uncovered.size} of {len(mesh)} grid shapes uncovered, "
+            f"one at chi={math.atan2(math.hypot(y1, y2), x1):.6f}, "
+            f"phi={math.atan2(y2, y1):.6f}"
         )
     return part
 
@@ -184,47 +192,26 @@ def _separation(form, q, with_vector):
     return (d if with_vector else None), np.linalg.norm(d, axis=1)
 
 
-def _sobol_blocks(d: int, n: int, seed: int):
-    """(start, u) for consecutive draws u of at most AUDIT_BLOCK points from one
-    scrambled Sobol' generator: together, bit for bit, the points of one draw
-    of n."""
-    from scipy.stats import qmc  # costly import, needed only by the IMS meshes
-    sob = qmc.Sobol(d=d, scramble=True, seed=seed)
-    for start in range(0, n, AUDIT_BLOCK):
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="The balance properties")
-            u = sob.random(min(AUDIT_BLOCK, n - start))
-        yield start, u
+
+def shape_mesh(n: int) -> np.ndarray:
+    """n * n configurations on the unit sphere, chi slowest: x = cos chi e1 and
+    y = sin chi (cos phi e1 + sin phi e2), chi in [0, pi/2] and phi in [0, pi]."""
+    chi, phi = np.linspace(0.0, 0.5 * math.pi, n), np.linspace(0.0, math.pi, n)
+    mesh = np.zeros((n, n, 6))
+    mesh[:, :, 0] = np.cos(chi)[:, None]
+    sin_chi = np.sin(chi)[:, None]
+    np.multiply(sin_chi, np.cos(phi), out=mesh[:, :, 3])
+    np.multiply(sin_chi, np.sin(phi), out=mesh[:, :, 4])
+    return mesh.reshape(n * n, 6)
 
 
-def _sobol(d: int, n: int, seed: int) -> np.ndarray:
-    u = np.empty((n, d))
-    for start, block in _sobol_blocks(d, n, seed):
-        u[start:start + len(block)] = block
-    return u
-
-
-def _directions(u):
-    """Unit vectors in 6D from uniform samples u (n, 6), through normal deviates."""
-    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    g /= np.linalg.norm(g, axis=1)[:, None]
-    return g
-
-
-def sphere_mesh(n: int, seed: int) -> np.ndarray:
-    """Deterministic quasi-random points on the 6D unit sphere."""
-    return _directions(_sobol(6, n, seed))
-
-
-def shell_mesh(n: int, seed: int, rho_min: float = 1.0, rho_max: float = 32.0) -> np.ndarray:
-    """Quasi-random configurations with log-uniform radii in (rho_min, rho_max],
-    built block by block from one Sobol' sequence in 7 dimensions."""
-    mesh = np.empty((n, 6))
-    for start, u in _sobol_blocks(7, n, seed):
-        rho = rho_min * (rho_max / rho_min) ** u[:, 6]
-        # keep radii strictly above rho_min so mesh audits stay in |q| > 1
-        rho = np.maximum(rho, rho_min * (1.0 + 1e-9))
-        np.multiply(_directions(u[:, :6]), rho[:, None], out=mesh[start:start + len(u)])
+def audit_mesh(samples: int, rho_min: float = 1.0, rho_max: float = 32.0) -> np.ndarray:
+    """shape_mesh(ceil(sqrt(samples))), point i at its own radius in
+    (rho_min, rho_max), log-uniform through the golden-ratio sequence
+    u_i = frac(i (sqrt 5 - 1)/2), i = 1, 2, ..."""
+    mesh = shape_mesh(math.isqrt(samples - 1) + 1)
+    u = np.arange(1, len(mesh) + 1) * (0.5 * (math.sqrt(5.0) - 1.0)) % 1.0
+    mesh *= (rho_min * (rho_max / rho_min) ** u)[:, None]
     return mesh
 
 
@@ -317,12 +304,12 @@ class GradientDecayReport:
     fd_max_rel_diff: float
 
 
-def gradient_decay_audit(part: IMSPartition, radii, seed: int = 7) -> GradientDecayReport:
-    """Radius scaling of sum |grad J_s|^2 plus a finite-difference cross-check."""
+def gradient_decay_audit(part: IMSPartition, radii) -> GradientDecayReport:
+    """Radius scaling of max sum |grad J_s|^2 on the shape grid, and an FD check."""
     radii = [float(r) for r in radii]
     if any(r <= 1.0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be increasing and > 1")
-    dirs = sphere_mesh(2048, seed=seed)
+    dirs = shape_mesh(SHAPE_GRID)
     maxima = []
     for r in radii:
         _, grad = part.evaluate(r * dirs)
@@ -333,7 +320,7 @@ def gradient_decay_audit(part: IMSPartition, radii, seed: int = 7) -> GradientDe
         expected = (r1 / r2) ** 2
         if not expected / 2.0 <= m2 / m1 <= expected * 2.0:
             ok = False
-    fd = gradient_fd_check(part, n_points=100, seed=seed + 1)
+    fd = gradient_fd_check(part, n_points=100)
     return GradientDecayReport(
         radii=tuple(radii),
         max_grad_sq=tuple(maxima),
@@ -342,13 +329,21 @@ def gradient_decay_audit(part: IMSPartition, radii, seed: int = 7) -> GradientDe
     )
 
 
-# central-difference step of gradient_fd_check
-FD_STEP = 1e-5
+# central-difference step of gradient_fd_check: the truncation error grows as
+# its square times the smoothstep's third derivative 60/delta^3, and at 1e-5
+# it alone reads above the 1e-6 gate
+FD_STEP = 1e-6
+
+# the proper rotation of the unit quaternion (1, 2, 3, 4)/sqrt(30); no entry
+# is zero, so it turns the grid's plane (e1, e2) off every coordinate axis
+_ROTATION = np.array([[-20.0, 4.0, 22.0], [20.0, -10.0, 20.0], [10.0, 28.0, 4.0]]) / 30.0
 
 
-def gradient_fd_check(part: IMSPartition, n_points: int = 100, seed: int = 8) -> float:
-    """Max relative deviation of central differences from the exact gradient."""
-    pts = shell_mesh(n_points, seed=seed, rho_min=0.6, rho_max=12.0)
+def gradient_fd_check(part: IMSPartition, n_points: int = 100) -> float:
+    """Max relative deviation of central differences from the exact gradient
+    across the blend, with all six components nonzero by _ROTATION."""
+    pts = audit_mesh(n_points, rho_min=0.6, rho_max=12.0)
+    pts = (pts.reshape(-1, 2, 3) @ _ROTATION.T).reshape(-1, 6)
     _, grad = part.evaluate(pts)
     worst = 0.0
     for k in range(6):

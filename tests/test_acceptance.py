@@ -160,7 +160,7 @@ def test_criterion_5_contraction_certificate(absorb_run):
 def test_criterion_6_ims_audits():
     system = uniform_system("gaussian", 1.0, 2.0)
     part = ims.build_partition(system)
-    mesh = ims.shell_mesh(100000, seed=11)
+    mesh = ims.audit_mesh(100000)
     audit = ims.mesh_audit(part, mesh)
     decay = ims.gradient_decay_audit(part, [2.0, 4.0, 8.0, 16.0])
     ratio_2_16 = decay.max_grad_sq[0] / decay.max_grad_sq[-1]

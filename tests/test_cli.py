@@ -414,9 +414,8 @@ class TestMain:
         assert payload == reference
 
     def test_shipped_ims_audit_matches_reference(self, tmp_path):
-        # the references were written by the region-by-region construction,
-        # which formed each pair separation twice per point; forming each once
-        # must not move a byte
+        # the references were written by the audit on the (chi, phi) shape
+        # grid, which draws nothing at random: a rerun must not move a byte
         out = tmp_path / "out"
         assert main(["--config", str(CONFIGS / "ims_audit_gaussian.cfg"), "--out", str(out),
                      "--quiet"]) == EXIT_OK

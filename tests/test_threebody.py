@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import erfc, jn_zeros
 from scipy.stats import norm as norm_dist
+from scipy.stats import qmc
 
 from threshold_lab.errors import BasisError, BracketError, FitError
-from threshold_lab.ims import _sobol
 from threshold_lab.model import (
     PairPotential,
     ParticleSystem,
@@ -19,6 +20,13 @@ from threshold_lab import twobody as tb
 
 GAUSS = PairPotential("gaussian", 1.0)
 FRAME = jacobi_frame(uniform_system("gaussian", 1.0, 1.0), (1, 2))
+
+
+def _sobol(d, n, seed):
+    """n scrambled Sobol' points in [0, 1)^d, one draw of a seeded generator."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="The balance properties")
+        return qmc.Sobol(d, scramble=True, seed=seed).random(n)
 
 
 @pytest.fixture(scope="module")
