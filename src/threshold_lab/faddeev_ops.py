@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import ConvergenceError
 from .model import (
@@ -160,6 +159,8 @@ def _top_ritz_pair(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
     Bisection (dstebz) finds that one eigenvalue and inverse iteration
     (dstein) its vector; T is never fully decomposed.
     """
+    from scipy.linalg import lapack  # costly import, fiber audit only
+
     k = len(diag)
     if k == 1:
         return float(diag[0]), 1.0

@@ -171,12 +171,16 @@ def build_partition(system: ParticleSystem, delta: float = 0.05,
     mesh = shape_mesh(SHAPE_GRID)
     w, _ = part._raw_weights(mesh, np.linalg.norm(mesh, axis=1),
                              part._separations(mesh, False), with_gradient=False)
-    uncovered = np.flatnonzero(np.sum(w ** 2, axis=1) <= 0.0)
-    if uncovered.size:
-        x1, y1, y2 = mesh[uncovered[0], [0, 3, 4]]
+    uncovered = np.sum(w ** 2, axis=1) <= 0.0
+    if np.any(uncovered):
+        x1, y1, y2 = mesh[np.argmax(uncovered), [0, 3, 4]]
+        # the rows chi = 0 and chi = pi/2 each hold one shape SHAPE_GRID times
+        distinct = np.ones((SHAPE_GRID, SHAPE_GRID), dtype=bool)
+        distinct[[0, -1], 1:] = False
         raise ValidationError(
             f"thresholds theta={theta}, delta={delta} do not cover the sphere: "
-            f"{uncovered.size} of {len(mesh)} grid shapes uncovered, "
+            f"{np.sum(uncovered & distinct.ravel())} of {np.sum(distinct)} distinct "
+            "grid shapes uncovered, "
             f"one at chi={math.atan2(math.hypot(y1, y2), x1):.6f}, "
             f"phi={math.atan2(y2, y1):.6f}"
         )

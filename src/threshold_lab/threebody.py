@@ -30,8 +30,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.optimize import nnls
 from scipy.special import erfc
 
 from .errors import BasisError, BracketError, FitError
@@ -91,11 +89,52 @@ FIT_WIDTHS = 16
 FIT_REL_TOL = 1e-3
 
 
+def _nnls(A: np.ndarray, b: np.ndarray):
+    """(x, ||A x - b||) minimizing ||A x - b|| over x >= 0.
+
+    The Lawson-Hanson active-set method (Lawson and Hanson, Solving Least
+    Squares Problems, 1974, ch. 23): move into the passive set the column
+    with the largest dual w = A^t (b - A x), solve the least-squares problem
+    on the passive columns, and step back to the feasible boundary while a
+    passive coefficient would turn nonpositive.  Every step works on the
+    triangular factor R of A = Q R and on Q^t b, which leave the residual
+    unchanged up to the constant |b - Q Q^t b|.  Stops once no dual exceeds
+    10 max(m, n) eps ||A||_F ||b||, the rounding level of w; RuntimeError
+    after 3 n passes.
+    """
+    m, n = A.shape
+    Q, R = np.linalg.qr(A)
+    c = Q.T @ b
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    tol = 10.0 * max(m, n) * np.finfo(float).eps * np.linalg.norm(R) * np.linalg.norm(b)
+    for _ in range(3 * n):
+        w = np.where(passive, -np.inf, R.T @ (c - R @ x))
+        j = int(np.argmax(w))
+        if w[j] <= tol:
+            return x, float(np.linalg.norm(A @ x - b))
+        passive[j] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(R[:, passive], c, rcond=None)[0]
+            if np.all(z[passive] > 0.0):
+                break
+            # the largest step toward z that keeps every coefficient >= 0
+            neg = passive & (z <= 0.0)
+            k = np.flatnonzero(neg)[np.argmin(x[neg] / (x[neg] - z[neg]))]
+            x += x[k] / (x[k] - z[k]) * (z - x)
+            passive &= x > 0.0
+            passive[k] = False
+            x[~passive] = 0.0
+        x = z
+    raise RuntimeError(f"nnls did not converge in {3 * n} passes")
+
+
 @lru_cache(maxsize=32)
 def fit_gaussian_terms(V: PairPotential):
     """Fit V by a nonnegative sum of Gaussians on a fixed ladder of widths.
 
-    Gaussian-kind potentials pass through exactly.  Otherwise one nnls solve
+    Gaussian-kind potentials pass through exactly.  Otherwise one ``_nnls`` solve
     on a 1200-point radial grid fits V(r) r over FIT_WIDTHS widths from
     range/12 to 12 range; widths with zero amplitude are dropped.  The
     residual is relative L2(r^2 dr) and must stay below FIT_REL_TOL, else
@@ -111,7 +150,7 @@ def fit_gaussian_terms(V: PairPotential):
     if b_norm == 0.0:
         return ()
     widths = np.geomspace(V.range_ / 12.0, 12.0 * V.range_, FIT_WIDTHS)
-    coef, rn = nnls(np.exp(-((r[:, None] / widths) ** 2)) * r[:, None], b)
+    coef, rn = _nnls(np.exp(-((r[:, None] / widths) ** 2)) * r[:, None], b)
     resid = rn / b_norm
     if resid > FIT_REL_TOL:
         raise FitError(
@@ -530,14 +569,6 @@ def assembler_for(basis: _Assembler, system: ParticleSystem) -> _Assembler:
 # overlap eigen-directions below DROP_TOL * s_max are dropped from every solve
 DROP_TOL = 1e-12
 
-# ``_span`` and ``solve_ground`` use numpy.linalg alone; only ``_crossing``,
-# once per lambda_cr stage, calls scipy.linalg.eigh for its generalized
-# eigenproblem.  scipy.linalg links its own copy of BLAS, and when the two
-# alternate with more than one BLAS thread, each library's idle threads stall
-# the other's: a 150-form solve took 24 ms mixed and 7.5 ms with numpy alone
-# on two cores.
-
-
 class _Span(NamedTuple):
     """Regularized N-orthonormal span of a basis (see ``_span``)."""
 
@@ -738,8 +769,11 @@ def _crossing(asm: _Assembler, tol_e: float) -> float:
     regularized span.  inf when V has no positive direction there.
     """
     P = _span(asm.N).P
-    mu = eigh(P.T @ asm.V @ P, P.T @ asm.T @ P + tol_e * np.eye(P.shape[1]),
-              eigvals_only=True)[-1]
+    # the symmetric pencil reduced by the Cholesky factor L L^t of its
+    # positive-definite side: mu_max of L^-1 (P^t V P) L^-t
+    L = np.linalg.cholesky(P.T @ asm.T @ P + tol_e * np.eye(P.shape[1]))
+    reduced = np.linalg.solve(L, np.linalg.solve(L, P.T @ asm.V @ P).T)
+    mu = np.linalg.eigvalsh(reduced)[-1]
     return float(1.0 / mu) if mu > 0.0 else math.inf
 
 

@@ -16,10 +16,10 @@ kernel.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BracketError, DegenerateInputError
 from .model import JacobiFrame, PairPotential, ParticleSystem, jacobi_frame
@@ -230,17 +230,17 @@ def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> 
     below lambda*, which has no bound state.
 
     z* is Brent's root of lambda mu(z) - 1 on [0, z_hi], with z_hi the
-    first doubling from 1 where lambda mu(z_hi) < 1, at brentq's default
-    tolerances (2e-12 absolute plus 8.9e-16 relative in z).  E2 then stays
-    within 1e-6 relative of the shooting oracle down to lambda*(1 + 1e-4),
-    the closest point of the control sweeps.
+    first doubling from 1 where lambda mu(z_hi) < 1, at ``_brentq``'s
+    default stop (2e-12 absolute plus 4 eps = 8.9e-16 relative in z).  E2
+    then stays within 1e-6 relative of the shooting oracle down to
+    lambda*(1 + 1e-4), the closest point of the control sweeps.
     """
     if lam <= 0.0:
         raise ValueError("coupling must be positive")
     known = {}
 
     def mu(z):
-        # brentq starts from both bracket ends, which the doubling has solved
+        # _brentq starts from both bracket ends, which the doubling has solved
         if z not in known:
             known[z] = bs_max_eigenvalue(V, frame, z)
         return known[z]
@@ -254,7 +254,7 @@ def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> 
         z_hi *= 2.0
     else:
         raise BracketError("could not bracket the binding momentum")
-    z_star = brentq(lambda z: lam * mu(z) - 1.0, 0.0, z_hi)
+    z_star = _brentq(lambda z: lam * mu(z) - 1.0, 0.0, z_hi)
     return -z_star ** 2
 
 
@@ -285,6 +285,82 @@ def _bound_state_size(V: PairPotential, frame: JacobiFrame, lam: float, radii):
     tails = tuple((float(R), float(beyond[MASS_PANELS * (k + 1)]) / norm)
                   for k, R in enumerate(radii))
     return e2, float(np.sum(w * r ** 2 * uu)) / norm, tails
+
+
+# ---------------------------------------------------------------------------
+# Brent's method
+# ---------------------------------------------------------------------------
+
+def _signbit(v: float) -> bool:
+    return math.copysign(1.0, v) < 0.0
+
+
+def _brentq(f, a: float, b: float, xtol: float = 2e-12,
+            rtol: float = 4.0 * sys.float_info.epsilon, maxiter: int = 100) -> float:
+    """Root of f in [a, b] by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4).
+
+    A line-for-line port of scipy's brentq.c, so it returns the bits
+    ``scipy.optimize.brentq`` returns: the same bracket swap, inverse
+    interpolation and extrapolation steps, and the stop once half the
+    bracket is below delta = (xtol + rtol |x|) / 2.  ValueError if f(a)
+    and f(b) have the same sign or f returns NaN; RuntimeError after
+    ``maxiter`` steps.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.nan   # C's inf or NaN quotient, which the test below rejects
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect
+                spre = scur = sbis
+        else:
+            # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +538,7 @@ def oracle_critical_coupling(V: PairPotential, frame: JacobiFrame) -> float:
         hi *= 2.0
         if hi > 64.0:
             raise BracketError("no threshold found below coupling 64")
-    return brentq(slope, hi / 2.0, hi, xtol=1e-12, rtol=8.9e-16)
+    return _brentq(slope, hi / 2.0, hi, xtol=1e-12, rtol=8.9e-16)
 
 
 def oracle_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> float:
@@ -477,7 +553,7 @@ def oracle_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> f
     runs = {}
 
     def shoot(E):
-        # the bisection and brentq both evaluate the bracket ends
+        # the bisection and _brentq both evaluate the bracket ends
         if E not in runs:
             runs[E] = shooting_oracle(V, frame, lam, E)
         return runs[E]
@@ -498,7 +574,7 @@ def oracle_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> f
             lo = mid
     # E2 shrinks toward 0 at threshold, so the stop is relative: a negligible
     # xtol leaves rtol in charge
-    return brentq(lambda E: shoot(E).defect, lo, hi, xtol=1e-300, rtol=8.9e-16)
+    return _brentq(lambda E: shoot(E).defect, lo, hi, xtol=1e-300, rtol=8.9e-16)
 
 
 def oracle_mean_square_radius(V: PairPotential, frame: JacobiFrame, lam: float) -> float:

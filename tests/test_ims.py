@@ -85,14 +85,24 @@ class TestConstruction:
         # where no particle is far from the other two
         heavy = uniform_system("gaussian", 1.0, 2.0, masses=(20.0, 20.0, 1.0))
         with pytest.raises(ValidationError,
-                           match="240 of 4225 grid shapes uncovered") as caught:
+                           match="176 of 4097 distinct grid shapes uncovered") as caught:
             ims.build_partition(heavy)
+        # brute force: a shape is the Gram matrix (|x|^2, x.y, |y|^2) of its
+        # unit-sphere point; 4097 = 65^2 - 2 * 64 of them are distinct on the grid
+        grid = ims.shape_mesh(ims.SHAPE_GRID)
+        part = dataclasses.replace(ims.build_partition(heavy, theta=0.05), theta=0.15)
+        w, _ = part._raw_weights(grid, np.ones(len(grid)), part._separations(grid, False),
+                                 False)
+        gram = np.round(np.stack([np.sum(grid[:, :3] ** 2, axis=1),
+                                  np.sum(grid[:, :3] * grid[:, 3:], axis=1),
+                                  np.sum(grid[:, 3:] ** 2, axis=1)], axis=1), 12)
+        assert len(np.unique(gram, axis=0)) == 4097
+        assert len(np.unique(gram[~np.any(w, axis=1)], axis=0)) == 176
         # every raw weight vanishes at the named shape
         found = re.search(r"one at chi=(\S+), phi=(\S+)$", str(caught.value))
         chi, phi = float(found[1]), float(found[2])
         q = np.array([[math.cos(chi), 0.0, 0.0, math.sin(chi) * math.cos(phi),
                        math.sin(chi) * math.sin(phi), 0.0]])
-        part = dataclasses.replace(ims.build_partition(heavy, theta=0.05), theta=0.15)
         w, _ = part._raw_weights(q, np.ones(1), part._separations(q, False), False)
         assert not np.any(w)
 

@@ -20,15 +20,33 @@ def test_benchmark_selftest_passes():
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
 
 
-def test_cli_import_leaves_out_costly_scipy_modules():
-    # scipy.interpolate (tabulated profiles) is imported where it is used, not
-    # with the package; nothing in the package uses scipy.stats
-    code = ("import sys, threshold_lab.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.interpolate') if m in sys.modules))")
+def test_cli_import_leaves_out_costly_scipy_modules(tmp_path):
+    # the package runs on numpy and scipy.special: root finding and nnls are
+    # in-package, scipy.interpolate (tabulated profiles) and scipy.linalg
+    # (the fiber audit's LAPACK calls) are imported where they are used, and
+    # nothing uses scipy.stats.  The absorb and exponential three_sweep runs
+    # catch a module-level import sneaking back into the hot path
+    configs = []
+    for kind, experiment in (("gaussian", "absorb"), ("exponential", "three_sweep")):
+        cfg = tmp_path / f"{experiment}.cfg"
+        cfg.write_text(f"experiment = {experiment}\nmasses = 1 1 1\nkind = {kind}\n"
+                       "range = 1.0\nbudget = 20\nsweep_points = 4\nseed = 7\n")
+        configs.append(str(cfg))
+    code = f"""
+import sys, threshold_lab.cli as cli
+def loaded(names):
+    return sorted(m for m in names if m in sys.modules)
+print(loaded(('scipy.optimize', 'scipy.linalg', 'scipy.sparse', 'scipy.stats',
+              'scipy.interpolate')))
+codes = [cli.main(['--config', cfg, '--out', cfg[:-4], '--quiet']) for cfg in {configs!r}]
+print(codes, loaded(('scipy.optimize', 'scipy.linalg')))
+"""
     run = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
-                         text=True, timeout=120)
+                         text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]
-    assert run.stdout.strip() == "[]"
+    assert run.stdout.splitlines() == ["[]", "[0, 0] []"]
+    assert (tmp_path / "absorb" / "absorb.json").exists()
+    assert (tmp_path / "three_sweep" / "three_sweep.json").exists()
 
 
 def test_ims_audit_runs_without_scipy_stats(tmp_path):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 from scipy.special import erfc, jn_zeros
 from scipy.stats import norm as norm_dist
 from scipy.stats import qmc
@@ -775,19 +776,48 @@ class TestFit:
         )
         assert rel <= 1e-3
 
-    def test_one_nnls_solve(self, monkeypatch):
+    @staticmethod
+    def fit_problems(monkeypatch, V):
+        """The (A, b) of every _nnls solve fit_gaussian_terms(V) makes."""
         calls = []
-        nnls = t3.nnls
+        nnls = t3._nnls
 
         def counted(*args, **kwargs):
             calls.append(args)
             return nnls(*args, **kwargs)
 
-        monkeypatch.setattr(t3, "nnls", counted)
+        monkeypatch.setattr(t3, "_nnls", counted)
         t3.fit_gaussian_terms.cache_clear()
-        t3.fit_gaussian_terms(PairPotential("exponential", 1.0))
-        assert len(calls) == 1
+        t3.fit_gaussian_terms(V)
+        t3.fit_gaussian_terms.cache_clear()
+        return calls
+
+    def test_one_nnls_solve(self, monkeypatch):
+        assert len(self.fit_problems(monkeypatch, PairPotential("exponential", 1.0))) == 1
         assert not hasattr(t3, "minimize")
+
+    @staticmethod
+    def nnls_against_scipy(A, b):
+        """_nnls(A, b) after checking it against scipy.optimize.nnls."""
+        x, rn = t3._nnls(A, b)
+        ref, ref_rn = nnls(A, b)
+        assert np.array_equal(x > 0.0, ref > 0.0)
+        assert np.all(x >= 0.0)
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert rn == pytest.approx(ref_rn, rel=1e-12)
+        return x
+
+    def test_nnls_matches_scipy_on_exponential_fit(self, monkeypatch):
+        ((A, b),) = self.fit_problems(monkeypatch, PairPotential("exponential", 1.0))
+        # the fit uses part of the ladder, so the active set does real work
+        assert 0 < np.count_nonzero(self.nnls_against_scipy(A, b)) < t3.FIT_WIDTHS
+
+    def test_nnls_matches_scipy_on_random_problem(self):
+        # Gaussian A and b: the constraint holds about half the coefficients at 0
+        rng = np.random.default_rng(2022)
+        A = rng.normal(size=(60, 12))
+        b = rng.normal(size=60)
+        assert 0 < np.count_nonzero(self.nnls_against_scipy(A, b)) < 12
 
     def test_fitted_profile_keeps_lambda_star(self):
         # lambda* of the fitted exponential, tabulated and solved as a pair

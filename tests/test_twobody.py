@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -448,3 +449,67 @@ class TestSweep:
         # lambda* of a zero potential is infinite; there is nothing to sweep
         with pytest.raises(DegenerateInputError):
             tb.sweep_two_body(zero_potential(), FRAME, [0.1])
+
+
+# the three stops the package uses: the defaults (E2 from lambda mu(z) = 1),
+# the oracle's threshold coupling and the oracle's binding energy
+BRENT_SETTINGS = [{}, {"xtol": 1e-12, "rtol": 8.9e-16}, {"xtol": 1e-300, "rtol": 8.9e-16}]
+
+
+class TestBrent:
+    """``_brentq`` is a port of scipy's brentq.c: the same float, bit for bit."""
+
+    def test_control_sweep_roots(self):
+        # lambda mu(z) - 1 at the absorb experiment's control couplings and at
+        # the energy scale 2 lambda*, on the bracket twobody_binding_energy uses
+        lam_star = tb.critical_coupling(GAUSS, FRAME)
+        mu = functools.cache(lambda z: tb.bs_max_eigenvalue(GAUSS, FRAME, z))
+        for g in [*np.geomspace(1e-1, 1e-4, 8), 1.0]:
+            lam = float(lam_star * (1.0 + g))
+            z_hi = 1.0
+            while lam * mu(z_hi) >= 1.0:
+                z_hi *= 2.0
+            for kw in BRENT_SETTINGS:
+                f = lambda z: lam * mu(z) - 1.0
+                assert tb._brentq(f, 0.0, z_hi, **kw) == brentq(f, 0.0, z_hi, **kw)
+
+    def test_oracle_zero_energy_slope(self):
+        @functools.cache
+        def slope(lam):
+            res = tb.shooting_oracle(GAUSS, FRAME, lam, 0.0)
+            return res.du_end / max(abs(res.u_end), abs(res.du_end), 1e-300)
+
+        for kw in BRENT_SETTINGS:
+            assert tb._brentq(slope, 2.0, 4.0, **kw) == brentq(slope, 2.0, 4.0, **kw)
+        assert tb.oracle_critical_coupling(GAUSS, FRAME) == brentq(
+            slope, 2.0, 4.0, xtol=1e-12, rtol=8.9e-16)
+
+    @pytest.mark.parametrize("kw", BRENT_SETTINGS, ids=["default", "oracle_coupling",
+                                                         "oracle_energy"])
+    def test_smooth_monotone_family(self, kw):
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            a, b = np.sort(rng.uniform(-5.0, 5.0, 2))
+            c = rng.uniform(a, b)
+            s, t, p = rng.uniform(0.1, 10.0), rng.uniform(0.0, 1.0), rng.uniform(1.0, 3.0)
+            for f in (lambda x: math.expm1(s * (x - c)) + t * math.atan(x - c),
+                      lambda x: s * math.copysign(abs(x - c) ** p, x - c) + t * (x - c),
+                      lambda x: math.tanh(s * (x - c)) - 1e-3 * t):
+                root = brentq(f, a, b, **kw)
+                assert tb._brentq(f, a, b, **kw) == root
+
+    def test_returns_python_float(self):
+        # rows are written through repr, so a numpy scalar would change the output
+        assert type(tb._brentq(lambda x: x * x - 2.0, np.float64(0.0), 2.0)) is float
+        assert type(tb.twobody_binding_energy(GAUSS, FRAME, 3.0)) is float
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="different signs"):
+            tb._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            tb._brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
+        # a slow root: x^9 near 0 takes bisection-like steps, too many for 5
+        with pytest.raises(RuntimeError, match="5 iterations"):
+            tb._brentq(lambda x: x ** 9, -1.0, 0.7, maxiter=5)
+        with pytest.raises(RuntimeError):
+            brentq(lambda x: x ** 9, -1.0, 0.7, maxiter=5)
