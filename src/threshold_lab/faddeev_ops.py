@@ -8,9 +8,10 @@ reduction m(kappa), kappa = hypot(p, z), is the two-body Nystrom matrix,
 applied as an operator and never formed: its Green kernel is
 semi-separable, so the panel-diagonal blocks and one sum per panel carry
 all of it, and the norms of every kappa come from one batched Lanczos
-iteration.  The genuinely cross-channel object is audited through its
-Hilbert-Schmidt norm, which collapses to a 1D momentum integral with the
-constants c, c', c~ in front.
+iteration, with one stacked eigh of the small tridiagonals per step.  The
+genuinely cross-channel object is audited through its Hilbert-Schmidt
+norm, which collapses to a 1D momentum integral with the constants c, c',
+c~ in front.
 """
 
 from __future__ import annotations
@@ -152,25 +153,6 @@ class _FiberGram:
         return g.reshape(len(rows), self.n)
 
 
-def _top_ritz_pair(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
-    """Largest eigenvalue of the symmetric tridiagonal T(diag, off) and the
-    last component of its unit eigenvector, NaN if LAPACK fails.
-
-    Bisection (dstebz) finds that one eigenvalue and inverse iteration
-    (dstein) its vector; T is never fully decomposed.
-    """
-    from scipy.linalg import lapack  # costly import, fiber audit only
-
-    k = len(diag)
-    if k == 1:
-        return float(diag[0]), 1.0
-    _, w, block, split, info = lapack.dstebz(diag, off, 3, 0.0, 0.0, k, k, 0.0, "B")
-    if info:
-        return math.nan, math.nan
-    s, info = lapack.dstein(diag, off, w[:1], block, split)
-    return (float(w[0]), float(s[-1, 0])) if info == 0 else (math.nan, math.nan)
-
-
 def _top_singular_values(gram, kappas: np.ndarray, n: int) -> np.ndarray:
     """Largest singular value of each m(kappa), by Lanczos on G = m^T m.
 
@@ -180,7 +162,9 @@ def _top_singular_values(gram, kappas: np.ndarray, n: int) -> np.ndarray:
     orthogonalized twice against all earlier ones.  After j steps the top
     Ritz pair (theta, y) of the tridiagonal T_j has residual
     |G y - theta y| = beta_j |s_j|, so the stop at beta_j |s_j| <=
-    FIBER_RESIDUAL theta costs no extra product with G.  By the Kato-Temple
+    FIBER_RESIDUAL theta costs no extra product with G.  One stacked eigh of
+    the running kappas' T_j (at most 12 x 12 on the audit grids) gives every
+    theta and last eigenvector component s_j of a step.  By the Kato-Temple
     bound theta then lies within (FIBER_RESIDUAL theta)^2 / gap of the top
     eigenvalue of G.  The step count grows like 1 / sqrt(gap), not like
     1 / gap as for a power iteration, and the Krylov space is all of R^n
@@ -206,14 +190,19 @@ def _top_singular_values(gram, kappas: np.ndarray, n: int) -> np.ndarray:
         for _ in range(2):
             w -= np.einsum("kj,kjn->kn", np.einsum("kjn,kn->kj", done, w), done)
         off[:, j] = np.sqrt(np.einsum("kn,kn->k", w, w))
-        running = np.ones(len(rows), dtype=bool)
-        for i in range(len(rows)):
-            theta, s_last = _top_ritz_pair(diag[i, :j + 1], off[i, :j])
-            if off[i, j] * abs(s_last) <= FIBER_RESIDUAL * theta:
-                norms[rows[i]] = math.sqrt(theta)
-                running[i] = False
-        if not running.all():
-            rows, basis, diag, off, w = (a[running] for a in (rows, basis, diag, off, w))
+        # a non-finite T or beta_j can fail eigh for the whole stack: such a
+        # row stays out of it and never stops
+        finite = np.isfinite(diag[:, :j + 1]).all(axis=1) & np.isfinite(off[:, :j + 1]).all(axis=1)
+        t = np.zeros((np.count_nonzero(finite), j + 1, j + 1))
+        t[:, range(j + 1), range(j + 1)] = diag[finite, :j + 1]
+        t[:, range(1, j + 1), range(j)] = off[finite, :j]   # eigh reads the lower triangle
+        theta, s = np.linalg.eigh(t)
+        theta, s_last = theta[:, -1], s[:, -1, -1]
+        stop = np.zeros(len(rows), dtype=bool)
+        stop[finite] = off[finite, j] * np.abs(s_last) <= FIBER_RESIDUAL * theta
+        norms[rows[stop]] = np.sqrt(theta[stop[finite]])
+        if stop.any():
+            rows, basis, diag, off, w = (a[~stop] for a in (rows, basis, diag, off, w))
             if not len(rows):
                 return norms
         q = w / off[:, j, None]

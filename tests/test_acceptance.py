@@ -7,13 +7,20 @@ the ``acceptance`` marker, so ``pytest -m "not acceptance"`` runs the rest
 of the suite alone.
 """
 
+import csv
+import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
+import threshold_lab
 from threshold_lab.cli import main as cli_main
 from threshold_lab.model import (
     PairPotential,
@@ -259,4 +266,103 @@ def test_criterion_10_determinism(tmp_path):
         10, "absorb reruns with identical config+seed are byte-identical "
             "(one numpy/BLAS build and thread count)",
         identical,
+    )
+
+
+# Spread of the shipped absorb between 1 and 2 OpenBLAS threads, measured
+# with numpy 2.4.6 and scipy 1.17.1 on two cores, the same in three pairs
+# of processes: the couplings (lambda_cr, the bracket, the sweep's lambda)
+# 5.3e-14 relative, cond_N 9.6e-8, E3 2.1e-9 at the smallest |E3|, k
+# 1.0e-9, <rho^2> 5.0e-10 and every other number at most 5.2e-10.  Each
+# tolerance sits about 20 times above its measured spread.
+COUPLING_RTOL = 1e-12
+CONDITION_RTOL = 2e-6
+STATE_RTOL = 5e-8
+COUPLINGS = {"lambda", "lambda_cr", "lambda_star", "bracket"}
+SHIPPED = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _thread_rtol(name: str) -> float:
+    if name in COUPLINGS:
+        return COUPLING_RTOL
+    return CONDITION_RTOL if name == "cond_N" else STATE_RTOL
+
+
+def _json_leaves(value, name=""):
+    """(name, value) of every leaf, named by its innermost key."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _json_leaves(item, key)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _json_leaves(item, name)
+    else:
+        yield name, value
+
+
+def _table_leaves(path: Path):
+    """The comment lines, the header and (column, value) of every number of
+    a '#'-commented table."""
+    lines = path.read_text().splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    if path.suffix == ".csv":
+        header, *rows = csv.reader(line for line in lines if not line.startswith("#"))
+    else:   # the plot file names its columns in its last comment line
+        header = comments[-1][1:].split()
+        rows = [line.split() for line in lines if not line.startswith("#")]
+    yield "comments", comments
+    yield "header", header
+    for row in rows:
+        yield from ((column, float(cell)) for column, cell in zip(header, row, strict=True))
+
+
+def _run_at_threads(threads: str, out: Path):
+    """The shipped absorb, ops_audit and two_sweep configs in one fresh process."""
+    package_root = str(Path(threshold_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                        os.environ.get("PYTHONPATH")])))
+    runs = [(str(SHIPPED / f"{name}.cfg"), str(out / name))
+            for name in ("absorb_gaussian", "ops_audit_gaussian", "two_sweep_gaussian")]
+    code = ("import sys; from threshold_lab.cli import main; sys.exit(max("
+            f"main(['--config', cfg, '--out', dest, '--quiet']) for cfg, dest in {runs!r}))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=600)
+    assert run.returncode == 0, run.stderr[-2000:]
+
+
+def test_criterion_10_across_blas_thread_counts(tmp_path):
+    # criterion 10 holds at one BLAS thread count; across 1 and 2 OpenBLAS
+    # threads ops_audit and two_sweep stay byte-identical, and the shipped
+    # absorb keeps every verdict, flag and count, with its numbers inside the
+    # tolerances above
+    for threads in ("1", "2"):
+        _run_at_threads(threads, tmp_path / threads)
+    one, two = tmp_path / "1", tmp_path / "2"
+    identical = all((one / name / f).read_bytes() == (two / name / f).read_bytes()
+                    for name, f in (("ops_audit_gaussian", "ops_audit.json"),
+                                    ("two_sweep_gaussian", "two_sweep.json"),
+                                    ("two_sweep_gaussian", "two_sweep.csv")))
+    worst, off = 0.0, []
+    for f in ("absorb.json", "absorb_control.csv", "absorb_three.csv", "absorb_plot.dat"):
+        a, b = one / "absorb_gaussian" / f, two / "absorb_gaussian" / f
+        if f.endswith(".json"):
+            pairs = zip(_json_leaves(json.loads(a.read_text())),
+                        _json_leaves(json.loads(b.read_text())), strict=True)
+        else:
+            pairs = zip(_table_leaves(a), _table_leaves(b), strict=True)
+        for (name, x), (other, y) in pairs:
+            if name != other or not isinstance(x, float):
+                if (name, x) != (other, y):
+                    off.append(f"{f}: {name} {x!r} != {other} {y!r}")
+                continue
+            rel = abs(x - y) / abs(x) if x else abs(y)
+            worst = max(worst, rel / _thread_rtol(name))
+            if rel > _thread_rtol(name):
+                off.append(f"{f}: {name} moved by {rel:.1e} relative")
+    report(
+        10, "across 1 and 2 BLAS threads: ops_audit and two_sweep byte-identical, "
+            "absorb within stated tolerances",
+        identical and not off,
+        f"largest move {worst:.2f} of its tolerance; " + ("; ".join(off[:3]) or "no mismatch"),
     )

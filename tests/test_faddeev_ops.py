@@ -78,6 +78,36 @@ def _explicit_gram(mats):
                                      np.einsum("kij,kj->ki", mats[rows], x))
 
 
+# the largest running Lanczos tridiagonal on the shipped 20 x 32 and the
+# benchmark's 30 x 48 grids: 11 x 11 (Gaussian) and 12 x 12 (exponential)
+MAX_RITZ_ORDER = 12
+
+
+@pytest.fixture
+def small_eigh_only(monkeypatch):
+    """Fail svd, eigvalsh and any eigh of a matrix beyond MAX_RITZ_ORDER;
+    return the list of every eigh input shape."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def small_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        n = np.shape(a)[-1]
+        if n > MAX_RITZ_ORDER:
+            raise AssertionError(f"eigh of a {n} x {n} matrix reached")
+        return eigh(a, *args, **kwargs)
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} reached")
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+    for name in ("eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, forbidden(name))
+    return shapes
+
+
 @pytest.fixture(scope="module")
 def audit():
     return fo.lemma6_uniformity_audit(
@@ -311,7 +341,8 @@ class TestUniformityAudit:
         )
         assert finer.continuity_proxy < audit.continuity_proxy
 
-    def test_one_fiber_norms_call_and_no_eigensolver(self, audit, monkeypatch):
+    def test_one_fiber_norms_call_and_no_full_decomposition(self, audit, monkeypatch,
+                                                            small_eigh_only):
         calls = []
         batched = fo.fiber_norms
 
@@ -319,12 +350,7 @@ class TestUniformityAudit:
             calls.append(args)
             return batched(*args)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("full decomposition reached")
-
         monkeypatch.setattr(fo, "fiber_norms", counted)
-        for name in ("eigvalsh", "eigh", "svd"):
-            monkeypatch.setattr(np.linalg, name, forbidden)
         # the fixture has already built the cached quadrature reference rules,
         # whose nodes come from an eigen-solve
         again = fo.lemma6_uniformity_audit(
@@ -334,6 +360,30 @@ class TestUniformityAudit:
         )
         assert len(calls) == 1
         assert again == audit
+        assert small_eigh_only   # the Ritz pairs came through the guarded eigh
+
+    @pytest.mark.parametrize("solver", ["eigh", "svd"])
+    def test_guard_catches_a_decomposed_fiber_matrix(self, monkeypatch, small_eigh_only,
+                                                     solver):
+        # the mutation the guard exists for: |m(kappa)| from a full
+        # decomposition of the 128 x 128 fiber matrix
+        def decomposed(V, frame, kappas):
+            out = []
+            for kappa in kappas:
+                m = _fiber_matrix(V, frame, kappa)
+                if solver == "svd":
+                    out.append(np.linalg.svd(m, compute_uv=False)[0])
+                else:
+                    out.append(math.sqrt(np.linalg.eigh(m.T @ m)[0][-1]))
+            return np.array(out)
+
+        monkeypatch.setattr(fo, "_fiber_base_norms", decomposed)
+        with pytest.raises(AssertionError, match=r"svd reached|eigh of a 128 x 128 matrix"):
+            fo.lemma6_uniformity_audit(
+                GAUSS, FRAME,
+                z_grid=np.geomspace(1.0, 1e-4, 8),
+                p_grid=np.geomspace(1e-3, 10.0, 8),
+            )
 
     def test_single_point_matches_audit_sample(self, audit):
         # a norm depends on its own kappa, not on the grid or the stack

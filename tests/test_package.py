@@ -22,16 +22,20 @@ def test_benchmark_selftest_passes():
 
 def test_cli_import_leaves_out_costly_scipy_modules(tmp_path):
     # the package runs on numpy and scipy.special: root finding and nnls are
-    # in-package, scipy.interpolate (tabulated profiles) and scipy.linalg
-    # (the fiber audit's LAPACK calls) are imported where they are used, and
-    # nothing uses scipy.stats.  The absorb and exponential three_sweep runs
-    # catch a module-level import sneaking back into the hot path
+    # in-package, the fiber audit takes its Ritz values from numpy's eigh,
+    # scipy.interpolate (tabulated profiles) is imported where it is used, and
+    # nothing uses scipy.stats or scipy.linalg.  The absorb, exponential
+    # three_sweep and ops_audit runs catch an import sneaking back into them
     configs = []
     for kind, experiment in (("gaussian", "absorb"), ("exponential", "three_sweep")):
         cfg = tmp_path / f"{experiment}.cfg"
         cfg.write_text(f"experiment = {experiment}\nmasses = 1 1 1\nkind = {kind}\n"
                        "range = 1.0\nbudget = 20\nsweep_points = 4\nseed = 7\n")
         configs.append(str(cfg))
+    cfg = tmp_path / "ops_audit.cfg"
+    cfg.write_text("experiment = ops_audit\nmasses = 1 1 1\nkind = gaussian\nrange = 1.0\n"
+                   "lambda_factor = 0.9\nz_points = 4\np_points = 6\n")
+    configs.append(str(cfg))
     code = f"""
 import sys, threshold_lab.cli as cli
 def loaded(names):
@@ -44,9 +48,10 @@ print(codes, loaded(('scipy.optimize', 'scipy.linalg')))
     run = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr[-2000:]
-    assert run.stdout.splitlines() == ["[]", "[0, 0] []"]
+    assert run.stdout.splitlines() == ["[]", "[0, 0, 0] []"]
     assert (tmp_path / "absorb" / "absorb.json").exists()
     assert (tmp_path / "three_sweep" / "three_sweep.json").exists()
+    assert (tmp_path / "ops_audit" / "ops_audit.json").exists()
 
 
 def test_ims_audit_runs_without_scipy_stats(tmp_path):
