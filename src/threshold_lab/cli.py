@@ -526,7 +526,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}{key}", file=sys.stderr)
         return EXIT_CONFIG
 
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: {exc} (key: out)", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         return RUNNERS[cfg.experiment](cfg)
     except HypothesisError as exc:

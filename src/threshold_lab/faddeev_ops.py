@@ -28,12 +28,12 @@ from .model import (
     plancherel_fourier_mass,
     potential_moment_c,
 )
-from .quadrature import composite_gauss_legendre, composite_nodes, semi_infinite_grid
+from .quadrature import composite_nodes, half_line_map
 from .twobody import (
     RADIAL_EDGES,
     RADIAL_ORDER,
     bs_max_eigenvalue,
-    bs_radial_edges,
+    bs_radial_rule,
     panel_diagonal_blocks,
 )
 
@@ -77,8 +77,8 @@ class BoundConstants:
 def bound_constants(V: PairPotential, frame: JacobiFrame) -> BoundConstants:
     """All four constants by quadrature (no closed forms consumed)."""
     c = potential_moment_c(V, frame.alpha)
-    rule = semi_infinite_grid(128, 1.0)
-    c_prime = 4.0 * math.pi * rule.integrate(lambda r: np.exp(-2.0 * r))
+    (r,), (w,) = half_line_map(*composite_nodes(np.array([0.0, 1.0]), 128), 1.0)
+    c_prime = 4.0 * math.pi * float(np.dot(w, np.exp(-2.0 * r)))
     ps = np.concatenate([np.linspace(1e-6, 1.0, 2001), np.linspace(1.0, 10.0, 101)])
     c_dprime = float(np.max([(t_multiplier(p) + 1.0) ** 2 / p for p in ps]))
     c_tilde = plancherel_fourier_mass(V) / frame.gamma ** 3
@@ -114,8 +114,7 @@ class _FiberGram:
     """
 
     def __init__(self, V: PairPotential, frame: JacobiFrame, kappas: np.ndarray):
-        edges = bs_radial_edges(V, frame.alpha, kappas)
-        r, w = composite_nodes(edges, RADIAL_ORDER)
+        r, w, edges = bs_radial_rule(V, frame.alpha, kappas)
         k = kappas[:, None, None]
         sw = np.sqrt(w)
         sqv = np.sqrt(V.profile(frame.alpha * r))
@@ -256,11 +255,10 @@ def k2_hs_integral(z: float, n_per_panel: int = 12) -> float:
         raise ValueError("z must be positive")
     lo = min(1e-3, z * z / 10.0)
     edges = np.concatenate([[0.0], np.geomspace(lo, 1.0, 48)])
-    rule = composite_gauss_legendre(edges, n_per_panel)
-    p = rule.nodes
+    p, w = (a.ravel() for a in composite_nodes(edges, n_per_panel))
     bracket = 1.0 / (z + np.sqrt(p)) - 1.0 / (z + 1.0)
     vals = p ** 2 * bracket ** 2 / np.sqrt(p ** 2 + z ** 2)
-    return 4.0 * math.pi * float(np.dot(rule.weights, vals))
+    return 4.0 * math.pi * float(np.dot(w, vals))
 
 
 def k2_hs_norm_squared_from_constants(constants: BoundConstants, z: float) -> float:

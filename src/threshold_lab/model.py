@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .quadrature import composite_gauss_legendre, gauss_legendre
+from .quadrature import composite_nodes
 
 POTENTIAL_KINDS = ("gaussian", "exponential", "square_well", "tabulated")
 PAIRS = ((1, 2), (1, 3), (2, 3))
@@ -226,10 +226,8 @@ def potential_moment_c(V: PairPotential, alpha: float) -> float:
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
 
-    def integrand(r):
-        return 4.0 * math.pi * V.profile(alpha * r) * r ** 2
-
-    return gauss_legendre(MOMENT_NODES, 0.0, V.effective_radius / alpha).integrate(integrand)
+    (r,), (w,) = composite_nodes(np.array([0.0, V.effective_radius / alpha]), MOMENT_NODES)
+    return float(np.dot(w, 4.0 * math.pi * V.profile(alpha * r) * r ** 2))
 
 
 def sqrt_potential_fourier(V: PairPotential, p: float) -> float:
@@ -245,14 +243,14 @@ def sqrt_potential_fourier(V: PairPotential, p: float) -> float:
     # the rounding fixes the node set behind c~ and the shipped audits
     need = max(8, int(math.ceil(p * r_max / math.pi)) + 4)
     panels = min(1 << (need - 1).bit_length(), 2048)
-    rule = composite_gauss_legendre(np.linspace(0.0, r_max, panels + 1), 8)
+    r, w = (a.ravel() for a in composite_nodes(np.linspace(0.0, r_max, panels + 1), 8))
 
-    amp = np.sqrt(V.profile(rule.nodes)) * rule.nodes
+    amp = np.sqrt(V.profile(r)) * r
     if p == 0.0:
-        w = float(np.dot(rule.weights, amp * rule.nodes))
+        f = float(np.dot(w, amp * r))
     else:
-        w = float(np.dot(rule.weights, amp * np.sin(p * rule.nodes))) / p
-    return math.sqrt(2.0 / math.pi) * w
+        f = float(np.dot(w, amp * np.sin(p * r))) / p
+    return math.sqrt(2.0 / math.pi) * f
 
 
 def plancherel_fourier_mass(V: PairPotential) -> float:
@@ -271,12 +269,10 @@ def plancherel_fourier_mass(V: PairPotential) -> float:
         p_max = (16.0 if V.kind == "gaussian" else 60.0) / V.range_
         n_panels = 64
 
-    edges = np.linspace(0.0, p_max, n_panels + 1)
     total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        rule = gauss_legendre(10, a, b)
-        vals = np.array([sqrt_potential_fourier(V, p) for p in rule.nodes])
-        total += float(np.dot(rule.weights, 4.0 * math.pi * vals ** 2 * rule.nodes ** 2))
+    for ps, w in zip(*composite_nodes(np.linspace(0.0, p_max, n_panels + 1), 10)):
+        vals = np.array([sqrt_potential_fourier(V, p) for p in ps])
+        total += float(np.dot(w, 4.0 * math.pi * vals ** 2 * ps ** 2))
     if compact:
         # integrand ~ 8 * V(edge) * r_edge^2 * cos^2(p r_edge) / p^2 at large p
         v_edge = float(V.profile(np.array([r_edge * (1.0 - 1e-9)]))[0])

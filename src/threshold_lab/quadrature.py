@@ -1,36 +1,20 @@
-"""Deterministic 1D quadrature rules used by every kernel-discretization module.
+"""Deterministic Gauss-Legendre panel rules, the one quadrature format of the lab.
 
-Two rule families cover all integrals in the lab: affinely mapped
-Gauss-Legendre rules on finite intervals or panels, and their push-forward
-to [0, inf) through the rational substitution r = scale * t / (1 - t).
-Only the reference rule on [-1, 1] is cached, once per order; every rule is
-an array map of it, so equal parameters give bit-identical node sets.
+Every integral is a Gauss-Legendre sum on panels: ``composite_nodes`` maps
+the reference rule of one order onto each panel of a row of edges and
+returns nodes and weights as (..., panels, order) arrays, ready to ravel
+or to reduce panel by panel; ``half_line_map`` pushes a rule on [0, 1)
+forward to [0, inf) through r = scale * t / (1 - t).  Only the reference
+rule on [-1, 1] is cached, once per order, so equal edges give
+bit-identical node sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and positive weights for a fixed integration domain.
-
-    ``spec`` records how the rule was built; the composite spec tells the
-    kernel assembly where the panel edges are.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    spec: tuple
-
-    def integrate(self, f) -> float:
-        """Plain weighted sum of ``f`` over the nodes."""
-        return float(np.dot(self.weights, f(self.nodes)))
 
 
 @lru_cache(maxsize=None)
@@ -43,32 +27,10 @@ def _reference_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def gauss_legendre(n: int, a: float, b: float) -> QuadratureRule:
-    """Gauss-Legendre rule with ``n`` points mapped to [a, b]."""
-    if not a < b:
-        raise ValueError(f"empty interval [{a}, {b}]")
-    t, w = _reference_rule(n)
-    half = 0.5 * (b - a)
-    return QuadratureRule(
-        nodes=a + half * (t + 1.0),
-        weights=half * w,
-        spec=("gauss_legendre", n, float(a), float(b)),
-    )
-
-
 def half_line_map(t: np.ndarray, w: np.ndarray, scale: float):
     """Nodes and weights on [0, 1) pushed to [0, inf) by r = scale*t/(1-t),
     the Jacobian folded into the weights; arrays of any matching shape."""
     return scale * t / (1.0 - t), w * scale / (1.0 - t) ** 2
-
-
-def semi_infinite_grid(n: int, scale: float = 1.0) -> QuadratureRule:
-    """Gauss-Legendre rule of order ``n`` on [0, 1) under ``half_line_map``."""
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    base = gauss_legendre(n, 0.0, 1.0)
-    return QuadratureRule(*half_line_map(base.nodes, base.weights, scale),
-                          spec=("semi_infinite", n, float(scale)))
 
 
 @lru_cache(maxsize=16)
@@ -94,28 +56,13 @@ def panel_partial_integrals(q: int) -> np.ndarray:
     return anti @ coeff
 
 
-def composite_gauss_legendre(edges, n_per_panel: int) -> QuadratureRule:
-    """Panel-wise Gauss-Legendre rule over consecutive ``edges``.
-
-    Used where integrands carry kinks or oscillations at known locations
-    (square-well edges, the sqrt(p) transition of the channel multiplier).
-    Nodes and weights are laid out panel by panel, ``n_per_panel`` each.
-    """
-    edges = np.array(edges, dtype=float)
-    if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("edges must be strictly increasing with at least two entries")
-    nodes, weights = composite_nodes(edges, n_per_panel)
-    return QuadratureRule(
-        nodes=nodes.ravel(),
-        weights=weights.ravel(),
-        spec=("composite", edges, n_per_panel),
-    )
-
-
 def composite_nodes(edges: np.ndarray, n_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights (..., P, n_per_panel) of the panel-wise rule over each
-    row of ``edges`` (..., P + 1), unchecked; one row gives the arrays of
-    ``composite_gauss_legendre``, many rules are built in one broadcast.
+    """Nodes and weights (..., P, n_per_panel) of the Gauss-Legendre rule of
+    order ``n_per_panel`` on each panel of every row of the increasing
+    ``edges`` (..., P + 1), an array; the edges are not checked.
+
+    Two edges give one panel; many rules are built in one broadcast, and a
+    rule's nodes and weights are the same bits whichever batch holds it.
     """
     half = 0.5 * np.diff(edges)
     t, w = _reference_rule(n_per_panel)

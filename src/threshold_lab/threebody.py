@@ -34,7 +34,7 @@ from scipy.special import erfc
 
 from .errors import BasisError, BracketError, FitError
 from .model import PairPotential, ParticleSystem, jacobi_frame, separation_forms
-from .quadrature import gauss_legendre
+from .quadrature import composite_nodes
 from .twobody import (TAIL_MULTIPLES, MarginReport, subcriticality_margin,
                       twobody_binding_energy)
 
@@ -534,10 +534,10 @@ def _tail_kernels(asm: _Assembler, radii):
     probability is exactly 1, the kernel is the overlap matrix N.
     """
     p = asm.images.shape[1]
-    rule = gauss_legendre(TAIL_NODES, 0.0, 0.5 * math.pi)
-    sin2 = np.sin(rule.nodes) ** 2
-    cos2 = np.cos(rule.nodes) ** 2
-    w = rule.weights * sin2 * np.cos(rule.nodes)
+    (theta,), (wt,) = composite_nodes(np.array([0.0, 0.5 * math.pi]), TAIL_NODES)
+    sin2 = np.sin(theta) ** 2
+    cos2 = np.cos(theta) ** 2
+    w = wt * sin2 * np.cos(theta)
 
     def block(later, images):
         b11, b12, b22 = np.moveaxis(later + images, -1, 0)    # later form first, as in N

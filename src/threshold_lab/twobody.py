@@ -23,13 +23,7 @@ import numpy as np
 
 from .errors import BracketError, DegenerateInputError
 from .model import JacobiFrame, PairPotential, ParticleSystem, jacobi_frame
-from .quadrature import (
-    QuadratureRule,
-    composite_gauss_legendre,
-    composite_nodes,
-    half_line_map,
-    panel_partial_integrals,
-)
+from .quadrature import composite_nodes, half_line_map, panel_partial_integrals
 
 
 # radii of the tail masses, in units of the pair range (two-body: range / alpha)
@@ -69,8 +63,12 @@ RADIAL_EDGES = (np.arange(17) / 16) ** 1.5
 RADIAL_ORDER = 8
 
 
-def bs_radial_edges(V: PairPotential, alpha: float, z) -> np.ndarray:
-    """Panel edges (..., 17) of ``bs_radial_rule`` at each entry of z (...).
+def bs_radial_rule(V: PairPotential, alpha: float, z=0.0):
+    """(nodes, weights, edges) of the graded 128-node rule over the reach of
+    V^(1/2) at each entry of z (...): nodes and weights (..., 16, 8), 16
+    panels of 8, on the edges (..., 17).  The dense two-body route takes
+    one z and the fiber operator a batch of kappas; a row of the batch is
+    the rule of its own z, to the bit.
 
     The Birman-Schwinger kernel carries V^(1/2)(alpha r) on both slots, so a
     finite interval with the square-root decay resolved is exact to rounding.
@@ -87,13 +85,8 @@ def bs_radial_edges(V: PairPotential, alpha: float, z) -> np.ndarray:
         # z = 0 leaves the reach uncapped
         cap = np.divide(30.0, z, out=np.full(z.shape, np.inf), where=z > 0.0)
         span = np.minimum(reach, np.maximum(cap, 10.0 * V.range_ / alpha))
-    return span[..., None] * RADIAL_EDGES
-
-
-def bs_radial_rule(V: PairPotential, alpha: float, z: float = 0.0) -> QuadratureRule:
-    """Graded 128-node composite rule (16 panels of 8) over the reach of V^(1/2),
-    on the edges of ``bs_radial_edges``."""
-    return composite_gauss_legendre(bs_radial_edges(V, alpha, z), RADIAL_ORDER)
+    edges = span[..., None] * RADIAL_EDGES
+    return (*composite_nodes(edges, RADIAL_ORDER), edges)
 
 
 def panel_diagonal_blocks(z, nodes: np.ndarray, weights: np.ndarray,
@@ -120,33 +113,34 @@ def panel_diagonal_blocks(z, nodes: np.ndarray, weights: np.ndarray,
     return np.where((z * width <= 4.0)[..., None, None], product, plain)
 
 
-def green_row_operator(z: float, rule: QuadratureRule) -> np.ndarray:
+def green_row_operator(z: float, rule) -> np.ndarray:
     """Matrix B with (B f)_i ~ integral g_z(r_i, r') f(r') dr' at the nodes.
 
     Off-diagonal panel blocks are plain Nystrom (the kernel is smooth
     there); the blocks on the panel diagonal come from
-    ``panel_diagonal_blocks``.  ``rule`` is a composite rule, as
-    ``bs_radial_rule`` builds.
+    ``panel_diagonal_blocks``.  ``rule`` is one (nodes, weights, edges)
+    triple of ``bs_radial_rule``, nodes and weights (P, q), laid out panel
+    by panel along the rows and columns of B.
     """
-    r, w = rule.nodes, rule.weights
+    nodes, weights, edges = rule
+    P, q = nodes.shape
+    r, w = nodes.ravel(), weights.ravel()
     B = swave_green(z, r, r) * w[None, :]
-    _, edges, q = rule.spec
-    P = len(edges) - 1
     on = np.arange(P)
     # the panel-diagonal blocks, written through a (panel, node) view of B
     B.reshape(P, q, P, q)[on, :, on, :] = panel_diagonal_blocks(
-        z, r.reshape(P, q), w.reshape(P, q), np.diff(edges))
+        z, nodes, weights, np.diff(edges))
     return B
 
 
-def bs_matrix(V: PairPotential, frame: JacobiFrame, z: float,
-              rule: QuadratureRule) -> np.ndarray:
-    """Symmetrized Nystrom matrix of the s-wave Birman-Schwinger kernel."""
+def bs_matrix(V: PairPotential, frame: JacobiFrame, z: float, rule) -> np.ndarray:
+    """Symmetrized Nystrom matrix of the s-wave Birman-Schwinger kernel on
+    one (nodes, weights, edges) rule of ``bs_radial_rule``."""
     if z < 0.0:
         raise ValueError("spectral parameter z must be >= 0")
-    r = rule.nodes
-    sqv = np.sqrt(V.profile(frame.alpha * r))
-    sw = np.sqrt(rule.weights)
+    nodes, weights, _ = rule
+    sqv = np.sqrt(V.profile(frame.alpha * nodes.ravel()))
+    sw = np.sqrt(weights.ravel())
     B = green_row_operator(z, rule)
     m = (sqv * sw)[:, None] * B * (sqv / sw)[None, :]
     return 0.5 * (m + m.T)
@@ -268,8 +262,9 @@ def _bound_state_size(V: PairPotential, frame: JacobiFrame, lam: float, radii):
     z_star = math.sqrt(-e2)
     wrule = bs_radial_rule(V, frame.alpha, z=z_star)
     psi = np.linalg.eigh(bs_matrix(V, frame, z_star, wrule))[1][:, -1]
-    phi = psi / np.sqrt(wrule.weights)
-    sqv = np.sqrt(V.profile(frame.alpha * wrule.nodes))
+    rn, rw = wrule[0].ravel(), wrule[1].ravel()
+    phi = psi / np.sqrt(rw)
+    sqv = np.sqrt(V.profile(frame.alpha * rn))
 
     scale = max(3.0 * V.range_ / frame.alpha, 3.0 / z_star)
     cuts = np.concatenate([[0.0], radii / (radii + scale), [1.0]])
@@ -277,7 +272,7 @@ def _bound_state_size(V: PairPotential, frame: JacobiFrame, lam: float, radii):
     edges = np.interp(np.arange(MASS_PANELS * (len(cuts) - 1) + 1) / MASS_PANELS,
                       np.arange(len(cuts)), cuts)
     r, w = half_line_map(*composite_nodes(edges, MASS_ORDER), scale)
-    u = lam * (swave_green(z_star, r.ravel(), wrule.nodes) @ (wrule.weights * sqv * phi))
+    u = lam * (swave_green(z_star, r.ravel(), rn) @ (rw * sqv * phi))
     uu = u.reshape(r.shape) ** 2
     mass = np.sum(w * uu, axis=1)
     norm = float(np.sum(mass))

@@ -304,6 +304,19 @@ class TestMain:
             assert all(key in err for key in keys)
         assert not (tmp_path / "out").exists()
 
+    def test_output_path_is_a_file_exit_2(self, tmp_path, capsys):
+        # an --out that names an existing file, or a path under one, cannot
+        # become the output directory: a config failure, not a traceback
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text(SQUARE_WELL_CFG)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        for out in (taken, taken / "out"):
+            assert main(["--config", str(cfg_path), "--out", str(out),
+                         "--quiet"]) == EXIT_CONFIG
+            assert "(key: out)" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory\n"
+
     def test_r6_violation_exit_2(self, tmp_path, capsys):
         # a tabulated profile dipping below zero breaks R6 (V >= 0)
         cfg_path = tmp_path / "cfg"
@@ -399,9 +412,10 @@ class TestMain:
         assert all(row["lambda_mu"] == 0.0 for row in payload["contraction"])
 
     def test_shipped_ops_audit_matches_reference(self, tmp_path):
-        # the reference is the output of the full eigen-solve route; the power
-        # iteration may move the two fiber-norm aggregates in their last digits
-        # only (the proxy, a difference of two norms, magnifies rounding)
+        # the reference is the output of the full eigen-solve route; the
+        # Lanczos fiber norms may move the two fiber-norm aggregates in their
+        # last digits only (the proxy, a difference of two norms, magnifies
+        # rounding)
         out = tmp_path / "out"
         assert main(["--config", str(CONFIGS / "ops_audit_gaussian.cfg"), "--out", str(out),
                      "--quiet"]) == EXIT_OK

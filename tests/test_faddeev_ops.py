@@ -53,8 +53,8 @@ def lam_star():
 def _fiber_matrix(V, frame, kappa):
     """The fiber matrix m(kappa), formed from green_row_operator."""
     rule = tb.bs_radial_rule(V, frame.alpha, z=kappa)
-    sqv = np.sqrt(V.profile(frame.alpha * rule.nodes))
-    sw = np.sqrt(rule.weights)
+    sqv = np.sqrt(V.profile(frame.alpha * rule[0].ravel()))
+    sw = np.sqrt(rule[1].ravel())
     return sw[:, None] * (tb.green_row_operator(kappa, rule) * sqv[None, :]) / sw[None, :]
 
 
@@ -234,7 +234,12 @@ class TestFiberNorms:
         # support it holds plain Nystrom panels (kappa * width > 4), and for
         # the exponential kappas of different spans (the cap 30 / kappa)
         V, kappas = POTENTIALS[name], np.array(KAPPAS)
-        edges = tb.bs_radial_edges(V, FRAME.alpha, kappas)
+        rule = tb.bs_radial_rule(V, FRAME.alpha, kappas)
+        # the dense route's rule of each kappa is its row of the batched rule
+        for k, kappa in enumerate(kappas):
+            for batched, alone in zip(rule, tb.bs_radial_rule(V, FRAME.alpha, kappa)):
+                assert np.array_equal(batched[k], alone), kappa
+        edges = rule[2]
         if V.support_radius is None:
             assert np.any(kappas[:, None] * np.diff(edges) > 4.0)
         if name == "exponential":

@@ -1,6 +1,10 @@
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import threshold_lab
 
@@ -18,6 +22,22 @@ def test_benchmark_selftest_passes():
     run = subprocess.run([sys.executable, "-B", "perfbench/selftest.py"], cwd=ROOT,
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+
+
+@pytest.mark.parametrize("workload", ["absorb_flagship", "lambda_cr_scan", "operator_audits"])
+def test_benchmark_workload_traced_round_is_correct(workload):
+    # one traced round of each workload runs its own checks and the
+    # tracer's hooks on package methods against the checkout's src/
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    run = subprocess.run([sys.executable, "-B", "perfbench/worker.py", "--workload", workload,
+                          "--seed", "7", "--trace", "1"], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+    report = json.loads(run.stdout.strip().splitlines()[-1])
+    assert report["failed"] == 0, report["failures"]
+    assert report["correct"]
 
 
 def test_cli_import_leaves_out_costly_scipy_modules(tmp_path):

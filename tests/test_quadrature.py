@@ -1,68 +1,77 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
 from threshold_lab import cli, quadrature
-from threshold_lab.quadrature import (
-    composite_gauss_legendre,
-    gauss_legendre,
-    semi_infinite_grid,
-)
+from threshold_lab.quadrature import composite_nodes, half_line_map
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def panel_rule(n, a, b):
+    """Nodes and weights of the n-point rule on the one panel [a, b]."""
+    (x,), (w,) = composite_nodes(np.array([a, b]), n)
+    return x, w
+
+
+def half_line_rule(n, scale):
+    """The n-point rule on [0, 1) pushed to [0, inf) with ``scale``."""
+    return half_line_map(*panel_rule(n, 0.0, 1.0), scale)
 
 
 def test_two_point_rule_is_textbook():
-    rule = gauss_legendre(2, -1.0, 1.0)
-    assert np.allclose(rule.nodes, [-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)], atol=1e-15)
-    assert np.allclose(rule.weights, [1.0, 1.0], atol=1e-15)
+    x, w = panel_rule(2, -1.0, 1.0)
+    assert np.allclose(x, [-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)], atol=1e-15)
+    assert np.allclose(w, [1.0, 1.0], atol=1e-15)
 
 
 def test_cubic_exact_with_two_points():
-    rule = gauss_legendre(2, 0.0, 1.0)
-    assert rule.integrate(lambda x: x ** 3) == pytest.approx(0.25, abs=1e-15)
+    x, w = panel_rule(2, 0.0, 1.0)
+    assert np.dot(w, x ** 3) == pytest.approx(0.25, abs=1e-15)
 
 
 @pytest.mark.parametrize("degree", [3, 7, 15, 31])
 def test_polynomial_exactness_to_2n_minus_1(degree):
     n = (degree + 1) // 2
-    rule = gauss_legendre(n, -1.0, 2.0)
+    x, w = panel_rule(n, -1.0, 2.0)
     coeffs = np.arange(1.0, degree + 2.0)
-
-    def poly(x):
-        return np.polynomial.polynomial.polyval(x, coeffs)
-
     exact = np.polynomial.polynomial.polyval(
         2.0, np.concatenate([[0.0], coeffs / np.arange(1.0, degree + 2.0)])
     ) - np.polynomial.polynomial.polyval(
         -1.0, np.concatenate([[0.0], coeffs / np.arange(1.0, degree + 2.0)])
     )
-    assert rule.integrate(poly) == pytest.approx(exact, rel=1e-12)
+    assert np.dot(w, np.polynomial.polynomial.polyval(x, coeffs)) == pytest.approx(
+        exact, rel=1e-12)
 
 
 def test_weights_positive_nodes_increasing():
-    for rule in (gauss_legendre(64, 0.0, 5.0), semi_infinite_grid(64, 2.0)):
-        assert np.all(rule.weights > 0)
-        assert np.all(np.diff(rule.nodes) > 0)
-        assert rule.nodes[0] > 0
+    for x, w in (panel_rule(64, 0.0, 5.0), half_line_rule(64, 2.0)):
+        assert np.all(w > 0)
+        assert np.all(np.diff(x) > 0)
+        assert x[0] > 0
 
 
 def test_exponential_decay_on_mapped_grid():
-    rule = semi_infinite_grid(64, 1.0)
-    assert rule.integrate(lambda r: np.exp(-r)) == pytest.approx(1.0, abs=1e-10)
-    assert rule.integrate(lambda r: np.exp(-2.0 * r)) == pytest.approx(0.5, abs=1e-10)
+    r, w = half_line_rule(64, 1.0)
+    assert np.dot(w, np.exp(-r)) == pytest.approx(1.0, abs=1e-10)
+    assert np.dot(w, np.exp(-2.0 * r)) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_gaussian_second_moment():
-    rule = semi_infinite_grid(64, 1.0)
-    assert rule.integrate(lambda r: r ** 2 * np.exp(-(r ** 2))) == pytest.approx(
+    r, w = half_line_rule(64, 1.0)
+    assert np.dot(w, r ** 2 * np.exp(-(r ** 2))) == pytest.approx(
         math.sqrt(math.pi) / 4.0, abs=1e-8
     )
 
 
 def test_self_convergence_passes_for_smooth_integrand():
-    coarse = semi_infinite_grid(64, 1.0).integrate(lambda r: np.exp(-r))
-    fine = semi_infinite_grid(128, 1.0).integrate(lambda r: np.exp(-r))
+    r, w = half_line_rule(64, 1.0)
+    coarse = np.dot(w, np.exp(-r))
+    r, w = half_line_rule(128, 1.0)
+    fine = np.dot(w, np.exp(-r))
     assert fine == pytest.approx(coarse, rel=1e-9)
     assert fine == pytest.approx(1.0, abs=1e-11)
 
@@ -85,22 +94,28 @@ def counted_leggauss(monkeypatch):
 def test_reference_rule_computed_once_per_order(monkeypatch):
     orders = counted_leggauss(monkeypatch)
     for a, b in ((0.0, 1.0), (-2.0, 3.5), (1e-3, 0.2)):
-        gauss_legendre(16, a, b)
+        panel_rule(16, a, b)
     for scale in (0.5, 1.0, 7.0):
-        semi_infinite_grid(16, scale)
-    composite_gauss_legendre([0.0, 0.4, 1.1, 2.0], 16)
-    composite_gauss_legendre([0.0, 0.5], 8)
+        half_line_rule(16, scale)
+    composite_nodes(np.array([0.0, 0.4, 1.1, 2.0]), 16)
+    composite_nodes(np.array([[0.0, 0.5], [0.5, 2.0]]), 8)
     assert sorted(orders) == [8, 16]
 
 
-def test_absorb_run_solves_each_order_once(monkeypatch, tmp_path):
+@pytest.mark.parametrize("config,solved", [
+    ("experiment = absorb\nmasses = 1 1 1\nkind = gaussian\nrange = 1.0\n"
+     "budget = 40\nsweep_points = 4\nseed = 7\n", [8, 32]),
+    ((CONFIGS / "ops_audit_gaussian.cfg").read_text(), [8, 10, 12, 128, 256]),
+], ids=["absorb-budget-40", "ops_audit-shipped"])
+def test_absorb_run_solves_each_order_once(monkeypatch, tmp_path, config, solved):
+    # every rule of a run maps the cached reference rule of its order: the
+    # absorb run needs the BS radial panels and the tail-mass rule; the
+    # ops_audit run adds c~ (10), I(z) (12), c' (128) and c (256)
     orders = counted_leggauss(monkeypatch)
-    cfg = tmp_path / "absorb.cfg"
-    cfg.write_text("experiment = absorb\nmasses = 1 1 1\nkind = gaussian\nrange = 1.0\n"
-                   "budget = 40\nsweep_points = 4\nseed = 7\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
-    # the BS radial panels and the tail-mass rules; no order above 32
-    assert sorted(orders) == [8, 32]
+    assert sorted(orders) == solved
 
 
 def test_reference_rule_is_read_only():
@@ -112,28 +127,34 @@ def test_reference_rule_is_read_only():
 
 
 def test_composite_is_panelwise_mapped_rule():
-    edges = [0.0, 0.4, 1.1, 2.0]
-    comp = composite_gauss_legendre(edges, 16)
+    # each panel, and each row of a batch of edges, is the one-panel rule
+    # of its own edges to the bit
+    edges = np.array([0.0, 0.4, 1.1, 2.0])
+    x, w = composite_nodes(edges, 16)
+    assert x.shape == w.shape == (3, 16)
     for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        panel = gauss_legendre(16, a, b)
-        assert np.array_equal(comp.nodes[16 * k:16 * (k + 1)], panel.nodes)
-        assert np.array_equal(comp.weights[16 * k:16 * (k + 1)], panel.weights)
+        xk, wk = panel_rule(16, a, b)
+        assert np.array_equal(x[k], xk)
+        assert np.array_equal(w[k], wk)
+    xb, wb = composite_nodes(np.array([edges, 1.5 * edges]), 16)
+    for k, row in enumerate((edges, 1.5 * edges)):
+        xk, wk = composite_nodes(row, 16)
+        assert np.array_equal(xb[k], xk)
+        assert np.array_equal(wb[k], wk)
 
 
 def test_composite_matches_single_panel():
-    f = lambda x: np.sin(3.0 * x)
-    comp = composite_gauss_legendre([0.0, 0.4, 1.1, 2.0], 16)
-    ref = gauss_legendre(48, 0.0, 2.0)
-    assert comp.integrate(f) == pytest.approx(ref.integrate(f), abs=1e-13)
+    x, w = composite_nodes(np.array([0.0, 0.4, 1.1, 2.0]), 16)
+    xr, wr = panel_rule(48, 0.0, 2.0)
+    assert np.sum(w * np.sin(3.0 * x)) == pytest.approx(
+        np.dot(wr, np.sin(3.0 * xr)), abs=1e-13)
 
 
 def test_panel_partial_integrals_cumulative_exactness():
     # tau[i, j] integrates the Lagrange basis from -1 to node i, so applying
     # it to polynomial samples must reproduce the exact antiderivative
-    from threshold_lab.quadrature import panel_partial_integrals
-
     for q in (4, 8, 12):
-        tau = panel_partial_integrals(q)
+        tau = quadrature.panel_partial_integrals(q)
         t, w = leggauss(q)
         for degree in range(q):
             vals = t ** degree
@@ -145,10 +166,4 @@ def test_panel_partial_integrals_cumulative_exactness():
 
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
-        gauss_legendre(0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        gauss_legendre(4, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        semi_infinite_grid(8, -1.0)
-    with pytest.raises(ValueError):
-        composite_gauss_legendre([0.0], 8)
+        composite_nodes(np.array([0.0, 1.0]), 0)

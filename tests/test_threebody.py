@@ -408,7 +408,7 @@ def chi2_tail_oracle(asm, c, R):
     the survival probability is a 1D convolution integral, evaluated here
     with dense Gauss-Legendre quadrature per basis pair.
     """
-    from threshold_lab.quadrature import gauss_legendre
+    from threshold_lab.quadrature import composite_nodes
 
     def q3_survival(v):
         v = np.maximum(v, 0.0)
@@ -420,7 +420,7 @@ def chi2_tail_oracle(asm, c, R):
     w = np.repeat(coeff, p)
     total = 0.0
     outside = 0.0
-    rule = gauss_legendre(196, 0.0, 1.0)
+    (nodes,), (weights,) = composite_nodes(np.array([0.0, 1.0]), 196)
     for i in range(len(flat)):
         for j in range(len(flat)):
             f = flat[i] + flat[j]
@@ -430,8 +430,8 @@ def chi2_tail_oracle(asm, c, R):
             total += mass
             # P(s1 X + s2 Y > R^2), X,Y ~ chi2_3, s1 >= s2
             cap = R * R / s1_
-            x = rule.nodes * cap
-            wts = rule.weights * cap
+            x = nodes * cap
+            wts = weights * cap
             pdf = np.sqrt(x / (2.0 * math.pi)) * np.exp(-x / 2.0)
             prob = float(np.dot(wts, pdf * q3_survival((R * R - s1_ * x) / s2_)))
             prob += float(q3_survival(np.array([cap]))[0])

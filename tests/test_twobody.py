@@ -51,7 +51,8 @@ class TestBSMaxEigenvalue:
     def test_operator_wrapper(self):
         # bs_max_eigenvalue wraps the BS matrix on the default 128-node rule
         rule = tb.bs_radial_rule(GAUSS, FRAME.alpha, z=0.3)
-        assert len(rule.nodes) == len(rule.weights) == 128
+        assert rule[0].shape == rule[1].shape == (16, 8)
+        assert rule[2].shape == (17,)
         eigs = np.linalg.eigvalsh(tb.bs_matrix(GAUSS, FRAME, 0.3, rule))
         assert np.all(np.isreal(eigs))
         assert eigs[-1] == pytest.approx(
@@ -356,9 +357,10 @@ class TestShootingOracle:
 
 def looped_green_row_operator(z, rule):
     """The panel-by-panel build of green_row_operator, kept as its reference."""
-    r, w = rule.nodes, rule.weights
+    nodes, weights, edges = rule
+    q = nodes.shape[1]
+    r, w = nodes.ravel(), weights.ravel()
     B = tb.swave_green(z, r, r) * w[None, :]
-    _, edges, q = rule.spec
     tau_ref = tb.panel_partial_integrals(q)
     for k in range(len(edges) - 1):
         a, b = edges[k], edges[k + 1]
@@ -385,7 +387,7 @@ class TestGreenRowOperator:
             "well-0", "well-all", "well-some", "well-none"])
     def test_matches_panel_loop_exactly(self, V, z, near):
         rule = tb.bs_radial_rule(V, FRAME.alpha, z=z)
-        assert int(np.sum(z * np.diff(rule.spec[1]) <= 4.0)) == near
+        assert int(np.sum(z * np.diff(rule[2]) <= 4.0)) == near
         assert np.array_equal(tb.green_row_operator(z, rule),
                               looped_green_row_operator(z, rule))
 
