@@ -83,8 +83,10 @@ def parse_keyvalues(text: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"line {ln}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ConfigError(f"line {ln}: key {key!r} is set twice", key=key)
+        out[key] = value
     return out
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .model import (
+    MOMENT_PANELS,
     JacobiFrame,
     PairPotential,
     plancherel_fourier_mass,
@@ -77,7 +78,8 @@ class BoundConstants:
 def bound_constants(V: PairPotential, frame: JacobiFrame) -> BoundConstants:
     """All four constants by quadrature (no closed forms consumed)."""
     c = potential_moment_c(V, frame.alpha)
-    (r,), (w,) = half_line_map(*composite_nodes(np.array([0.0, 1.0]), 128), 1.0)
+    r, w = (a.ravel() for a in half_line_map(
+        *composite_nodes(np.linspace(0.0, 1.0, MOMENT_PANELS + 1), 8), 1.0))
     c_prime = 4.0 * math.pi * float(np.dot(w, np.exp(-2.0 * r)))
     ps = np.concatenate([np.linspace(1e-6, 1.0, 2001), np.linspace(1.0, 10.0, 101)])
     c_dprime = float(np.max([(t_multiplier(p) + 1.0) ** 2 / p for p in ps]))

@@ -213,8 +213,8 @@ def separation_forms(system: ParticleSystem, frame_pair=(1, 2)) -> dict:
 # Radial integrals
 # ---------------------------------------------------------------------------
 
-# radial nodes of potential_moment_c
-MOMENT_NODES = 256
+# order-8 panels of the radial rule of potential_moment_c and of c'
+MOMENT_PANELS = 32
 
 
 def potential_moment_c(V: PairPotential, alpha: float) -> float:
@@ -226,7 +226,8 @@ def potential_moment_c(V: PairPotential, alpha: float) -> float:
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
 
-    (r,), (w,) = composite_nodes(np.array([0.0, V.effective_radius / alpha]), MOMENT_NODES)
+    edges = np.linspace(0.0, V.effective_radius / alpha, MOMENT_PANELS + 1)
+    r, w = (a.ravel() for a in composite_nodes(edges, 8))
     return float(np.dot(w, 4.0 * math.pi * V.profile(alpha * r) * r ** 2))
 
 

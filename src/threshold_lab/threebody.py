@@ -15,11 +15,13 @@ the committed basis by the rank-one secular update, and the critical
 coupling is one generalized eigenvalue on the span.
 
 Tail masses are exact up to a fixed 1D quadrature: under every Gaussian pair
-of |psi|^2 the hyperradius obeys rho^2 = s1 X + s2 Y with X, Y ~ chi^2_3, a
-convolution integral (Imhof 1961).  Moments and tail probabilities depend only
-on the basis, so they are kept as cached kernel matrices and every sweep
-point costs a few quadratic forms.  Quasi-Monte Carlo survives only in the
-tests, as an independent oracle.
+of |psi|^2, six-dimensional polar coordinates do the hyperradial integral in
+closed form and leave one hyperangular integral of exponentials, whose
+weight does not depend on the pair.  Moments and tail probabilities depend
+only on the basis, so they are kept as cached kernel matrices and every
+sweep point costs a few quadratic forms.  The chi^2_3 convolution (Imhof
+1961) and quasi-Monte Carlo survive only in the tests, as independent
+oracles.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import BasisError, BracketError, FitError
 from .model import PairPotential, ParticleSystem, jacobi_frame, separation_forms
@@ -502,56 +503,49 @@ def _moment_matrices(asm: _Assembler) -> dict:
     return dict(zip(MOMENT_KEYS, _pair_kernels(asm, len(MOMENT_KEYS), 1, block)))
 
 
-# Gauss-Legendre nodes in theta of each pair's tail integral, x = a sin^2(theta)
+# Gauss-Legendre nodes in psi of each pair's hyperangular tail integral
 TAIL_NODES = 32
-
-
-def _chi2_3_survival(v):
-    """P(X > v) for X ~ chi^2 with three degrees of freedom."""
-    return erfc(np.sqrt(0.5 * v)) + np.sqrt(2.0 * v / math.pi) * np.exp(-0.5 * v)
 
 
 def _tail_kernels(asm: _Assembler, radii):
     """One tail kernel per radius, one-sided over images.
 
     |psi|^2 is a sum of Gaussians exp(-q.(B x I3).q / 2) with
-    B = A_j + g^t A_i g.  Under each, rho^2 = s1 X + s2 Y with X, Y ~ chi^2_3
-    and s1 >= s2 the eigenvalues of B^-1, so P(rho > R) is
+    B = A_j + g^t A_i g.  In the eigenbasis of B, eigenvalues b1 <= b2, q
+    splits into u, v in R^3 and rho^2 = |u|^2 + |v|^2.  With the polar angle
+    |u| = rho cos(chi), |v| = rho sin(chi) the integral over rho > R is
+    closed-form, Gamma(3, x) = 2 e^-x (1 + x + x^2 / 2), and the substitution
+    tan(chi) = sqrt(b1 / b2) tan(psi) turns the angular weight into
+    sin^2 cos^2, which does not depend on B:
 
-        int_0^a f3(x) Q3((R^2 - s1 x) / s2) dx + Q3(a),   a = R^2 / s1,
+        P(rho > R) = (16/pi) int_0^(pi/2) sin^2 cos^2 e^-x (1 + x + x^2 / 2) dpsi,
+        x = R^2 det B / (2 (b2 cos^2 psi + b1 sin^2 psi)).
 
-    with f3 the chi^2_3 density and Q3 its survival function (Imhof 1961).
-    With b = R^2 / s2 and x = a sin^2(theta) the integral becomes
-
-        sqrt(2/pi) a^1.5 int_0^(pi/2) sin^2 cos e^(-a sin^2 / 2) Q3(b cos^2) dtheta,
-
-    whose integrand is analytic: the substitution removes the sqrt(x)
-    singularity of f3 at 0, and Q3(v) = 1 - O(v^1.5) turns into a power
-    series in cos(theta) at the other end.  rho^2 is S3-invariant, so the
+    Every node's term falls with R, and at R = 0 the rule sums to 1 up to
+    rounding, so that kernel is the overlap matrix N (the weights use
+    element_block's overlap arithmetic).  rho^2 is S3-invariant, so the
     double image sum is the one-sided sum times the group order; the
-    kernels are symmetric, so only pairs i <= j are integrated.  The
-    weights use element_block's overlap arithmetic, so at R = 0, where every
-    probability is exactly 1, the kernel is the overlap matrix N.
+    kernels are symmetric, so only pairs i <= j are integrated.
     """
     p = asm.images.shape[1]
-    (theta,), (wt,) = composite_nodes(np.array([0.0, 0.5 * math.pi]), TAIL_NODES)
-    sin2 = np.sin(theta) ** 2
-    cos2 = np.cos(theta) ** 2
-    w = wt * sin2 * np.cos(theta)
+    (psi,), (wt,) = composite_nodes(np.array([0.0, 0.5 * math.pi]), TAIL_NODES)
+    cos2 = np.cos(psi) ** 2
+    sin2 = np.sin(psi) ** 2
+    w = (16.0 / math.pi) * wt * sin2 * cos2
 
     def block(later, images):
         b11, b12, b22 = np.moveaxis(later + images, -1, 0)    # later form first, as in N
         det = b11 * b22 - b12 * b12
         weight = TWO_PI_CUBED * det ** -1.5
-        # eigenvalues of B, i.e. 1/s1 <= 1/s2
-        eig_hi = 0.5 * (b11 + b22) + np.sqrt(0.25 * (b11 - b22) ** 2 + b12 * b12)
-        eig_lo = det / eig_hi
+        # eigenvalues b1 <= b2 of B, the smaller one without cancellation
+        b2 = 0.5 * (b11 + b22) + np.sqrt(0.25 * (b11 - b22) ** 2 + b12 * b12)
+        b1 = det / b2
+        # x at R = 1, node by node
+        x_unit = (0.5 * det)[..., None] / (b2[..., None] * cos2 + b1[..., None] * sin2)
         rows = []
         for R in radii:
-            a = R * R * eig_lo
-            b = R * R * eig_hi
-            inner = np.exp(-0.5 * a[..., None] * sin2) * _chi2_3_survival(b[..., None] * cos2)
-            prob = math.sqrt(2.0 / math.pi) * a ** 1.5 * (inner @ w) + _chi2_3_survival(a)
+            x = R * R * x_unit
+            prob = (np.exp(-x) * (1.0 + x * (1.0 + 0.5 * x))) @ w
             rows.append(p * np.sum(weight * prob, axis=1))
         return rows
 
@@ -697,7 +691,7 @@ def _expectations(asm: _Assembler, c: np.ndarray):
 
 
 def tail_masses(asm: _Assembler, c: np.ndarray, radii, seed=None):
-    """T(R) = |chi_{rho > R} psi|^2 / |psi|^2 by the chi^2 convolution.
+    """T(R) = |chi_{rho > R} psi|^2 / |psi|^2 by the hyperangular integral.
 
     The kernels come from ``_tail_kernels`` and are cached on ``asm`` per
     radius set, so each call after the first is one quadratic form per

@@ -285,10 +285,11 @@ class TestMain:
         ("two_critical", "lambda = 5.0\nlambda_factor = 0.8"),
         ("two_critical", "z_points = 3"),
         ("ims_audit", "budget = 0"),
+        ("absorb", "budget = 150\nbudget = 9"),
     ], ids=["not-an-integer", "no-samples", "too-few-points", "three-sweep-too-few-points",
             "empty-growth-stage", "negative-seed", "zero-lambda-factor", "nan-lambda",
             "nan-range", "infinite-mass", "negative-mass", "lambda-and-lambda-factor",
-            "option-not-read", "budget-not-read"])
+            "option-not-read", "budget-not-read", "key-set-twice"])
     def test_bad_option_value_exit_2(self, tmp_path, capsys, experiment, line):
         # caught while parsing: no runner starts and no output directory is made
         cfg_path = tmp_path / "cfg"
@@ -297,9 +298,9 @@ class TestMain:
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
                      "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        keys = [entry.split(" = ")[0] for entry in line.split("\n")]
+        keys = {entry.split(" = ")[0] for entry in line.split("\n")}
         if len(keys) == 1:
-            assert f"(key: {keys[0]})" in err
+            assert f"(key: {keys.pop()})" in err
         else:
             assert all(key in err for key in keys)
         assert not (tmp_path / "out").exists()

@@ -401,42 +401,49 @@ class TestGroundEnergy:
         assert tails[2][1] < tails[1][1] <= 1.0
 
 
-def chi2_tail_oracle(asm, c, R):
-    """P(rho > R) for |psi|^2 by the 2x2 eigen-split of every Gaussian pair.
+def chi2_tail_oracle(asm, cs, radii, nodes=128):
+    """T(R) (one row per coefficient vector in ``cs``) for |psi|^2 by Imhof's
+    chi^2_3 convolution per Gaussian pair.
 
-    |q|^2 under exp(-q.(B x I3).q/2) is s1 X + s2 Y with X, Y ~ chi^2_3;
-    the survival probability is a 1D convolution integral, evaluated here
-    with dense Gauss-Legendre quadrature per basis pair.
+    |q|^2 under exp(-q.(B x I3).q/2) is s1 X + s2 Y with X, Y ~ chi^2_3 and
+    s1 >= s2 the eigenvalues of B^-1, so with f3 the chi^2_3 density and Q3
+    its survival function (Imhof 1961)
+
+        P(rho > R) = int_0^a f3(x) Q3((R^2 - s1 x) / s2) dx + Q3(a),   a = R^2 / s1.
+
+    x = a sin^2(theta) and b = R^2 / s2 give the analytic integrand
+    sqrt(2/pi) a^1.5 sin^2 cos e^(-a sin^2 / 2) Q3(b cos^2) on [0, pi/2],
+    summed here by one Gauss-Legendre rule of ``nodes`` nodes.  rho^2 is
+    S3-invariant, so every form is paired with every image, one-sided and
+    without the i <= j fold, a block of forms at a time.
     """
     from threshold_lab.quadrature import composite_nodes
 
-    def q3_survival(v):
-        v = np.maximum(v, 0.0)
-        return erfc(np.sqrt(v / 2.0)) + np.sqrt(2.0 * v / math.pi) * np.exp(-v / 2.0)
+    def q3(v):
+        return erfc(np.sqrt(0.5 * v)) + np.sqrt(2.0 * v / math.pi) * np.exp(-0.5 * v)
 
-    coeff = c * asm.scale
-    n, p = asm.images.shape[0], asm.images.shape[1]
-    flat = asm.images.reshape(n * p, 3)
-    w = np.repeat(coeff, p)
-    total = 0.0
-    outside = 0.0
-    (nodes,), (weights,) = composite_nodes(np.array([0.0, 1.0]), 196)
-    for i in range(len(flat)):
-        for j in range(len(flat)):
-            f = flat[i] + flat[j]
-            B = np.array([[f[0], f[1]], [f[1], f[2]]])
-            s2_, s1_ = np.sort(np.linalg.eigvalsh(np.linalg.inv(B)))
-            mass = w[i] * w[j] * (2.0 * math.pi) ** 3 * np.linalg.det(B) ** -1.5
-            total += mass
-            # P(s1 X + s2 Y > R^2), X,Y ~ chi2_3, s1 >= s2
-            cap = R * R / s1_
-            x = nodes * cap
-            wts = weights * cap
-            pdf = np.sqrt(x / (2.0 * math.pi)) * np.exp(-x / 2.0)
-            prob = float(np.dot(wts, pdf * q3_survival((R * R - s1_ * x) / s2_)))
-            prob += float(q3_survival(np.array([cap]))[0])
-            outside += mass * prob
-    return outside / total
+    (theta,), (wt,) = composite_nodes(np.array([0.0, 0.5 * math.pi]), nodes)
+    sin2, cos2 = np.sin(theta) ** 2, np.cos(theta) ** 2
+    w_theta = math.sqrt(2.0 / math.pi) * wt * sin2 * np.cos(theta)
+    flat = asm.images.reshape(-1, 3)
+    n = len(asm.forms)
+    kernels = np.empty((1 + len(radii), n, len(flat)))  # the total mass, then one per radius
+    for lo in range(0, n, 32):
+        b11, b12, b22 = np.moveaxis(asm.forms[lo:lo + 32, None] + flat[None], -1, 0)
+        det = b11 * b22 - b12 * b12
+        mass = (2.0 * math.pi) ** 3 * det ** -1.5
+        root = np.sqrt(0.25 * (b11 - b22) ** 2 + b12 * b12)
+        inv_s2 = 0.5 * (b11 + b22) + root
+        inv_s1 = det / inv_s2                           # the smaller eigenvalue of B
+        kernels[0, lo:lo + 32] = mass
+        for k, R in enumerate(radii, start=1):
+            a, b = R * R * inv_s1, R * R * inv_s2
+            inner = np.exp(-0.5 * a[..., None] * sin2) * q3(b[..., None] * cos2)
+            kernels[k, lo:lo + 32] = mass * (a ** 1.5 * (inner @ w_theta) + q3(a))
+    coeff = np.asarray(cs) * asm.scale
+    masses = np.einsum("ci,kij,cj->ck", coeff, kernels,
+                       np.repeat(coeff, asm.images.shape[1], axis=-1))
+    return masses[:, 1:] / masses[:, :1]
 
 
 def qmc_tails(asm, c, radii, seed, n_points):
@@ -489,8 +496,8 @@ class TestTailOracle:
         radii = (2.0, 6.0, 12.0)
         tails = dict(t3.tail_masses(asm, c, radii))
         qmc, _ = qmc_tails(asm, c, radii, seed=3, n_points=2 ** 20)
-        for R in radii:
-            assert tails[R] == pytest.approx(chi2_tail_oracle(asm, c, R), abs=1e-6)
+        for R, oracle in zip(radii, chi2_tail_oracle(asm, [c], radii)[0]):
+            assert tails[R] == pytest.approx(oracle, abs=1e-6)
             assert tails[R] == pytest.approx(qmc[R], abs=1e-3)
 
     def test_rho2_closed_form_within_qmc_error(self, lam_star):
@@ -618,8 +625,8 @@ SWEEP_OFFSETS = (3e-2, 1e-3, 2e-5)     # (lambda - lambda_cr) / lambda*
 
 class TestTailKernels:
     def test_total_mass_kernel_is_overlap(self, bracket):
-        # R = 0 probabilities are exactly 1: the one-sided image sum and the
-        # i <= j fold must rebuild N entry by entry
+        # the R = 0 rule sums to 1 up to rounding: the one-sided image sum and
+        # the i <= j fold must rebuild N entry by entry
         _, asm = bracket
         (k0,) = t3._tail_kernels(asm, (0.0,))
         assert np.all(np.abs(k0 - asm.N) <= 1e-12 * np.abs(asm.N))
@@ -634,7 +641,16 @@ class TestTailKernels:
         fine_asm = t3.assembler_for(asm, asm.system)
         fine = [t3.tail_masses(fine_asm, c, radii) for c in cs]
         worst = max(abs(a - b) for x, y in zip(base, fine) for (_, a), (_, b) in zip(x, y))
-        assert worst <= 1e-7
+        assert worst <= 1e-10
+
+    def test_tails_match_chi2_convolution(self, bracket, lam_star):
+        # the hyperangular kernels against Imhof's convolution, an
+        # independent route to every P(rho > R)
+        br, asm = bracket
+        radii = t3.TAIL_MULTIPLES
+        cs = [asm.solve(br.lambda_cr + off * lam_star)[1] for off in SWEEP_OFFSETS]
+        tails = [[T for _, T in t3.tail_masses(asm, c, radii)] for c in cs]
+        assert np.max(np.abs(np.array(tails) - chi2_tail_oracle(asm, cs, radii))) <= 1e-11
 
     def test_tails_fall_and_obey_markov_along_sweep(self, bracket, lam_star):
         br, asm = bracket
