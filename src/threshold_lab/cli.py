@@ -28,7 +28,7 @@ from . import threebody as t3
 from . import twobody as tb
 from .errors import (ConfigError, DegenerateInputError, HypothesisError, ThresholdLabError,
                      ValidationError)
-from .model import PAIRS, PairPotential, ParticleSystem, jacobi_frame
+from .model import PAIRS, POTENTIAL_KINDS, PairPotential, ParticleSystem, jacobi_frame
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -115,6 +115,9 @@ def potential_from_keyvalues(kv: dict, prefix: str = "") -> PairPotential:
     """Pair potential from the ``kind``/``range``/``table`` values of a config;
     a table beside a kind that is not tabulated is refused by PairPotential."""
     kind = kv[prefix + "kind"]
+    if kind not in POTENTIAL_KINDS:
+        raise ConfigError(f"unknown potential kind {kind!r}; choose from {POTENTIAL_KINDS}",
+                          key=prefix + "kind")
     range_ = _number(kv[prefix + "range"], prefix + "range", 0.0)
     key = prefix + "table"
     table = None
@@ -157,7 +160,7 @@ def load_config(text: str, seed_override=None, out_override=None,
     lambda_factor = _take(kv, "lambda_factor", None, 0.0)
     coupling = _take(kv, "lambda", 1.0, 0.0)
     if lambda_factor is not None and "lambda" in kv:
-        raise ConfigError("set lambda or lambda_factor, not both")
+        raise ConfigError("set lambda or lambda_factor, not both", key="lambda_factor")
     seed = _take(kv, "seed", 0, 0)
     options = {key: _take(kv, key, default, least)
                for key, (default, least) in row.items()}
@@ -177,7 +180,8 @@ def load_config(text: str, seed_override=None, out_override=None,
         raise ConfigError(f"missing potential key {exc.args[0]!r}",
                           key=str(exc.args[0])) from exc
     except ValueError as exc:
-        raise ConfigError(f"invalid potential specification: {exc}") from exc
+        # potential_from_keyvalues checks kind and range: PairPotential refuses a table
+        raise ConfigError(f"invalid potential table: {exc}", key=prefix + "table") from exc
     except ValidationError as exc:
         # the paper's standing assumption R6 fails only through a table value
         raise ConfigError(f"tabulated potential violates R6: {exc}",

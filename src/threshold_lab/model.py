@@ -9,8 +9,7 @@ to peak value 1 so the coupling constant is the single strength parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,6 @@ class PairPotential:
     kind: str
     range_: float
     table: tuple[tuple[float, float], ...] | None = None
-    _interp: Callable = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in POTENTIAL_KINDS:
@@ -50,15 +48,13 @@ class PairPotential:
             v = np.array([p[1] for p in self.table], dtype=float)
             if np.any(np.diff(r) <= 0) or r[0] < 0:
                 raise ValueError("table radii must be nonnegative and strictly increasing")
+            # the monotone cubic _pchip stays within the range of its two samples
+            # on each interval, so V >= 0 at the samples is V >= 0 everywhere
             bad = ~(np.isfinite(v) & (v >= 0.0))
             if np.any(bad):
                 k = int(np.argmax(bad))
                 raise ValidationError(f"nonnegativity: V({r[k]:.6g}) = {v[k]:.6g} "
                                       "is not a finite value >= 0")
-            # the monotone cubic stays within the range of its two samples on
-            # each interval, so V >= 0 at the samples is V >= 0 everywhere
-            from scipy.interpolate import PchipInterpolator  # costly import, tables only
-            object.__setattr__(self, "_interp", PchipInterpolator(r, v, extrapolate=False))
         elif self.table is not None:
             raise ValueError("only tabulated potentials carry a table")
 
@@ -71,8 +67,9 @@ class PairPotential:
             return np.exp(-r / self.range_)
         if self.kind == "square_well":
             return np.where(r <= self.range_, 1.0, 0.0)
-        vals = self._interp(np.clip(r, self.table[0][0], self.table[-1][0]))
-        return np.where(r > self.table[-1][0], 0.0, vals)
+        radii, vals = np.array(self.table, dtype=float).T
+        v = _pchip(radii, vals, np.clip(r, radii[0], radii[-1]))
+        return np.where(r > radii[-1], 0.0, v)
 
     def envelope(self, r):
         """Non-increasing majorant F(r) = sup over s >= r of V(s).
@@ -105,6 +102,33 @@ class PairPotential:
         if self.kind == "gaussian":
             return 7.0 * self.range_
         return 40.0 * self.range_  # exponential tail e^-40
+
+
+def _pchip(x, y, r):
+    """The monotone cubic through the samples (x, y), at x[0] <= r <= x[-1].
+
+    Fritsch and Carlson, SIAM J. Numer. Anal. 17 (1980) 238, with the slopes,
+    power-form coefficients and summation order of scipy's PchipInterpolator
+    (Fritsch-Butland harmonic means inside, a limited three-point formula at
+    each end, linear for two samples), so both return the same bits.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.full_like(y, m[0])
+    if len(x) > 2:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        over = (np.sign(m0) != np.sign(m1)) & (np.abs(e) > 3 * np.abs(m0))
+        d[[0, -1]] = np.where(np.sign(e) != np.sign(m0), 0.0, np.where(over, 3 * m0, e))
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, len(h) - 1)
+    s = r - x[i]
+    s2 = s * s
+    return (y[i] + d[i] * s) + ((m - d[:-1]) / h - t)[i] * s2 + (t / h)[i] * (s2 * s)
 
 
 def zero_potential(range_: float = 1.0) -> PairPotential:

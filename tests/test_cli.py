@@ -14,6 +14,7 @@ from threshold_lab.cli import (
     OPTIONS,
     load_config,
     main,
+    parse_keyvalues,
 )
 from threshold_lab.errors import ConfigError
 from threshold_lab import threebody as t3
@@ -64,11 +65,22 @@ class TestConfigParsing:
     @pytest.mark.parametrize("line,key", [
         ("potential.21.kind = gaussian", "potential.21.kind"),   # not a canonical pair
         ("potential.12.range = 2.0", "potential.12.kind"),       # a range without a kind
-        ("table = 0:1 1:0", None),                               # a table on a square well
-    ], ids=["pair-21", "range-without-kind", "table-without-tabulated"])
+        ("table = 0:1 1:0", "table"),                            # a table on a square well
+        ("lambda = 2.0", "lambda_factor"),                       # beside lambda_factor
+        ("kind = foo", "kind"),
+        ("potential.13.kind = foo", "potential.13.kind"),
+        ("kind = tabulated\ntable = 0:1", "table"),              # one row
+        ("kind = tabulated\ntable = 1:1 0:0", "table"),          # decreasing radii
+        ("potential.13.kind = square_well\npotential.13.range = 1\npotential.13.table = 0:1 1:0",
+         "potential.13.table"),
+    ], ids=["pair-21", "range-without-kind", "table-without-tabulated", "lambda-and-factor",
+            "unknown-kind", "unknown-pair-kind", "one-row-table", "decreasing-radii",
+            "pair-table-without-tabulated"])
     def test_unread_potential_key_rejected(self, line, key):
+        # the case's lines replace the keys they set in the square-well config
+        kv = parse_keyvalues(SQUARE_WELL_CFG) | parse_keyvalues(line)
         with pytest.raises(ConfigError) as err:
-            load_config(SQUARE_WELL_CFG + line + "\n")
+            load_config("".join(f"{k} = {v}\n" for k, v in kv.items()))
         assert err.value.key == key
 
     def test_bad_number(self):

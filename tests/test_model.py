@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from threshold_lab.errors import ValidationError
 from threshold_lab.model import (
@@ -205,3 +206,27 @@ class TestRandomTabulatedProfiles:
             assert potential_moment_c(pot, alpha) * alpha ** 3 == pytest.approx(
                 c1, rel=1e-10
             )
+
+    def test_profile_is_scipy_pchip_bit_for_bit(self):
+        # model._pchip keeps the slopes, coefficients and summation order of
+        # scipy's PchipInterpolator, the reference here, so a table's profile
+        # is the same float at the knots, between them and beyond both ends
+        rng = np.random.default_rng(26)
+        for k in range(400):
+            n = 2 + k % 59
+            r = np.cumsum(rng.uniform(0.01, 1.0, n))
+            if k % 2:
+                r -= r[0]                       # half the tables start at r = 0
+            vals = rng.uniform(0.0, 1.0, n)     # slopes that change sign
+            if k % 3 == 0:
+                vals = np.exp(-r)               # slopes of one sign
+            # a run of zeros, signed as a config may write them (0 or -0)
+            start = rng.integers(n)
+            run = slice(start, start + rng.integers(1, 5))
+            vals[run] = rng.choice([0.0, -0.0], size=vals[run].size)
+            pot = PairPotential("tabulated", 1.0, table=tuple(zip(r.tolist(), vals.tolist())))
+            x = np.concatenate([r, (r[1:] + r[:-1]) / 2, rng.uniform(r[0], r[-1], 50),
+                                rng.uniform(0.0, r[0], 5), r[-1] + rng.uniform(0.0, 1.0, 5)])
+            inside = PchipInterpolator(r, vals, extrapolate=False)(np.clip(x, r[0], r[-1]))
+            expected = np.where(x > r[-1], 0.0, inside)
+            assert pot.profile(x).tobytes() == expected.tobytes(), (k, n)
