@@ -276,16 +276,14 @@ def _resolve_coupling(cfg: ExperimentConfig):
 def run_two_critical(cfg: ExperimentConfig) -> int:
     system, margin = _resolve_coupling(cfg)
     pairs = {}
-    # a pair with no attraction has no threshold to shoot for
-    oracles = tb.per_distinct_pair(
-        system, tb.oracle_critical_coupling,
-        [pair for pair, lam_star in margin.lambda_stars.items() if lam_star < math.inf])
     for pair in PAIRS:
         lam_star = margin.lambda_stars[pair]
         entry = {"mu0": 1.0 / lam_star, "lambda_star": None,
                  "lambda_star_oracle": None, "oracle_rel_diff": None}
-        if pair in oracles:
-            oracle = oracles[pair]
+        # a pair with no attraction has no threshold to shoot for
+        if lam_star < math.inf:
+            oracle = tb.oracle_critical_coupling(system.potential(pair),
+                                                 jacobi_frame(system, pair))
             entry.update(lambda_star=lam_star, lambda_star_oracle=oracle,
                          oracle_rel_diff=abs(lam_star - oracle) / oracle)
         pairs[f"{pair[0]}{pair[1]}"] = entry
@@ -521,7 +519,7 @@ def main(argv=None) -> int:
 
     try:
         text = Path(args.config).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -163,7 +163,7 @@ def build_partition(system: ParticleSystem, delta: float = 0.05,
         raise ValueError("smoothing width must lie in (0, 1/4)")
     if theta <= 0.0:
         raise ValueError("threshold must be positive")
-    forms = separation_forms(system, (1, 2))
+    forms = separation_forms(system)
     part = IMSPartition(system=system, theta=theta, delta=delta,
                         forms=tuple(forms[pair] for pair in PAIRS))
 

@@ -186,15 +186,16 @@ def _canonical_pair(pair) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class JacobiFrame:
-    """Mass-derived constants of the Jacobi frame attached to one ordered pair.
+    """Mass-derived constants of the Jacobi frame of a pair (ij).
 
     x = sqrt(2 mu_ij) (r_j - r_i), y = sqrt(2 M_ij) (r_l - cm_ij) turn the
     kinetic energy into -Lap_x - Lap_y; the pair potential of (ij) then has
     argument alpha*|x|.  The cross-pair separations, whose y coefficient is
-    gamma, come from ``separation_forms``.
+    gamma, come from ``separation_forms``.  A frame holds its constants
+    only: two pairs with equal reduced masses have equal M as well, so their
+    frames compare and hash equal and share the two-body caches.
     """
 
-    pair: tuple[int, int]
     mu: float
     M: float
     alpha: float
@@ -202,8 +203,8 @@ class JacobiFrame:
 
 
 def jacobi_frame(system: ParticleSystem, pair) -> JacobiFrame:
-    """Closed-form frame constants for an ordered pair (i, j)."""
-    _canonical_pair(pair)  # validates; the frame keeps the pair's order
+    """Closed-form frame constants of the pair (i, j), in either order."""
+    _canonical_pair(pair)  # validates
     i, j = pair
     (l,) = {1, 2, 3} - {i, j}
     mi, mj, ml = (system.masses[i - 1], system.masses[j - 1], system.masses[l - 1])
@@ -211,26 +212,23 @@ def jacobi_frame(system: ParticleSystem, pair) -> JacobiFrame:
     M = (mi + mj) * ml / (mi + mj + ml)
     alpha = 1.0 / math.sqrt(2.0 * mu)
     gamma = 1.0 / math.sqrt(2.0 * M)
-    return JacobiFrame(pair=(i, j), mu=mu, M=M, alpha=alpha, gamma=gamma)
+    return JacobiFrame(mu=mu, M=M, alpha=alpha, gamma=gamma)
 
 
-def separation_forms(system: ParticleSystem, frame_pair=(1, 2)) -> dict:
-    """Linear forms (u, v) with r_b - r_a = u*x + v*y in the given frame.
+def separation_forms(system: ParticleSystem) -> dict:
+    """Linear forms (u, v) with r_b - r_a = u*x + v*y in the frame of (1, 2).
 
     Keys are canonical pairs; every pair separation is a linear map of the
     frame's Jacobi coordinates, which is what the variational and IMS
     modules consume.
     """
-    i, j = frame_pair
-    fr = jacobi_frame(system, (i, j))
-    (l,) = {1, 2, 3} - {i, j}
-    mi, mj = system.masses[i - 1], system.masses[j - 1]
-    forms = {
-        _canonical_pair((i, j)): (fr.alpha, 0.0),
-        _canonical_pair((i, l)): (mj / (mi + mj) * fr.alpha, fr.gamma),
-        _canonical_pair((j, l)): (-mi / (mi + mj) * fr.alpha, fr.gamma),
+    fr = jacobi_frame(system, (1, 2))
+    m1, m2 = system.masses[0], system.masses[1]
+    return {
+        (1, 2): (fr.alpha, 0.0),
+        (1, 3): (m2 / (m1 + m2) * fr.alpha, fr.gamma),
+        (2, 3): (-m1 / (m1 + m2) * fr.alpha, fr.gamma),
     }
-    return forms
 
 
 # ---------------------------------------------------------------------------

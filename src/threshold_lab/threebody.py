@@ -253,7 +253,7 @@ class _Assembler:
         self.system = system
         self.symmetrized = symmetrized
         self.perms = permutation_matrices(symmetrized)
-        forms = separation_forms(system, (1, 2))
+        forms = separation_forms(system)
         terms = pair_terms(system)
         self.sep_terms = [(forms[p], terms[p]) for p in sorted(forms)]
         self.n = 0

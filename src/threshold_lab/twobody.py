@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -146,11 +147,14 @@ def bs_matrix(V: PairPotential, frame: JacobiFrame, z: float, rule) -> np.ndarra
     return 0.5 * (m + m.T)
 
 
+@lru_cache(maxsize=256)
 def bs_max_eigenvalue(V: PairPotential, frame: JacobiFrame, z: float) -> float:
     """Largest eigenvalue mu(z) of the discretized BS operator.
 
     mu is continuous and strictly decreasing in z.  Each z gets its own
-    grid, which resolves the 1/z width of the kernel.
+    grid, which resolves the 1/z width of the kernel.  Cached by value:
+    the pairs of a system, the states of a sweep and the bracket ends of
+    ``_brentq`` share mu(0) and the doubling's mu(1), mu(2), ...
     """
     rule = bs_radial_rule(V, frame.alpha, z=z)
     return float(np.linalg.eigvalsh(bs_matrix(V, frame, z, rule))[-1])
@@ -188,35 +192,17 @@ class MarginReport:
         return self.eps > 0.0
 
 
-def per_distinct_pair(system: ParticleSystem, solve, pairs=None) -> dict:
-    """{pair: solve(potential, frame)} over ``pairs`` (default: every pair).
-
-    lambda* and its shooting oracle depend only on the potential and the
-    frame's alpha, so solve runs once per distinct (potential, alpha): once
-    for three equal pairs.
-    """
-    solved = {}
-    out = {}
-    for pair in system.potentials if pairs is None else pairs:
-        pot, frame = system.potential(pair), jacobi_frame(system, pair)
-        key = (pot, frame.alpha)
-        if key not in solved:
-            solved[key] = solve(pot, frame)
-        out[pair] = solved[key]
-    return out
-
-
 def subcriticality_margin(system: ParticleSystem) -> MarginReport:
     """Margin eps > 0 certifies that no pair is bound or resonant."""
 
-    def star(pot, frame):
+    def star(pair):
         try:
-            return critical_coupling(pot, frame)
+            return critical_coupling(system.potential(pair), jacobi_frame(system, pair))
         except DegenerateInputError:
             return math.inf
 
     return MarginReport(coupling=system.coupling,
-                        lambda_stars=per_distinct_pair(system, star))
+                        lambda_stars={pair: star(pair) for pair in system.potentials})
 
 
 def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> float:
@@ -231,24 +217,17 @@ def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> 
     """
     if lam <= 0.0:
         raise ValueError("coupling must be positive")
-    known = {}
-
-    def mu(z):
-        # _brentq starts from both bracket ends, which the doubling has solved
-        if z not in known:
-            known[z] = bs_max_eigenvalue(V, frame, z)
-        return known[z]
-
-    if lam * mu(0.0) <= 1.0:
+    if lam * bs_max_eigenvalue(V, frame, 0.0) <= 1.0:
         raise BracketError(f"coupling {lam} is subcritical; no bound state")
     z_hi = 1.0
     for _ in range(64):
-        if lam * mu(z_hi) < 1.0:
+        if lam * bs_max_eigenvalue(V, frame, z_hi) < 1.0:
             break
         z_hi *= 2.0
     else:
         raise BracketError("could not bracket the binding momentum")
-    z_star = _brentq(lambda z: lam * mu(z) - 1.0, 0.0, z_hi)
+    # _brentq starts from both bracket ends, which the cache already holds
+    z_star = _brentq(lambda z: lam * bs_max_eigenvalue(V, frame, z) - 1.0, 0.0, z_hi)
     return -z_star ** 2
 
 
@@ -518,9 +497,12 @@ def total_nodes(res: ShootingResult, energy: float) -> int:
     return res.nodes + extra
 
 
+@lru_cache(maxsize=32)
 def oracle_critical_coupling(V: PairPotential, frame: JacobiFrame) -> float:
     """Threshold coupling from the zero-energy exterior slope sign change."""
 
+    # _brentq starts from both bracket ends, which the doubling has shot
+    @lru_cache(maxsize=None)
     def slope(lam):
         res = shooting_oracle(V, frame, lam, 0.0)
         return res.du_end / max(abs(res.u_end), abs(res.du_end), 1e-300)
@@ -545,13 +527,11 @@ def oracle_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> f
     """
     e_lo = -1.01 * lam * float(np.max(V.profile(np.linspace(0.0, V.effective_radius, 512))))
     e_hi = -1e-13
-    runs = {}
 
+    # the bisection and _brentq both evaluate the bracket ends
+    @lru_cache(maxsize=None)
     def shoot(E):
-        # the bisection and _brentq both evaluate the bracket ends
-        if E not in runs:
-            runs[E] = shooting_oracle(V, frame, lam, E)
-        return runs[E]
+        return shooting_oracle(V, frame, lam, E)
 
     def nodes(E):
         return total_nodes(shoot(E), E)

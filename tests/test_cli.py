@@ -223,28 +223,27 @@ class TestMain:
         assert payload["R7_satisfied"] is True
 
     @pytest.mark.parametrize("masses,runs", [("1 1 1", 1), ("1 1 4", 2)])
-    def test_one_oracle_run_per_distinct_pair(self, tmp_path, monkeypatch, masses, runs):
-        # the oracle sees only the potential and alpha; masses 1 1 4 give
-        # pair 12 one alpha and pairs 13 and 23 another
-        calls = []
-        oracle = tb.oracle_critical_coupling
-
-        def counted(*args):
-            calls.append(args)
-            return oracle(*args)
-
-        monkeypatch.setattr(tb, "oracle_critical_coupling", counted)
+    def test_one_oracle_run_per_distinct_pair(self, tmp_path, masses, runs):
+        # the oracle is cached by (potential, frame); masses 1 1 4 give
+        # pair 12 one frame and pairs 13 and 23 another
+        tb.oracle_critical_coupling.cache_clear()
         cfg_path = tmp_path / "cfg"
         cfg_path.write_text(SQUARE_WELL_CFG.replace("masses = 1 1 1", f"masses = {masses}"))
         assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
                      "--quiet"]) == EXIT_OK
-        assert len(calls) == runs
+        assert tb.oracle_critical_coupling.cache_info().misses == runs
         payload = read_json(tmp_path / "out" / "two_critical.json")
         for info in payload["pairs"].values():
             assert info["oracle_rel_diff"] <= 1e-4
 
     def test_missing_config_file(self, capsys):
         assert main(["--config", "/nonexistent/cfg"]) == EXIT_CONFIG
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_bytes(SQUARE_WELL_CFG.encode() + b"\xff\n")
+        assert main(["--config", str(cfg_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg"
@@ -281,6 +280,23 @@ class TestMain:
         payload = read_json(out / "two_sweep.json")
         assert payload["verdict"] == "spreading-consistent"
         assert abs(payload["size_exponent"] - 1.0) <= 0.2
+
+    def test_two_sweep_builds_shared_bracket_ends_once(self, tmp_path, monkeypatch):
+        # every state of the sweep brackets z* from mu(0) and mu(1); the
+        # cache of bs_max_eigenvalue builds each of them once for the run
+        zs = []
+        build = tb.bs_matrix
+
+        def recorded(V, frame, z, rule):
+            zs.append(z)
+            return build(V, frame, z, rule)
+
+        monkeypatch.setattr(tb, "bs_matrix", recorded)
+        tb.bs_max_eigenvalue.cache_clear()
+        assert main(["--config", str(CONFIGS / "two_sweep_gaussian.cfg"),
+                     "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
+        assert zs.count(0.0) == 1
+        assert zs.count(1.0) == 1
 
     @pytest.mark.parametrize("experiment,line", [
         ("two_sweep", "sweep_points = ten"),

@@ -163,7 +163,7 @@ class TestSystem:
         rng = np.random.default_rng(3)
         masses = (1.0, 2.0, 3.5)
         sys = uniform_system("gaussian", 1.0, 1.0, masses=masses)
-        forms = separation_forms(sys, (1, 2))
+        forms = separation_forms(sys)
         fr = jacobi_frame(sys, (1, 2))
         for _ in range(20):
             r1, r2, r3 = rng.normal(size=(3, 3))

@@ -121,24 +121,18 @@ class TestSubcriticalityMargin:
         ((1.0, 1.0, 1.0), ("gaussian", "exponential", "gaussian"), 2),
         ((1.0, 1.0, 4.0), ("gaussian",) * 3, 2),   # pairs 13 and 23 share alpha
     ], ids=["identical", "two-potentials", "two-alphas"])
-    def test_one_solve_per_distinct_potential_and_alpha(self, monkeypatch, masses, kinds,
-                                                        solves):
+    def test_one_solve_per_distinct_potential_and_alpha(self, masses, kinds, solves):
         from threshold_lab.model import PAIRS, ParticleSystem
 
         pots = {pair: PairPotential(kind, 1.0) for pair, kind in zip(PAIRS, kinds)}
         system = ParticleSystem(masses, pots, 1.0)
-        solved = tb.critical_coupling
-        calls = []
-
-        def counted(V, frame):
-            calls.append((V, frame.alpha))
-            return solved(V, frame)
-
-        monkeypatch.setattr(tb, "critical_coupling", counted)
+        # each pair asks for mu(0); the cache solves once per (potential, frame)
+        tb.bs_max_eigenvalue.cache_clear()
         rep = tb.subcriticality_margin(system)
-        assert len(calls) == len(set(calls)) == solves
+        assert tb.bs_max_eigenvalue.cache_info().misses == solves
         for pair in PAIRS:
-            assert rep.lambda_stars[pair] == solved(pots[pair], jacobi_frame(system, pair))
+            assert rep.lambda_stars[pair] == tb.critical_coupling(
+                pots[pair], jacobi_frame(system, pair))
 
 
 class TestBindingEnergy:
@@ -165,21 +159,14 @@ class TestBindingEnergy:
         assert e_bs == pytest.approx(e_oracle, rel=1e-6)
 
     @pytest.mark.parametrize("V", [WELL, EXPO, GAUSS], ids=["well", "expo", "gauss"])
-    def test_few_eigen_solves_per_state(self, V, monkeypatch):
-        # the 8-point control sweep of the absorb experiment
+    def test_few_eigen_solves_per_state(self, V):
+        # the 8-point control sweep of the absorb experiment, each state
+        # from a cold cache
         lam_star = tb.critical_coupling(V, FRAME)
-        calls = []
-        solve = tb.bs_max_eigenvalue
-
-        def counted(*args):
-            calls.append(args)
-            return solve(*args)
-
-        monkeypatch.setattr(tb, "bs_max_eigenvalue", counted)
         for g in np.geomspace(1e-1, 1e-4, 8):
-            calls.clear()
+            tb.bs_max_eigenvalue.cache_clear()
             assert tb.twobody_binding_energy(V, FRAME, lam_star * (1.0 + g)) < 0.0
-            assert len(calls) <= 9
+            assert tb.bs_max_eigenvalue.cache_info().misses <= 9
 
     def test_energy_vanishes_monotonically_toward_threshold(self):
         lam_star = tb.critical_coupling(GAUSS, FRAME)
