@@ -166,16 +166,13 @@ def load_config(text: str, seed_override=None, out_override=None,
                for key, (default, least) in row.items()}
 
     potentials = {}
-    by_prefix = {}
     try:
         for pair in PAIRS:
             prefix = f"potential.{pair[0]}{pair[1]}."
             # pairs without their own keys share the flat kind/range/table keys
             if not any(prefix + k in kv for k in _POTENTIAL_KEYS):
                 prefix = ""
-            if prefix not in by_prefix:
-                by_prefix[prefix] = potential_from_keyvalues(kv, prefix)
-            potentials[pair] = by_prefix[prefix]
+            potentials[pair] = potential_from_keyvalues(kv, prefix)
     except KeyError as exc:
         raise ConfigError(f"missing potential key {exc.args[0]!r}",
                           key=str(exc.args[0])) from exc

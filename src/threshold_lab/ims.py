@@ -66,22 +66,12 @@ class IMSPartition:
     # forms[p] = (u, v): the separation of PAIRS[p] is u x + v y in frame (12)
     forms: tuple
 
-    def evaluate(self, q, with_gradient: bool = True, seps=None):
-        """J values (n, 3) and gradients (n, 3, 6) at configurations q (n, 6).
-
-        ``seps`` may pass the pair separations of q, as
-        ``self._separations(q, with_gradient)`` forms them, so a caller that
-        needs them too forms each only once.
-        """
+    def evaluate(self, q, with_gradient: bool = True):
+        """J values (n, 3) and gradients (n, 3, 6) at configurations q (n, 6)."""
         q = np.atleast_2d(np.asarray(q, dtype=float))
         n = q.shape[0]
         rho = np.linalg.norm(q, axis=1)
-        if seps is None:
-            seps = self._separations(q, with_gradient)
-        elif (len(seps) != len(self.forms)
-              or any(m.shape != (n,) for _, m in seps)
-              or (with_gradient and any(d is None for d, _ in seps))):
-            raise ValueError("seps must be self._separations(q, with_gradient)")
+        seps = self._separations(q, with_gradient)
         j = np.empty((n, 3))
         grad = np.zeros((n, 3, 6)) if with_gradient else None
 
@@ -269,8 +259,9 @@ def _audit_block(part: IMSPartition, pots, q):
     rho = np.linalg.norm(q, axis=1)
     if np.any(rho <= 1.0):
         raise ValueError("audit mesh must satisfy |q| > 1")
+    # every point lies outside the blend shell, where evaluate is _evaluate_outer
     seps = part._separations(q, False)
-    j, _ = part.evaluate(q, with_gradient=False, seps=seps)
+    j, _ = part._evaluate_outer(q, rho, seps, False)
     j_sq = j ** 2
     partition_defect = np.max(np.abs(np.sum(j_sq, axis=1) - 1.0))
 

@@ -10,15 +10,16 @@ size observables, tail masses, and the spreading diagnostic that contrasts
 the three-body threshold with the two-body one.
 
 Every solve works on one regularized span of the overlap matrix
-(``_span``).  Growth scores a pool of candidates from one decomposition of
-the committed basis by the rank-one secular update, and the critical
-coupling is one generalized eigenvalue on the span.
+(``_span``), which the assembler decomposes once per basis.  Growth scores a
+pool of candidates from that decomposition by the rank-one secular update,
+and the critical coupling is one generalized eigenvalue on the span.
 
 Tail masses are exact up to a fixed 1D quadrature: under every Gaussian pair
 of |psi|^2, six-dimensional polar coordinates do the hyperradial integral in
 closed form and leave one hyperangular integral of exponentials, whose
 weight does not depend on the pair.  Moments and tail probabilities depend
-only on the basis, so they are kept as cached kernel matrices and every
+only on the basis, so they are kept, beside the span, in the assembler's
+``kernel`` cache, which lasts for one basis (``add`` empties it), and every
 sweep point costs a few quadratic forms.  The chi^2_3 convolution (Imhof
 1961) and quasi-Monte Carlo survive only in the tests, as independent
 oracles.
@@ -33,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BasisError, BracketError, FitError
+from .errors import BasisError, BracketError, DegenerateInputError, FitError
 from .model import PairPotential, ParticleSystem, jacobi_frame, separation_forms
 from .quadrature import composite_nodes
 from .twobody import (TAIL_MULTIPLES, MarginReport, subcriticality_margin,
@@ -264,7 +265,6 @@ class _Assembler:
         self.T = np.zeros((0, 0))
         self.V = np.zeros((0, 0))
         self._kernels = {}
-        self._kernels_n = 0
 
     def _border(self, forms):
         """Unit-normalized elements of each row of ``forms`` against the basis.
@@ -299,6 +299,7 @@ class _Assembler:
         self.images = np.concatenate([self.images, images[i:i + 1]], axis=0)
         self.scale = np.append(self.scale, d_new[i])
         self.n += 1
+        self._kernels = {}
 
     def trial_energy(self, form, coupling: float) -> float:
         """Ground energy if ``form`` were appended (no commit), by a full solve."""
@@ -307,8 +308,8 @@ class _Assembler:
                                 row_t[0] - coupling * row_v[0], row_n[0],
                                 diag_t[0] - coupling * diag_v[0], diag_n[0])
 
-    def trial_energies(self, forms, coupling: float) -> np.ndarray:
-        """``trial_energy`` of every row of ``forms``, from one decomposition.
+    def _score(self, bordered, coupling: float) -> np.ndarray:
+        """``trial_energy`` of every form of a ``_border`` result, from one decomposition.
 
         The committed basis is decomposed once: W = P Q spans it
         N-orthonormally with W^t H W = diag(e).  A candidate with unit
@@ -327,17 +328,13 @@ class _Assembler:
         s_max (Cauchy interlacing), so once the committed overlap has a
         dropped direction, so has every bordered one.
         """
-        return self._score(self._border(forms), coupling)
-
-    def _score(self, bordered, coupling: float) -> np.ndarray:
-        """``trial_energies`` of the forms of a ``_border`` result."""
         _, (b_n, b_t, b_v), (d_n, d_t, d_v), _ = bordered
         b_h = b_t - coupling * b_v
         d_h = d_t - coupling * d_v
         if self.n == 0:
             return d_h / d_n
         H = self.T - coupling * self.V
-        span = _span(self.N)
+        span = self.span
         e, Q = np.linalg.eigh(span.P.T @ H @ span.P)
         W = span.P @ Q
         a = b_n @ W
@@ -359,24 +356,23 @@ class _Assembler:
             energies[i] = _bordered_ground(H, self.N, b_h[i], b_n[i], d_h[i], d_n[i])
         return energies
 
-    def hamiltonian(self, coupling: float):
-        return self.T - coupling * self.V, self.N
-
     def solve(self, coupling: float):
-        return solve_ground(*self.hamiltonian(coupling))
+        return solve_ground(self.T - coupling * self.V, self.span)
 
     def kernel(self, key, build):
-        """``build(self)``, computed once per basis size.
+        """``build(self)``, computed once per basis.
 
         Every cached matrix depends on the basis alone, and the basis only
-        changes through ``add``, which raises ``n``: a size change empties
-        the cache.
+        changes through ``add``, which empties the cache.
         """
-        if self._kernels_n != self.n:
-            self._kernels, self._kernels_n = {}, self.n
         if key not in self._kernels:
             self._kernels[key] = build(self)
         return self._kernels[key]
+
+    @property
+    def span(self) -> _Span:
+        """The regularized span of the overlap N (``_span``), decomposed once per basis."""
+        return self.kernel("span", lambda a: _span(a.N))
 
     def moment_matrix(self, key: str):
         """Unit-normalized matrix of one moment (``MOMENT_KEYS``) on the basis."""
@@ -396,7 +392,7 @@ def _bordered(mat, row, diag):
 def _bordered_ground(H, N, row_h, row_n, diag_h, diag_n) -> float:
     """``solve_ground`` energy of (H, N) grown by one row; inf if degenerate."""
     try:
-        return solve_ground(_bordered(H, row_h, diag_h), _bordered(N, row_n, diag_n))[0]
+        return solve_ground(_bordered(H, row_h, diag_h), _span(_bordered(N, row_n, diag_n)))[0]
     except BasisError:
         return math.inf
 
@@ -590,18 +586,11 @@ def _span(N) -> _Span:
     return _Span(U[:, keep] / np.sqrt(s[keep]), int(np.sum(~keep)), s, U)
 
 
-def solve_ground(H: np.ndarray, N: np.ndarray):
-    """Lowest generalized eigenpair on the regularized span of N (``_span``).
-
-    The returned coefficients satisfy <c, N c> = 1.
-    """
-    H = np.asarray(H, dtype=float)
-    N = np.asarray(N, dtype=float)
-    if H.shape != N.shape or H.shape[0] != H.shape[1]:
-        raise ValueError("H and N must be square of equal dimension")
-    P = _span(N).P
-    vals, vecs = np.linalg.eigh(P.T @ H @ P)
-    return float(vals[0]), P @ vecs[:, 0]
+def solve_ground(H: np.ndarray, span: _Span):
+    """Lowest generalized eigenpair of H on ``span``, the regularized span of an
+    overlap N (``_span``); the returned coefficients satisfy <c, N c> = 1."""
+    vals, vecs = np.linalg.eigh(span.P.T @ H @ span.P)
+    return float(vals[0]), span.P @ vecs[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +751,7 @@ def _crossing(asm: _Assembler, tol_e: float) -> float:
     V c = mu (T + tol_e N) c: the Birman-Schwinger criterion on the
     regularized span.  inf when V has no positive direction there.
     """
-    P = _span(asm.N).P
+    P = asm.span.P
     # the symmetric pencil reduced by the Cholesky factor L L^t of its
     # positive-definite side: mu_max of L^-1 (P^t V P) L^-t
     L = np.linalg.cholesky(P.T @ asm.T @ P + tol_e * np.eye(P.shape[1]))
@@ -788,10 +777,13 @@ def critical_coupling_3body(system: ParticleSystem, budget: int, seed: int):
     bracket lambda_cr -/+ 2.5e-6 lambda*: BracketError if they disagree with
     the eigenvalue, if the crossing lies above the scan ("scan exhausted")
     or below it ("already bound").  lambda_cr is a variational upper bound
-    on the true critical coupling.
+    on the true critical coupling.  DegenerateInputError if no pair has
+    attraction.
     """
     margin = subcriticality_margin(system)
     lam_star = margin.lambda_star
+    if lam_star == math.inf:
+        raise DegenerateInputError("no pair has attraction: every pair has lambda* = inf")
     tol_e = 1e-6 * _energy_scale(system, margin)
     lam_lo0, lam_hi0 = SCAN[0] * lam_star, SCAN[1] * lam_star
 
@@ -821,15 +813,14 @@ def critical_coupling_3body(system: ParticleSystem, budget: int, seed: int):
             f"crossing at lambda = {lam_cr!r} not certified: E3 = {e_lo!r} at "
             f"{lam_lo!r} and {e_hi!r} at {lam_hi!r} against -tol = {-tol_e!r}"
         )
-    span = _span(asm.N)
     return CriticalBracket(
         lambda_cr=lam_cr,
         lam_lo=lam_lo,
         lam_hi=lam_hi,
         tol_energy=tol_e,
         lambda_star=lam_star,
-        cond_N=span.cond,
-        dropped_directions=span.dropped,
+        cond_N=asm.span.cond,
+        dropped_directions=asm.span.dropped,
     ), asm
 
 

@@ -410,6 +410,17 @@ class TestMain:
         assert "lambda_factor" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("*.json"))
 
+    def test_three_sweep_without_attraction_exit_1(self, tmp_path, capsys):
+        # lambda* = inf on every pair gives the lambda_cr search no energy scale
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text("experiment = three_sweep\nmasses = 1 1 1\nkind = tabulated\n"
+                            "range = 1.0\ntable = 0:0 1:0\nbudget = 12\nsweep_points = 4\n")
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "DegenerateInputError" in err and "no pair has attraction" in err
+        assert not list((tmp_path / "out").iterdir())
+
     def test_ims_audit_with_lambda_solves_no_lambda_star(self, tmp_path, monkeypatch):
         # lambda* only scales lambda_factor, so a run given lambda solves none
         calls = []
@@ -467,6 +478,31 @@ class TestMain:
             (data / "ims_audit_gaussian.json").read_bytes()
         assert (out / "ims_gradient.csv").read_bytes() == \
             (data / "ims_gradient_gaussian.csv").read_bytes()
+
+    def test_shipped_three_sweep_matches_reference(self, tmp_path):
+        # the references are the shipped three_sweep's outputs.  Running on 2
+        # OpenBLAS threads instead of 1 moved lambda_cr and the bracket by
+        # 5e-14, cond_N by 1e-7, size_exponent by 1.1e-11 and the records by
+        # 2.1e-9 (relative), each well inside its bound here
+        out = tmp_path / "out"
+        assert main(["--config", str(CONFIGS / "three_sweep_gaussian.cfg"), "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        data = ROOT / "tests" / "data"
+        payload = read_json(out / "three_sweep.json")
+        reference = read_json(data / "three_sweep_gaussian.json")
+        for key in ("lambda_cr", "bracket", "lambda_star"):
+            assert payload.pop(key) == pytest.approx(reference.pop(key), rel=1e-12), key
+        assert payload.pop("cond_N") == pytest.approx(reference.pop("cond_N"), rel=1e-5)
+        assert payload.pop("size_exponent") == pytest.approx(reference.pop("size_exponent"),
+                                                             abs=1e-9)
+        # verdict and dropped_directions exactly, beside the hash and the seed
+        assert payload == reference
+        lines = (out / "three_sweep.csv").read_text().splitlines()
+        ref_lines = (data / "three_sweep_gaussian.csv").read_text().splitlines()
+        assert lines[:2] == ref_lines[:2] and len(lines) == len(ref_lines)
+        for line, ref in zip(lines[2:], ref_lines[2:]):
+            assert [float(v) for v in line.split(",")] == pytest.approx(
+                [float(v) for v in ref.split(",")], rel=1e-7)
 
     def test_ops_audit_boundary_violation_reported(self, tmp_path):
         cfg_path = tmp_path / "cfg"

@@ -224,13 +224,13 @@ class TestIdentity:
 
     def test_one_partition_evaluation(self, partition, monkeypatch):
         calls = []
-        evaluate = ims.IMSPartition.evaluate
+        evaluate = ims.IMSPartition._evaluate_outer
 
         def counted(self, *args, **kwargs):
             calls.append(args)
             return evaluate(self, *args, **kwargs)
 
-        monkeypatch.setattr(ims.IMSPartition, "evaluate", counted)
+        monkeypatch.setattr(ims.IMSPartition, "_evaluate_outer", counted)
         ims.mesh_audit(partition, ims.audit_mesh(512))
         assert len(calls) == 1
         calls.clear()
@@ -268,19 +268,6 @@ class TestIdentity:
         # the audit's three distances feed its evaluation; no vector d is kept
         ims.mesh_audit(partition, sub)
         assert rows == [(5000, False)] * 3
-
-    def test_passed_separations_checked(self, partition, mesh):
-        sub = mesh[:500]
-        j, _ = partition.evaluate(sub, with_gradient=False)
-        shared, _ = partition.evaluate(sub, with_gradient=False,
-                                       seps=partition._separations(sub, False))
-        assert shared.tobytes() == j.tobytes()
-        # the gradient needs the vectors d, which with_vectors=False drops
-        with pytest.raises(ValueError):
-            partition.evaluate(sub, seps=partition._separations(sub, False))
-        with pytest.raises(ValueError):
-            partition.evaluate(sub, with_gradient=False,
-                               seps=partition._separations(mesh[:400], False))
 
     def test_envelope_below_potential_fails(self):
         rep = ims.mesh_audit(_zero_envelope_partition(), ims.audit_mesh(20000))

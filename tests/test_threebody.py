@@ -89,7 +89,7 @@ class TestMatrixElements:
         asm = t3._Assembler(free, symmetrized=False)
         for form in ([1.0, 0.1, 0.8], [0.5, -0.2, 1.5]):
             asm.add(form)
-        H, N = asm.hamiltonian(free.coupling)
+        H, N = asm.T - free.coupling * asm.V, asm.N
         assert np.allclose(H, asm.T, atol=0.0)
         assert np.max(np.abs(asm.V)) == 0.0
 
@@ -165,7 +165,7 @@ class TestAsymmetricElements:
 
 class TestSolveGround:
     def test_scalar_case(self):
-        e, c = t3.solve_ground(np.array([[3.0]]), np.array([[1.5]]))
+        e, c = t3.solve_ground(np.array([[3.0]]), t3._span(np.array([[1.5]])))
         assert e == pytest.approx(2.0, rel=1e-14)
         assert c[0] ** 2 * 1.5 == pytest.approx(1.0, rel=1e-12)
 
@@ -235,7 +235,7 @@ class TestSolveGround:
 
     def test_degenerate_basis_error(self):
         with pytest.raises(BasisError):
-            t3.solve_ground(np.array([[1.0]]), np.array([[0.0]]))
+            t3._span(np.array([[0.0]]))
 
 
 class TestSecularRoot:
@@ -265,7 +265,7 @@ class TestSecularRoot:
 
 
 def full_solves_counted(monkeypatch):
-    """Count the full bordered solves that trial_energies falls back to."""
+    """Count the full bordered solves that the pool scorer falls back to."""
     calls = []
     original = t3._bordered_ground
 
@@ -293,7 +293,7 @@ class TestTrialEnergies:
                 cands = np.array([t3._propose_form(rng, lo, 1.0 / lo, 1.0)
                                   for _ in range(16)])
                 before = len(fallbacks)
-                fast = asm.trial_energies(cands, lam)
+                fast = asm._score(asm._border(cands), lam)
                 scored += len(cands)
                 updated += len(cands) - (len(fallbacks) - before)
                 full = [asm.trial_energy(f, lam) for f in cands]
@@ -309,7 +309,7 @@ class TestTrialEnergies:
         lam = br.lambda_cr * 1.005
         form = asm.forms[17]
         fallbacks = full_solves_counted(monkeypatch)
-        (fast,) = asm.trial_energies(form[None, :], lam)
+        (fast,) = asm._score(asm._border(form), lam)
         assert len(fallbacks) == 1
         assert fast == asm.trial_energy(form, lam)
 
@@ -322,7 +322,7 @@ class TestTrialEnergies:
         rng = np.random.default_rng(21)
         cands = np.array([t3._propose_form(rng, 1e-2, 1e2, 1.0) for _ in range(16)])
         fallbacks = full_solves_counted(monkeypatch)
-        fast = asm.trial_energies(cands, sys3.coupling)
+        fast = asm._score(asm._border(cands), sys3.coupling)
         assert len(fallbacks) == len(cands)
         assert fast.tolist() == [asm.trial_energy(f, sys3.coupling) for f in cands]
 
@@ -330,7 +330,7 @@ class TestTrialEnergies:
         sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
         asm = t3._Assembler(sys3, True)
         form = np.array([1.0, 0.2, 0.7])
-        (fast,) = asm.trial_energies(form[None, :], sys3.coupling)
+        (fast,) = asm._score(asm._border(form), sys3.coupling)
         assert fast == pytest.approx(asm.trial_energy(form, sys3.coupling), rel=1e-12)
 
 
@@ -561,6 +561,17 @@ class TestCriticalCoupling3Body:
         assert br.cond_N == pytest.approx(s[-1] / s[0], rel=1e-6)
         assert br.dropped_directions == int(np.sum(s <= t3.DROP_TOL * s[-1]))
 
+    def test_sweep_reuses_the_bracket_span(self, bracket, monkeypatch):
+        # the bracket decomposed the overlap of its final basis; a sweep on
+        # that basis solves every coupling on the cached span
+        br, asm = bracket
+        decomposed = []
+        span = t3._span
+        monkeypatch.setattr(t3, "_span", lambda N: decomposed.append(N) or span(N))
+        lams = br.lambda_cr + np.geomspace(3e-2, 2e-5, 4) * br.lambda_star
+        t3.sweep_three_body(asm, lams, br.lambda_star)
+        assert decomposed == []
+
     def test_corrupted_crossing_raises(self, lam_star, monkeypatch):
         crossing = t3._crossing
         monkeypatch.setattr(t3, "_crossing", lambda asm, tol: crossing(asm, tol) * 1.001)
@@ -675,6 +686,7 @@ class TestTailKernels:
         fresh = t3.assembler_for(basis, sys3)
         assert t3.tail_masses(asm, c, radii) == t3.tail_masses(fresh, c, radii)
         assert np.array_equal(asm.moment_matrix("rho2"), fresh.moment_matrix("rho2"))
+        assert asm.span.P.tobytes() == t3._span(asm.N).P.tobytes()
 
 
 def double_sum_moments(asm):
