@@ -497,59 +497,61 @@ def total_nodes(res: ShootingResult, energy: float) -> int:
     return res.nodes + extra
 
 
-@lru_cache(maxsize=32)
-def oracle_critical_coupling(V: PairPotential, frame: JacobiFrame) -> float:
-    """Threshold coupling from the zero-energy exterior slope sign change."""
-
-    # _brentq starts from both bracket ends, which the doubling has shot
-    @lru_cache(maxsize=None)
-    def slope(lam):
-        res = shooting_oracle(V, frame, lam, 0.0)
-        return res.du_end / max(abs(res.u_end), abs(res.du_end), 1e-300)
-
-    lo = 1e-8
-    if slope(lo) <= 0.0:
-        raise BracketError("zero-energy slope negative at tiny coupling")
-    hi = 1.0
-    while slope(hi) > 0.0:
-        hi *= 2.0
-        if hi > 64.0:
-            raise BracketError("no threshold found below coupling 64")
-    return _brentq(slope, hi / 2.0, hi, xtol=1e-12, rtol=8.9e-16)
-
-
-def oracle_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> float:
-    """Ground-state energy: one Brent root of the exterior-matching defect.
-
-    Node-count bisection narrows [e_lo, e_hi] only until its upper end holds
-    a single state.  The bracket then holds exactly the ground-state
-    eigenvalue, where the defect, smooth in E, changes sign once.
-    """
-    e_lo = -1.01 * lam * float(np.max(V.profile(np.linspace(0.0, V.effective_radius, 512))))
-    e_hi = -1e-13
-
-    # the bisection and _brentq both evaluate the bracket ends
-    @lru_cache(maxsize=None)
-    def shoot(E):
-        return shooting_oracle(V, frame, lam, E)
-
-    def nodes(E):
-        return total_nodes(shoot(E), E)
-
-    if nodes(e_hi) < 1:
-        raise BracketError("no bound state at this coupling")
-    if nodes(e_lo) > 0:
-        raise BracketError("energy scan floor still has a node")
-    lo, hi = e_lo, e_hi
-    while nodes(hi) > 1:
+def _first_root(count, f, lo, hi, xtol: float) -> float:
+    """Root of f at the first state of a monotone ``count``, 0 at lo and >= 1
+    at hi.  Bisection on count narrows [lo, hi] until its upper end holds one
+    state; f then changes sign once in it, and Brent takes the root."""
+    while count(hi) > 1:
         mid = 0.5 * (lo + hi)
-        if nodes(mid) >= 1:
+        if count(mid) >= 1:
             hi = mid
         else:
             lo = mid
+    return _brentq(f, lo, hi, xtol=xtol, rtol=8.9e-16)
+
+
+@lru_cache(maxsize=32)
+def oracle_critical_coupling(V: PairPotential, frame: JacobiFrame) -> float:
+    """lambda*, where the zero-energy solution gains a node (by Sturm, a bound
+    state) and its exterior slope changes sign.  The bracket ends at the first
+    of 1, 2, 4, ... (64 tried) with a node, halved while hi/2 has one too."""
+    # the searches and _brentq share their shots, kept as (nodes, defect)
+    @lru_cache(maxsize=None)
+    def shot(lam):
+        res = shooting_oracle(V, frame, lam, 0.0)
+        return total_nodes(res, 0.0), res.defect
+
+    hi = 1.0
+    for _ in range(64):
+        if shot(hi)[0] >= 1:
+            break
+        hi *= 2.0
+    else:
+        raise BracketError("no zero-energy node up to coupling 2**63")
+    while shot(hi / 2.0)[0] >= 1:
+        hi /= 2.0
+    return _first_root(lambda x: shot(x)[0], lambda x: shot(x)[1], hi / 2.0, hi, xtol=1e-12)
+
+
+def oracle_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> float:
+    """Ground-state energy: Brent's root of the exterior-matching defect, on
+    the bracket ``_first_root`` narrows by node count to the ground state."""
+    e_lo = -1.01 * lam * float(np.max(V.profile(np.linspace(0.0, V.effective_radius, 512))))
+    e_hi = -1e-13
+
+    # the node counts and _brentq share their shots, kept as (nodes, defect)
+    @lru_cache(maxsize=None)
+    def shot(E):
+        res = shooting_oracle(V, frame, lam, E)
+        return total_nodes(res, E), res.defect
+
+    if shot(e_hi)[0] < 1:
+        raise BracketError("no bound state at this coupling")
+    if shot(e_lo)[0] > 0:
+        raise BracketError("energy scan floor still has a node")
     # E2 shrinks toward 0 at threshold, so the stop is relative: a negligible
     # xtol leaves rtol in charge
-    return _brentq(lambda E: shoot(E).defect, lo, hi, xtol=1e-300, rtol=8.9e-16)
+    return _first_root(lambda E: shot(E)[0], lambda E: shot(E)[1], e_lo, e_hi, xtol=1e-300)
 
 
 def oracle_mean_square_radius(V: PairPotential, frame: JacobiFrame, lam: float) -> float:

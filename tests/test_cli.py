@@ -236,6 +236,27 @@ class TestMain:
         for info in payload["pairs"].values():
             assert info["oracle_rel_diff"] <= 1e-4
 
+    @pytest.mark.parametrize("pairs", [
+        "masses = 1 1 1\nkind = gaussian\nrange = 2.5\n",
+        "masses = 1 1 1\nkind = exponential\nrange = 4.0\n",
+        "masses = 1 1 1\nkind = gaussian\nrange = 0.2\n",
+        "masses = 1 1 1\nkind = square_well\nrange = 0.15\n",
+        "masses = 1 2 3\nkind = gaussian\nrange = 1.0\npotential.13.kind = tabulated\n"
+        "potential.13.range = 1.5\npotential.13.table = 0:2 1:1 3:0\n",
+    ], ids=["gaussian_0.43", "exponential_0.090", "gaussian_67", "square_well_110",
+            "tabulated_0.45"])
+    def test_oracle_finds_the_first_threshold(self, tmp_path, pairs):
+        # lambda* below 0.5 or above 64; the exponential pair at range 4 holds
+        # three zero-energy thresholds below coupling 1, and only the first
+        # is lambda*
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text("experiment = two_critical\nlambda_factor = 0.8\nseed = 1\n" + pairs)
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == EXIT_OK
+        payload = read_json(tmp_path / "out" / "two_critical.json")
+        for info in payload["pairs"].values():
+            assert info["oracle_rel_diff"] <= 1e-8
+
     def test_missing_config_file(self, capsys):
         assert main(["--config", "/nonexistent/cfg"]) == EXIT_CONFIG
 
@@ -478,6 +499,21 @@ class TestMain:
             (data / "ims_audit_gaussian.json").read_bytes()
         assert (out / "ims_gradient.csv").read_bytes() == \
             (data / "ims_gradient_gaussian.csv").read_bytes()
+
+    @pytest.mark.parametrize("name,outputs", [
+        ("two_critical_square_well", ["two_critical.json"]),
+        ("two_critical_exponential", ["two_critical.json"]),
+        ("two_sweep_gaussian", ["two_sweep.json", "two_sweep.csv"]),
+    ])
+    def test_shipped_two_body_matches_reference(self, tmp_path, name, outputs):
+        # the references are the shipped runs' outputs, which 1 and 2
+        # OpenBLAS threads write alike: a rerun must not move a byte
+        out = tmp_path / "out"
+        assert main(["--config", str(CONFIGS / f"{name}.cfg"), "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        for output in outputs:
+            reference = ROOT / "tests" / "data" / f"{name}{Path(output).suffix}"
+            assert (out / output).read_bytes() == reference.read_bytes(), output
 
     def test_shipped_three_sweep_matches_reference(self, tmp_path):
         # the references are the shipped three_sweep's outputs.  Running on 2

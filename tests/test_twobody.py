@@ -317,6 +317,32 @@ class TestShootingOracle:
         assert energy == pytest.approx(-kappa ** 2, rel=1e-12)
         assert len(runs) <= 35
 
+    def test_binding_energy_below_threshold_raises(self):
+        with pytest.raises(BracketError, match="no bound state at this coupling"):
+            tb.oracle_binding_energy(WELL, FRAME, 0.9 * SW_LAMBDA_STAR)
+
+    def test_critical_coupling_without_attraction_raises(self):
+        # no coupling up to 2**63 gives the zero potential a node
+        with pytest.raises(BracketError, match="2\\*\\*63"):
+            tb.oracle_critical_coupling(zero_potential(), FRAME)
+
+    def test_critical_coupling_shooting_runs(self, monkeypatch):
+        # couplings 1, 2 and 4 bracket the unit well's lambda* = 2.47, and
+        # Brent takes the rest; nothing is shot below coupling 1
+        tb.oracle_critical_coupling.cache_clear()
+        runs = []
+        shoot = tb.shooting_oracle
+
+        def counted(*args, **kwargs):
+            runs.append(args)
+            return shoot(*args, **kwargs)
+
+        monkeypatch.setattr(tb, "shooting_oracle", counted)
+        assert tb.oracle_critical_coupling(WELL, FRAME) == pytest.approx(SW_LAMBDA_STAR,
+                                                                         rel=1e-9)
+        assert len(runs) <= 11
+        assert min(args[2] for args in runs) == 1.0
+
     def test_square_well_below_threshold_no_node(self):
         res = tb.shooting_oracle(WELL, FRAME, math.pi ** 2 / 4.0 - 1e-6, 0.0)
         assert tb.total_nodes(res, 0.0) == 0
@@ -472,6 +498,35 @@ class TestBrent:
             assert tb._brentq(slope, 2.0, 4.0, **kw) == brentq(slope, 2.0, 4.0, **kw)
         assert tb.oracle_critical_coupling(GAUSS, FRAME) == brentq(
             slope, 2.0, 4.0, xtol=1e-12, rtol=8.9e-16)
+
+    @pytest.mark.parametrize("kw", BRENT_SETTINGS, ids=["default", "oracle_coupling",
+                                                         "oracle_energy"])
+    def test_root_at_an_end(self, kw):
+        # f exactly 0 at a bracket end returns that end before any step
+        for a, b, f in ((0.0, 1.0, lambda x: x), (-1.0, 2.0, lambda x: x - 2.0),
+                        (0.5, 3.0, lambda x: math.log(2.0 * x))):
+            root = tb._brentq(f, a, b, **kw)
+            assert root == brentq(f, a, b, **kw) and root in (a, b)
+
+    def test_first_root_moves_both_ends(self):
+        # three states at 0.3, 0.45 and 0.8 in [0, 1]: the count bisects to
+        # [0.25, 0.375], which holds one, and Brent finds the first root in it
+        # (Brent on all of [0, 1] lands on another)
+        roots = (0.3, 0.45, 0.8)
+        seen = []
+
+        def count(x):
+            return sum(x > r for r in roots)
+
+        def f(x):
+            seen.append(x)
+            return (x - roots[0]) * (x - roots[1]) * (x - roots[2])
+
+        root = tb._first_root(count, f, 0.0, 1.0, xtol=1e-12)
+        assert min(seen) == 0.25 and max(seen) == 0.375
+        assert root == brentq(f, 0.25, 0.375, xtol=1e-12, rtol=8.9e-16)
+        assert root == pytest.approx(0.3, abs=1e-12)
+        assert brentq(f, 0.0, 1.0) != pytest.approx(0.3)
 
     @pytest.mark.parametrize("kw", BRENT_SETTINGS, ids=["default", "oracle_coupling",
                                                          "oracle_energy"])
