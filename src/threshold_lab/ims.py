@@ -15,8 +15,9 @@ each formed once per point in ``PAIRS`` order and combined by the table
 ``REGIONS``.  A rotation of x and y keeps J and Sum |grad J_s|^2, and on
 |q| >= 1 so does a change of |q|: every audit runs on ``shape_mesh``, a
 grid of the two hyperspherical shape angles (chi, phi).  ``mesh_audit``
-checks blocks of ``AUDIT_BLOCK`` points, so its memory does not grow with
-the mesh.
+checks blocks of ``AUDIT_BLOCK`` points, and given a sample count it builds
+each block of ``audit_mesh`` just before checking it, so neither the mesh nor
+the audit's memory grows with the sample count.
 """
 
 from __future__ import annotations
@@ -187,24 +188,36 @@ def _separation(form, q, with_vector):
 
 
 
-def shape_mesh(n: int) -> np.ndarray:
-    """n * n configurations on the unit sphere, chi slowest: x = cos chi e1 and
-    y = sin chi (cos phi e1 + sin phi e2), chi in [0, pi/2] and phi in [0, pi]."""
+def shape_mesh(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Points [start, stop) of n * n configurations on the unit sphere, chi
+    slowest: point i has x = cos chi e1 and y = sin chi (cos phi e1 + sin phi e2)
+    at chi = chi_(i // n) in [0, pi/2] and phi = phi_(i % n) in [0, pi]."""
+    points = range(n * n)[start:stop]
+    row, col = np.divmod(np.arange(points.start, points.stop), n)
     chi, phi = np.linspace(0.0, 0.5 * math.pi, n), np.linspace(0.0, math.pi, n)
-    mesh = np.zeros((n, n, 6))
-    mesh[:, :, 0] = np.cos(chi)[:, None]
-    sin_chi = np.sin(chi)[:, None]
-    np.multiply(sin_chi, np.cos(phi), out=mesh[:, :, 3])
-    np.multiply(sin_chi, np.sin(phi), out=mesh[:, :, 4])
-    return mesh.reshape(n * n, 6)
+    mesh = np.zeros((len(points), 6))
+    mesh[:, 0] = np.cos(chi)[row]
+    sin_chi = np.sin(chi)[row]
+    np.multiply(sin_chi, np.cos(phi)[col], out=mesh[:, 3])
+    np.multiply(sin_chi, np.sin(phi)[col], out=mesh[:, 4])
+    return mesh
 
 
-def audit_mesh(samples: int, rho_min: float = 1.0, rho_max: float = 32.0) -> np.ndarray:
-    """shape_mesh(ceil(sqrt(samples))), point i at its own radius in
-    (rho_min, rho_max), log-uniform through the golden-ratio sequence
-    u_i = frac(i (sqrt 5 - 1)/2), i = 1, 2, ..."""
-    mesh = shape_mesh(math.isqrt(samples - 1) + 1)
-    u = np.arange(1, len(mesh) + 1) * (0.5 * (math.sqrt(5.0) - 1.0)) % 1.0
+def _mesh_side(samples: int) -> int:
+    """Side ceil(sqrt(samples)) of the shape grid behind audit_mesh(samples)."""
+    return math.isqrt(samples - 1) + 1
+
+
+def audit_mesh(samples: int, rho_min: float = 1.0, rho_max: float = 32.0,
+               start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Points [start, stop) of shape_mesh(ceil(sqrt(samples))), point i at its
+    own radius in (rho_min, rho_max), log-uniform through the golden-ratio
+    sequence u_i = frac(i (sqrt 5 - 1)/2), i = 1, 2, ...  Every point depends
+    on its index alone, so slices of the mesh concatenate to the whole."""
+    n = _mesh_side(samples)
+    points = range(n * n)[start:stop]
+    mesh = shape_mesh(n, points.start, points.stop)
+    u = np.arange(points.start + 1, points.stop + 1) * (0.5 * (math.sqrt(5.0) - 1.0)) % 1.0
     mesh *= (rho_min * (rho_max / rho_min) ** u)[:, None]
     return mesh
 
@@ -220,10 +233,12 @@ class MeshAudit:
     identity_passed: bool
 
 
-def mesh_audit(part: IMSPartition, mesh: np.ndarray) -> MeshAudit:
+def mesh_audit(part: IMSPartition, mesh: np.ndarray | int) -> MeshAudit:
     """Pointwise checks of the partition on a mesh with |q| > 1, block by block
     of AUDIT_BLOCK points, each from one evaluation of J and one set of pair
-    distances.
+    distances.  ``mesh`` is an array of points (n, 6), or a sample count: then
+    the mesh is audit_mesh(mesh), and each block of it is built just before
+    it is checked, so the mesh is never held whole.
 
     Measures max |sum J_s^2 - 1|; the regrouping of the full interaction
     into cluster pieces plus localization error by the region table; and,
@@ -232,11 +247,22 @@ def mesh_audit(part: IMSPartition, mesh: np.ndarray) -> MeshAudit:
     cross terms V J_s^2 over the envelope F(theta |q|) on J_s > 1e-12.  The
     blocks combine by max and min, so no result depends on the block size.
     """
-    mesh = np.atleast_2d(np.asarray(mesh, dtype=float))
+    if isinstance(mesh, (int, np.integer)):
+        samples = int(mesh)
+        size = _mesh_side(samples) ** 2
+
+        def block(start):
+            return audit_mesh(samples, start=start, stop=start + AUDIT_BLOCK)
+    else:
+        mesh = np.atleast_2d(np.asarray(mesh, dtype=float))
+        size = mesh.shape[0]
+
+        def block(start):
+            return mesh[start:start + AUDIT_BLOCK]
     pots = [part.system.potential(pair) for pair in PAIRS]
     # one row per block; an empty mesh gives (0, 6), which np.max rejects
-    stats = np.array([_audit_block(part, pots, mesh[start:start + AUDIT_BLOCK])
-                      for start in range(0, mesh.shape[0], AUDIT_BLOCK)]).reshape(-1, 6)
+    stats = np.array([_audit_block(part, pots, block(start))
+                      for start in range(0, size, AUDIT_BLOCK)]).reshape(-1, 6)
     partition_defect, regroup_defect, excess = (float(x) for x in np.max(stats[:, :3], axis=0))
     cone_per_region = tuple(float(c) for c in np.min(stats[:, 3:], axis=0))
     cone = min(cone_per_region)

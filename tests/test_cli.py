@@ -23,6 +23,7 @@ from threshold_lab import twobody as tb
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 
+
 SQUARE_WELL_CFG = """\
 experiment = two_critical
 masses = 1 1 1
@@ -38,6 +39,17 @@ def read_json(path: Path) -> dict:
     def reject(constant):
         raise ValueError(f"{path.name} holds the non-JSON constant {constant}")
     return json.loads(path.read_text(), parse_constant=reject)
+
+
+def assert_rows_match(path: Path, reference: Path):
+    """A CSV or plot-data output against its reference: the two header lines
+    exactly, every value within 1e-7 relative."""
+    lines, ref_lines = path.read_text().splitlines(), reference.read_text().splitlines()
+    assert lines[:2] == ref_lines[:2] and len(lines) == len(ref_lines)
+    sep = "," if path.suffix == ".csv" else None
+    for line, ref in zip(lines[2:], ref_lines[2:]):
+        assert [float(v) for v in line.split(sep)] == pytest.approx(
+            [float(v) for v in ref.split(sep)], rel=1e-7)
 
 
 class TestConfigParsing:
@@ -533,12 +545,36 @@ class TestMain:
                                                              abs=1e-9)
         # verdict and dropped_directions exactly, beside the hash and the seed
         assert payload == reference
-        lines = (out / "three_sweep.csv").read_text().splitlines()
-        ref_lines = (data / "three_sweep_gaussian.csv").read_text().splitlines()
-        assert lines[:2] == ref_lines[:2] and len(lines) == len(ref_lines)
-        for line, ref in zip(lines[2:], ref_lines[2:]):
-            assert [float(v) for v in line.split(",")] == pytest.approx(
-                [float(v) for v in ref.split(",")], rel=1e-7)
+        assert_rows_match(out / "three_sweep.csv", data / "three_sweep_gaussian.csv")
+
+    def test_shipped_absorb_matches_reference(self, tmp_path):
+        # the references are the shipped absorb's outputs at 2 OpenBLAS
+        # threads.  At 1 thread lambda_cr and the bracket moved by 5.3e-14,
+        # cond_N by 9.6e-8, size_exponent by 1.1e-11 (absolute), the other
+        # three-body fields and the three-body records by 2.1e-9 at most
+        # (relative); the two-body control did not move
+        out = tmp_path / "out"
+        assert main(["--config", str(CONFIGS / "absorb_gaussian.cfg"), "--out", str(out),
+                     "--quiet"]) == EXIT_OK
+        data = ROOT / "tests" / "data"
+        payload = read_json(out / "absorb.json")
+        reference = read_json(data / "absorb_gaussian.json")
+        three, ref_three = payload["three_body"], reference["three_body"]
+        for key in ("lambda_cr", "bracket", "lambda_star"):
+            assert three.pop(key) == pytest.approx(ref_three.pop(key), rel=1e-12), key
+        assert three.pop("cond_N") == pytest.approx(ref_three.pop("cond_N"), rel=1e-5)
+        assert three.pop("size_exponent") == pytest.approx(ref_three.pop("size_exponent"),
+                                                           abs=1e-9)
+        for key in ("bracket_width_rel", "sup_tail_at_r0", "rho2_ratio_last_decade",
+                    "kinetic_max_over_median", "min_eps_R7"):
+            assert three.pop(key) == pytest.approx(ref_three.pop(key), rel=1e-7), key
+        # the verdicts, r0 and dropped_directions exactly, beside the two-body
+        # control, the hash and the seed
+        assert payload == reference
+        assert (out / "absorb_control.csv").read_bytes() == \
+            (data / "absorb_gaussian_control.csv").read_bytes()
+        assert_rows_match(out / "absorb_three.csv", data / "absorb_gaussian_three.csv")
+        assert_rows_match(out / "absorb_plot.dat", data / "absorb_gaussian_plot.dat")
 
     def test_ops_audit_boundary_violation_reported(self, tmp_path):
         cfg_path = tmp_path / "cfg"

@@ -274,7 +274,7 @@ class TestFiberNorms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40e6
+        assert peak <= 8e6
 
     def test_z_domain_guard(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import pytest
 
 from threshold_lab.errors import ValidationError
 from threshold_lab.model import PairPotential, ParticleSystem, uniform_system
-from threshold_lab import ims
+from threshold_lab import cli, ims
 
 SYSTEM = uniform_system("gaussian", 1.0, 2.0)
 
@@ -322,6 +322,40 @@ class TestBlocks:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0]
+
+    @pytest.mark.parametrize("samples", [1, 100, N, 300000])
+    def test_mesh_slices_concatenate_to_whole(self, samples):
+        # block edges fall inside grid rows: 4624 and 300304 points on sides
+        # 68 and 548, cut every AUDIT_BLOCK points
+        whole = ims.audit_mesh(samples)
+        blocks = [ims.audit_mesh(samples, start=start, stop=start + ims.AUDIT_BLOCK)
+                  for start in range(0, len(whole), ims.AUDIT_BLOCK)]
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+    def test_audit_of_sample_count_matches_array(self, partition, small_blocks):
+        from_count = ims.mesh_audit(partition, self.N)
+        from_array = ims.mesh_audit(partition, ims.audit_mesh(self.N))
+        assert from_count == from_array
+
+    def test_ims_audit_memory_flat_in_samples(self, tmp_path):
+        def config(samples):
+            return cli.load_config(
+                "experiment = ims_audit\nmasses = 1 1 1\nkind = gaussian\n"
+                f"range = 1.0\nlambda = 2.0\nsamples = {samples}\nseed = 4\n",
+                out_override=str(tmp_path), quiet=True)
+
+        cli.run_ims_audit(config(64))  # settle lazy setup
+        peaks = []
+        for blocks in (1, 16):
+            cfg = config(blocks * ims.AUDIT_BLOCK)
+            tracemalloc.start()
+            try:
+                cli.run_ims_audit(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the mesh is built block by block, so 16 blocks peak as high as one
+        assert peaks[1] <= 1.05 * peaks[0]
 
     def test_shape_mesh_memory_bounded_by_output(self):
         ims.shape_mesh(8)  # settle lazy setup

@@ -46,6 +46,71 @@ def random_spd_form(rng, lo=-0.7, hi=0.7):
     ])
 
 
+# nodes per axis of the probabilists' Gauss-Hermite rule of the cubature oracle
+HERMITE_NODES = 80
+
+
+def hermite_component(A, B):
+    """The cubature rule of one Cartesian component of q = (x, y) under the
+    Gaussian weight exp(-q.((A + B) x I3).q / 2), for forms (..., 3).
+
+    With (A + B)^-1 = L L^T, the component is (x_k, y_k) = L (g_k, g_(k+3)),
+    g standard normal, so every integrand below is a sum or a product of
+    three equal two-dimensional integrals over (g_k, g_(k+3)).  Returns the
+    node values x_k, y_k (..., nodes^2), the product weights (summing to 1)
+    and the weight's total mass (2 pi)^3 det(A + B)^(-3/2).
+    """
+    t, wt = np.polynomial.hermite_e.hermegauss(HERMITE_NODES)
+    s = np.asarray(A) + np.asarray(B)
+    Bm = np.stack([s[..., :2], s[..., 1:]], axis=-2)
+    L = np.linalg.cholesky(np.linalg.inv(Bm))
+    l11, l21, l22 = (L[..., i, j, None] for i, j in ((0, 0), (1, 0), (1, 1)))
+    g1, g2 = (a.ravel() for a in np.meshgrid(t, t, indexing="ij"))
+    weights = np.outer(wt, wt).ravel() / (2.0 * math.pi)
+    mass = (2.0 * math.pi) ** 3 * np.linalg.det(Bm) ** -1.5
+    return l11 * g1, l21 * g1 + l22 * g2, weights, mass
+
+
+def hermite_elements(A, B, sep_terms):
+    """Kinetic, potential and H0^2 elements of the Gaussians A and B by
+    cubature of the raw integrands, component by component:
+
+    - kinetic = 3 E[a_x b_x + a_y b_y], with (a_x, a_y) = A (x_k, y_k);
+    - each Gaussian term s exp(-|u x + v y|^2 / w^2) = s (E[exp(-d_k^2 / w^2)])^3;
+    - H0^2 = E[(qa - 3 tr A)(qb - 3 tr B)] = 3 E[alpha beta] + 6 E[alpha] E[beta],
+      with alpha = |a_k|^2 - tr A and beta = |b_k|^2 - tr B;
+
+    each times the weight's mass.
+    """
+    x, y, w, mass = hermite_component(A, B)
+    ax, ay = A[0] * x + A[1] * y, A[1] * x + A[2] * y
+    bx, by = B[0] * x + B[1] * y, B[1] * x + B[2] * y
+    alpha = ax ** 2 + ay ** 2 - (A[0] + A[2])
+    beta = bx ** 2 + by ** 2 - (B[0] + B[2])
+    potential = sum(s * (w @ np.exp(-((u * x + v * y) / width) ** 2)) ** 3
+                    for (u, v), terms in sep_terms for s, width in terms)
+    return {
+        "kinetic": mass * 3.0 * (w @ (ax * bx + ay * by)),
+        "potential": mass * potential,
+        "h0sq": mass * (3.0 * (w @ (alpha * beta)) + 6.0 * (w @ alpha) * (w @ beta)),
+    }
+
+
+def hermite_rho2(asm, c):
+    """<rho^2> of psi = sum_i c_i scale_i sum over the images of form i of
+    exp(-q.(A x I3).q / 2), by cubature of psi^2 rho^2 and of psi^2, one
+    Gaussian against all at a time: rho^2 = |x|^2 + |y|^2 is three equal
+    components."""
+    flat = asm.images.reshape(-1, 3)
+    coeff = np.repeat(c * asm.scale, asm.images.shape[1])
+    num = den = 0.0
+    for ck, A in zip(coeff, flat):
+        x, y, w, mass = hermite_component(A, flat)
+        num += ck * np.sum(coeff * mass * 3.0 * ((x * x + y * y) @ w))
+        den += ck * np.sum(coeff * mass)
+    return num / den
+
+
 class TestPermutations:
     def test_six_orthogonal_matrices(self):
         perms = t3.permutation_matrices(True)
@@ -93,74 +158,30 @@ class TestMatrixElements:
         assert np.allclose(H, asm.T, atol=0.0)
         assert np.max(np.abs(asm.V)) == 0.0
 
-    def test_elements_match_qmc_oracle(self):
-        # three seeded random pairs against scrambled-Sobol integration of
-        # the kinetic, potential, and H0^2 integrands
+    def test_elements_match_cubature_oracle(self):
+        # three seeded random pairs against Gauss-Hermite cubature of the
+        # kinetic, potential, and H0^2 integrands
         sys3 = uniform_system("gaussian", 1.0, 2.0)
         asm = t3._Assembler(sys3, symmetrized=False)
         rng = np.random.default_rng(42)
-        n = 2 ** 21
-        for trial in range(3):
+        for _ in range(3):
             A, B = random_spd_form(rng), random_spd_form(rng)
             closed = t3.element_block(A, B, asm.sep_terms, with_h0sq=True)
-            Bm = np.array([[A[0] + B[0], A[1] + B[1]], [A[1] + B[1], A[2] + B[2]]])
-            L = np.linalg.cholesky(np.linalg.inv(Bm))
-            u = _sobol(6, n, 100 + trial)
-            g = norm_dist.ppf(np.clip(u, 1e-15, 1.0 - 1e-15))
-            x = L[0, 0] * g[:, 0:3]
-            y = L[1, 0] * g[:, 0:3] + L[1, 1] * g[:, 3:6]
-            const = (2.0 * math.pi) ** 3 * np.linalg.det(Bm) ** -1.5
-            ax = A[0] * x + A[1] * y
-            ay = A[1] * x + A[2] * y
-            bx = B[0] * x + B[1] * y
-            by = B[1] * x + B[2] * y
-            kin = np.einsum("ij,ij->i", ax, bx) + np.einsum("ij,ij->i", ay, by)
-            assert closed["kinetic"] == pytest.approx(
-                const * float(np.mean(kin)), rel=1e-6
-            )
-            pot = np.zeros(n)
-            for (uf, vf), terms in asm.sep_terms:
-                d = uf * x + vf * y
-                dd = np.einsum("ij,ij->i", d, d)
-                for s, w in terms:
-                    pot += s * np.exp(-dd / w ** 2)
-            assert closed["potential"] == pytest.approx(
-                const * float(np.mean(pot)), rel=5e-6
-            )
-            qa = np.einsum("ij,ij->i", ax, ax) + np.einsum("ij,ij->i", ay, ay)
-            qb = np.einsum("ij,ij->i", bx, bx) + np.einsum("ij,ij->i", by, by)
-            h0 = (qa - 3.0 * (A[0] + A[2])) * (qb - 3.0 * (B[0] + B[2]))
-            assert closed["h0sq"] == pytest.approx(
-                const * float(np.mean(h0)), rel=2e-5
-            )
+            for key, oracle in hermite_elements(A, B, asm.sep_terms).items():
+                assert closed[key] == pytest.approx(oracle, rel=1e-12), key
 
 
 class TestAsymmetricElements:
-    def test_kinetic_element_vs_qmc_for_unequal_masses(self):
+    def test_elements_vs_cubature_for_unequal_masses(self):
         # the separation forms carry the mass dependence; one cross-check of
         # the closed forms in an asymmetric frame guards them end to end
         sys_asym = uniform_system("gaussian", 1.0, 2.0, masses=(1.0, 2.0, 3.5))
         asm = t3._Assembler(sys_asym, symmetrized=False)
         rng = np.random.default_rng(77)
         A, B = random_spd_form(rng), random_spd_form(rng)
-        closed = t3.element_block(A, B, asm.sep_terms)
-        Bm = np.array([[A[0] + B[0], A[1] + B[1]], [A[1] + B[1], A[2] + B[2]]])
-        L = np.linalg.cholesky(np.linalg.inv(Bm))
-        n = 2 ** 20
-        u = _sobol(6, n, 900)
-        g = norm_dist.ppf(np.clip(u, 1e-15, 1.0 - 1e-15))
-        x = L[0, 0] * g[:, 0:3]
-        y = L[1, 0] * g[:, 0:3] + L[1, 1] * g[:, 3:6]
-        const = (2.0 * math.pi) ** 3 * np.linalg.det(Bm) ** -1.5
-        pot = np.zeros(n)
-        for (uf, vf), terms in asm.sep_terms:
-            d = uf * x + vf * y
-            dd = np.einsum("ij,ij->i", d, d)
-            for s, w in terms:
-                pot += s * np.exp(-dd / w ** 2)
-        assert closed["potential"] == pytest.approx(
-            const * float(np.mean(pot)), rel=1e-5
-        )
+        closed = t3.element_block(A, B, asm.sep_terms, with_h0sq=True)
+        for key, oracle in hermite_elements(A, B, asm.sep_terms).items():
+            assert closed[key] == pytest.approx(oracle, rel=1e-12), key
 
 
 class TestSolveGround:
@@ -500,17 +521,13 @@ class TestTailOracle:
             assert tails[R] == pytest.approx(oracle, abs=1e-6)
             assert tails[R] == pytest.approx(qmc[R], abs=1e-3)
 
-    def test_rho2_closed_form_within_qmc_error(self, lam_star):
+    def test_rho2_closed_form_matches_cubature(self, lam_star):
         sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
         basis = t3.grow_basis(sys3, 20, seed=3)
         asm = t3.assembler_for(basis, sys3)
         _, c = asm.solve(sys3.coupling)
         closed = float(c @ asm.moment_matrix("rho2") @ c)
-        reps = [qmc_tails(asm, c, (), seed=100 + k, n_points=2 ** 17)[1]
-                for k in range(8)]
-        mean = float(np.mean(reps))
-        err = float(np.std(reps, ddof=1)) / math.sqrt(len(reps))
-        assert abs(closed - mean) <= 3.0 * max(err, 1e-12)
+        assert closed == pytest.approx(hermite_rho2(asm, c), rel=1e-12)
 
 
 @pytest.fixture(scope="module")
