@@ -200,9 +200,14 @@ def element_block(fa, fb, sep_terms, with_h0sq: bool = False):
 
     pot = np.zeros_like(S)
     for (u, v), terms in sep_terms:
-        sig2 = u * u * c11 + 2.0 * u * v * c12 + v * v * c22
+        two_sig2 = 2.0 * (u * u * c11 + 2.0 * u * v * c12 + v * v * c22)
         for strength, width in terms:
-            pot = pot + S * strength * (1.0 + 2.0 * sig2 / width ** 2) ** -1.5
+            # S strength (1 + 2 sig2 / width^2)^-1.5, in place
+            term = two_sig2 / width ** 2
+            term += 1.0
+            term **= -1.5
+            term *= S * strength
+            pot += term
 
     out = {
         "overlap": S,
@@ -269,9 +274,10 @@ class _Assembler:
     def _border(self, forms):
         """Unit-normalized elements of each row of ``forms`` against the basis.
 
-        One vectorized ``element_block`` call each gives the one-sided
-        (N, T, V) rows against every committed element, the (N, T, V)
-        diagonals and the primitive norms.  Returns the images (k, p, 3),
+        One vectorized ``element_block`` call against every committed image
+        gives the one-sided (N, T, V) rows; one against the row's own images
+        gives the (N, T, V) diagonals and the primitive norm, the overlap
+        with its own image 0, the identity.  Returns the images (k, p, 3),
         the rows (k, n), the diagonals (k,) and the scales d_new (k,) that
         give each form unit norm.
         """
@@ -281,16 +287,16 @@ class _Assembler:
         keys = ("overlap", "kinetic", "potential")
         blocks = element_block(forms[:, None, None, :], self.images[None], self.sep_terms)
         self_blocks = element_block(forms[:, None, :], images, self.sep_terms)
-        prim_norm = element_block(forms, forms, self.sep_terms)["overlap"]
-        d_new = 1.0 / np.sqrt(prim_norm)
+        d_new = 1.0 / np.sqrt(self_blocks["overlap"][:, 0])
         row_scale = self.scale * d_new[:, None]
         rows = tuple(p * np.sum(blocks[key], axis=2) * row_scale for key in keys)
         diags = tuple(p * np.sum(self_blocks[key], axis=1) * d_new ** 2 for key in keys)
         return images, rows, diags, d_new
 
-    def add(self, form, scored=None):
+    def add(self, form, scored=None, span=None):
         """Append ``form``.  ``scored`` is (bordered, i) when ``form`` is row i
-        of an earlier ``_border`` result, whose rows are then reused."""
+        of an earlier ``_border`` result, whose rows are then reused; ``span``
+        is ``_span`` of the grown overlap when that is already decomposed."""
         form = np.asarray(form, dtype=float)
         (images, rows, diags, d_new), i = (self._border(form), 0) if scored is None else scored
         self.N, self.T, self.V = (_bordered(mat, row[i], diag[i]) for mat, row, diag
@@ -299,17 +305,14 @@ class _Assembler:
         self.images = np.concatenate([self.images, images[i:i + 1]], axis=0)
         self.scale = np.append(self.scale, d_new[i])
         self.n += 1
-        self._kernels = {}
+        self._kernels = {} if span is None else {"span": span}
 
-    def trial_energy(self, form, coupling: float) -> float:
-        """Ground energy if ``form`` were appended (no commit), by a full solve."""
-        _, (row_n, row_t, row_v), (diag_n, diag_t, diag_v), _ = self._border(form)
-        return _bordered_ground(self.T - coupling * self.V, self.N,
-                                row_t[0] - coupling * row_v[0], row_n[0],
-                                diag_t[0] - coupling * diag_v[0], diag_n[0])
+    def _score(self, bordered, coupling: float):
+        """Ground energy of the basis grown by each form of a ``_border`` result.
 
-    def _score(self, bordered, coupling: float) -> np.ndarray:
-        """``trial_energy`` of every form of a ``_border`` result, from one decomposition.
+        Returns the energies and (i, span): the lowest-energy candidate i
+        that took the full solve and ``_span`` of its grown overlap, or
+        (-1, None) when none did, so that ``add`` need not decompose it again.
 
         The committed basis is decomposed once: W = P Q spans it
         N-orthonormally with W^t H W = diag(e).  A candidate with unit
@@ -319,42 +322,53 @@ class _Assembler:
         root below e_0 of its secular equation: the rank-one update of Varga
         and Suzuki (1995), O(n^2) per candidate instead of O(n^3).
 
-        The update is exact where ``solve_ground`` would drop no direction,
+        The update is exact where the full solve would drop no direction,
         so the full solve scores the rest: a candidate with
         r^2 <= RESIDUAL_FRACTION * d, and a candidate whose bordered overlap
         would have a dropped direction.  The bordered overlap is an
         arrowhead in the eigenbasis of N, so its extreme eigenvalues come
-        from the same secular solver.  Bordering cannot raise s_min or lower
-        s_max (Cauchy interlacing), so once the committed overlap has a
-        dropped direction, so has every bordered one.
+        from the same secular solve as the energies.  Bordering cannot raise
+        s_min or lower s_max (Cauchy interlacing), so once the committed
+        overlap has a dropped direction, so has every bordered one, and the
+        whole pool takes the full solve.
         """
         _, (b_n, b_t, b_v), (d_n, d_t, d_v), _ = bordered
         b_h = b_t - coupling * b_v
         d_h = d_t - coupling * d_v
         if self.n == 0:
-            return d_h / d_n
+            return d_h / d_n, (-1, None)
         H = self.T - coupling * self.V
         span = self.span
-        e, Q = np.linalg.eigh(span.P.T @ H @ span.P)
-        W = span.P @ Q
-        a = b_n @ W
-        h = b_h @ W
-        r2 = d_n - np.einsum("ij,ij->i", a, a)
-        independent = r2 > RESIDUAL_FRACTION * d_n
-        r2 = np.where(independent, r2, 1.0)
-        z = (h - e * a) / np.sqrt(r2)[:, None]
-        g = (d_h - 2.0 * np.einsum("ij,ij->i", a, h) + (a * a) @ e) / r2
-        energies, exact = _secular_lowest(e, z, g)
-        # extreme eigenvalues of the bordered overlap, an arrowhead in the
-        # eigenbasis of N; the largest is minus the lowest of its negative
-        beta = b_n @ span.U
-        s_min, min_ok = _secular_lowest(span.s, beta, d_n)
-        neg_max, max_ok = _secular_lowest(-span.s[::-1], beta[:, ::-1], -d_n)
-        kept = s_min > (1.0 + DROP_MARGIN) * DROP_TOL * -neg_max
-        exact &= independent & min_ok & max_ok & kept
+        if span.dropped:
+            energies, exact = np.empty(len(d_n)), np.zeros(len(d_n), dtype=bool)
+        else:
+            e, Q = np.linalg.eigh(span.P.T @ H @ span.P)
+            W = span.P @ Q
+            a = b_n @ W
+            h = b_h @ W
+            r2 = d_n - np.einsum("ij,ij->i", a, a)
+            independent = r2 > RESIDUAL_FRACTION * d_n
+            r2 = np.where(independent, r2, 1.0)
+            z = (h - e * a) / np.sqrt(r2)[:, None]
+            g = (d_h - 2.0 * np.einsum("ij,ij->i", a, h) + (a * a) @ e) / r2
+            # the energies, then the extreme eigenvalues of the bordered
+            # overlap, an arrowhead in the eigenbasis of N; the largest is
+            # minus the lowest of its negative
+            beta = b_n @ span.U
+            k = len(d_n)
+            roots, ok = _secular_lowest(np.repeat([e, span.s, -span.s[::-1]], k, axis=0),
+                                        np.concatenate([z, beta, beta[:, ::-1]]),
+                                        np.concatenate([g, d_n, -d_n]))
+            energies, s_min, neg_max = roots.reshape(3, k)
+            exact, min_ok, max_ok = ok.reshape(3, k)
+            kept = s_min > (1.0 + DROP_MARGIN) * DROP_TOL * -neg_max
+            exact &= independent & min_ok & max_ok & kept
+        low, low_span = -1, None
         for i in np.flatnonzero(~exact):
-            energies[i] = _bordered_ground(H, self.N, b_h[i], b_n[i], d_h[i], d_n[i])
-        return energies
+            energies[i], grown = _bordered_ground(H, self.N, b_h[i], b_n[i], d_h[i], d_n[i])
+            if grown is not None and (low_span is None or energies[i] < energies[low]):
+                low, low_span = i, grown
+        return energies, (low, low_span)
 
     def solve(self, coupling: float):
         return solve_ground(self.T - coupling * self.V, self.span)
@@ -389,12 +403,16 @@ def _bordered(mat, row, diag):
     return out
 
 
-def _bordered_ground(H, N, row_h, row_n, diag_h, diag_n) -> float:
-    """``solve_ground`` energy of (H, N) grown by one row; inf if degenerate."""
+def _bordered_ground(H, N, row_h, row_n, diag_h, diag_n):
+    """(lowest energy, ``_span`` of the grown overlap) of (H, N) grown by one
+    row, the energy as ``solve_ground`` finds it but without its eigenvector;
+    (inf, None) if degenerate."""
+    H = _bordered(H, row_h, diag_h)
     try:
-        return solve_ground(_bordered(H, row_h, diag_h), _span(_bordered(N, row_n, diag_n)))[0]
+        span = _span(_bordered(N, row_n, diag_n))
     except BasisError:
-        return math.inf
+        return math.inf, None
+    return float(np.linalg.eigvalsh(span.P.T @ H @ span.P)[0]), span
 
 
 # a candidate whose Gram-Schmidt residual r^2 is at most this fraction of its
@@ -409,9 +427,9 @@ SECULAR_MAX_STEPS = 50
 def _secular_lowest(e, z, g):
     """Lowest eigenvalue of each arrowhead [[diag(e), z_i], [z_i^t, g_i]].
 
-    ``e`` is ascending and shared; ``z`` and ``g`` hold one row per
-    arrowhead.  The eigenvalue is e_0 - t for the root t > 0 of
-    f(t) = p / t + psi(t), with p = z_0^2 and
+    ``e`` is ascending, one row per arrowhead or one 1-D row shared by
+    all; ``z`` and ``g`` hold one row per arrowhead.  The eigenvalue is
+    e_0 - t for the root t > 0 of f(t) = p / t + psi(t), with p = z_0^2 and
     psi(t) = e_0 - g - t + sum_{k>0} z_k^2 / (e_k - e_0 + t) decreasing and
     convex on t > 0.  Each step keeps the pole p / t exact and replaces psi
     by its tangent, which lies below psi: the model root is a lower bound
@@ -420,10 +438,11 @@ def _secular_lowest(e, z, g):
     2 x 2 arrowhead.  Returns the eigenvalues and a mask of the rows that
     started at t > 0 and converged.
     """
-    gap = e[1:] - e[0]
+    e0 = e[..., 0]
+    gap = e[..., 1:] - e[..., :1]
     p = z[:, 0] ** 2
     w = z[:, 1:] ** 2
-    c = e[0] - g
+    c = e0 - g
     # the positive root of t^2 - c t - p, without cancellation
     t = np.maximum(c, 0.0) + 2.0 * p / np.maximum(np.abs(c) + np.sqrt(c * c + 4.0 * p),
                                                   np.finfo(float).tiny)
@@ -446,7 +465,7 @@ def _secular_lowest(e, z, g):
         t = t_new
         if np.all(done):
             break
-    return e[0] - t, start & done
+    return e0 - t, start & done
 
 
 # array elements per vectorized block of a kernel build; bounds its memory
@@ -633,12 +652,13 @@ def grow_basis(system: ParticleSystem, budget: int, seed: int,
     while asm.n < budget:
         cands = np.array([_propose_form(rng, lo, hi, inv_len2) for _ in range(16)])
         pool = asm._border(cands)
-        energies = asm._score(pool, lam)
+        energies, (low, low_span) = asm._score(pool, lam)
         best = int(np.argmin(energies))
         gain = current - energies[best]
         if gain > 1e-8 or asm.n == 0:
-            # the winner's rows were computed to score it
-            asm.add(cands[best], (pool, best))
+            # the winner's rows were computed to score it, and so was its
+            # grown overlap's span if it took the full solve
+            asm.add(cands[best], (pool, best), low_span if low == best else None)
             current = min(energies[best], current)
             stalls = 0
             # once gains are marginal relative to the energy the window is

@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from threshold_lab.model import (
 from threshold_lab import threebody as t3
 from threshold_lab import twobody as tb
 
+DATA = Path(__file__).resolve().parent / "data"
 GAUSS = PairPotential("gaussian", 1.0)
 FRAME = jacobi_frame(uniform_system("gaussian", 1.0, 1.0), (1, 2))
 
@@ -228,7 +231,7 @@ class TestSolveGround:
         basis = t3.grow_basis(sys3, 20, seed=3)
         asm = t3._Assembler(sys3, True)
         for form in basis.forms:
-            trial = asm.trial_energy(form, sys3.coupling)
+            trial = trial_energy(asm, form, sys3.coupling)
             asm.add(form)
             assert trial == pytest.approx(asm.solve(sys3.coupling)[0], abs=1e-12)
         assert np.array_equal(asm.forms, basis.forms)
@@ -272,6 +275,22 @@ class TestSecularRoot:
             arrow[-1, :-1] = arrow[:-1, -1] = zi
             assert root == pytest.approx(np.linalg.eigvalsh(arrow)[0], abs=1e-12)
 
+    def test_one_e_per_row_matches_separate_solves(self):
+        # the pool scorer stacks the energy and overlap arrowheads, each row
+        # with its own poles e, into one solve
+        rng = np.random.default_rng(9)
+        es = [np.sort(rng.uniform(-2.0, 5.0, 12)) for _ in range(3)]
+        zs = [rng.normal(size=(20, 12)) * 10.0 ** rng.uniform(-6.0, 1.0, (20, 1))
+              for _ in range(3)]
+        gs = [rng.uniform(-3.0, 6.0, 20) for _ in range(3)]
+        roots, ok = t3._secular_lowest(
+            np.concatenate([np.broadcast_to(e, (20, 12)) for e in es]),
+            np.concatenate(zs), np.concatenate(gs))
+        separate = [t3._secular_lowest(e, z, g) for e, z, g in zip(es, zs, gs)]
+        assert np.all(ok) and all(np.all(part_ok) for _, part_ok in separate)
+        np.testing.assert_allclose(roots, np.concatenate([r for r, _ in separate]),
+                                   rtol=0.0, atol=1e-12)
+
     def test_uncoupled_lowest_pole_is_flagged_or_solved(self):
         e = np.array([0.0, 1.0, 2.0])
         z = np.array([[0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
@@ -283,6 +302,23 @@ class TestSecularRoot:
         arrow = np.diag([0.0, 1.0, 2.0, -1.0])
         arrow[-1, 1:3] = arrow[1:3, -1] = 0.5
         assert roots[0] == pytest.approx(np.linalg.eigvalsh(arrow)[0], abs=1e-14)
+
+
+def trial_energy(asm, form, coupling: float) -> float:
+    """Ground energy if ``form`` were appended to ``asm`` (no commit), by a full solve."""
+    _, (row_n, row_t, row_v), (diag_n, diag_t, diag_v), _ = asm._border(form)
+    return t3._bordered_ground(asm.T - coupling * asm.V, asm.N,
+                               row_t[0] - coupling * row_v[0], row_n[0],
+                               diag_t[0] - coupling * diag_v[0], diag_n[0])[0]
+
+
+def duplicate_basis(lam_star):
+    """(system, assembler) of a grown basis with one form committed twice,
+    which leaves its overlap a dropped direction."""
+    sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
+    asm = t3.assembler_for(t3.grow_basis(sys3, 20, seed=3), sys3)
+    asm.add(asm.forms[5])
+    return sys3, asm
 
 
 def full_solves_counted(monkeypatch):
@@ -314,10 +350,10 @@ class TestTrialEnergies:
                 cands = np.array([t3._propose_form(rng, lo, 1.0 / lo, 1.0)
                                   for _ in range(16)])
                 before = len(fallbacks)
-                fast = asm._score(asm._border(cands), lam)
+                fast, _ = asm._score(asm._border(cands), lam)
                 scored += len(cands)
                 updated += len(cands) - (len(fallbacks) - before)
-                full = [asm.trial_energy(f, lam) for f in cands]
+                full = [trial_energy(asm, f, lam) for f in cands]
                 worst = max(worst, float(np.max(np.abs(fast - full))))
         assert worst <= 1e-11
         if budget == 100:
@@ -330,29 +366,59 @@ class TestTrialEnergies:
         lam = br.lambda_cr * 1.005
         form = asm.forms[17]
         fallbacks = full_solves_counted(monkeypatch)
-        (fast,) = asm._score(asm._border(form), lam)
+        (fast,), _ = asm._score(asm._border(form), lam)
         assert len(fallbacks) == 1
-        assert fast == asm.trial_energy(form, lam)
+        assert fast == trial_energy(asm, form, lam)
 
     def test_dropped_direction_takes_full_solve(self, lam_star, monkeypatch):
         # a committed duplicate leaves the overlap a dropped direction: the
-        # update would keep the committed span, solve_ground re-regularizes
-        sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
-        asm = t3.assembler_for(t3.grow_basis(sys3, 20, seed=3), sys3)
-        asm.add(asm.forms[5])
+        # update would keep the committed span, the full solve
+        # re-regularizes, and no secular solve is made for the pool
+        sys3, asm = duplicate_basis(lam_star)
         rng = np.random.default_rng(21)
         cands = np.array([t3._propose_form(rng, 1e-2, 1e2, 1.0) for _ in range(16)])
         fallbacks = full_solves_counted(monkeypatch)
-        fast = asm._score(asm._border(cands), sys3.coupling)
+        secular = []
+        solve = t3._secular_lowest
+        monkeypatch.setattr(t3, "_secular_lowest",
+                            lambda *args: secular.append(args) or solve(*args))
+        fast, _ = asm._score(asm._border(cands), sys3.coupling)
         assert len(fallbacks) == len(cands)
-        assert fast.tolist() == [asm.trial_energy(f, sys3.coupling) for f in cands]
+        assert secular == []
+        assert fast.tolist() == [trial_energy(asm, f, sys3.coupling) for f in cands]
+
+    def test_full_solve_winner_committed_with_its_span(self, lam_star, monkeypatch):
+        # on a basis with a dropped direction every candidate takes the full
+        # solve, so the pool winner's grown overlap is already decomposed
+        sys3, asm = duplicate_basis(lam_star)
+        t3.grow_basis(sys3, asm.n + 1, seed=4, asm=asm)
+        assert asm.n == 22
+        decomposed = []
+        span = t3._span
+        monkeypatch.setattr(t3, "_span", lambda N: decomposed.append(N) or span(N))
+        committed = asm.span
+        assert decomposed == []
+        assert committed.P.tobytes() == span(asm.N).P.tobytes()
+
+    def test_two_element_block_calls_per_pool(self, lam_star, monkeypatch):
+        # a pool's rows come from one element_block call against the
+        # committed images, its diagonals and norms from one against its own
+        sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
+        blocks, pools = [], []
+        block, border = t3.element_block, t3._Assembler._border
+        monkeypatch.setattr(t3, "element_block",
+                            lambda *args, **kw: blocks.append(args) or block(*args, **kw))
+        monkeypatch.setattr(t3._Assembler, "_border",
+                            lambda self, forms: pools.append(forms) or border(self, forms))
+        t3.grow_basis(sys3, 20, seed=3)
+        assert len(blocks) == 2 * len(pools)
 
     def test_empty_basis_scores_the_form_alone(self, lam_star):
         sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
         asm = t3._Assembler(sys3, True)
         form = np.array([1.0, 0.2, 0.7])
-        (fast,) = asm._score(asm._border(form), sys3.coupling)
-        assert fast == pytest.approx(asm.trial_energy(form, sys3.coupling), rel=1e-12)
+        (fast,), _ = asm._score(asm._border(form), sys3.coupling)
+        assert fast == pytest.approx(trial_energy(asm, form, sys3.coupling), rel=1e-12)
 
 
 class TestBasis:
@@ -588,6 +654,24 @@ class TestCriticalCoupling3Body:
         lams = br.lambda_cr + np.geomspace(3e-2, 2e-5, 4) * br.lambda_star
         t3.sweep_three_body(asm, lams, br.lambda_star)
         assert decomposed == []
+
+    def test_fallback_heavy_growth_matches_reference(self):
+        # the exponential trio commits a dropped direction at budget 75, so
+        # most of its pools take the full solve; the reference was written
+        # before the full solves skipped the eigenvector and the span of a
+        # committed winner was reused, and moved by nothing at 1 or 2 BLAS
+        # threads, so every value compares exactly
+        ref = json.loads((DATA / "critical_exponential_75.json").read_text())
+        expo = PairPotential(ref["kind"], 1.0)
+        lam_star = tb.critical_coupling(expo, jacobi_frame(
+            uniform_system(ref["kind"], 1.0, 1.0), (1, 2)))
+        sys3 = uniform_system(ref["kind"], 1.0, 0.9 * lam_star)
+        br, asm = t3.critical_coupling_3body(sys3, budget=ref["budget"], seed=ref["seed"])
+        assert asm.forms.tobytes() == np.array(ref["forms"]).tobytes()
+        assert (br.lambda_cr, br.lam_lo, br.lam_hi) == (
+            ref["lambda_cr"], ref["lam_lo"], ref["lam_hi"])
+        assert br.cond_N == ref["cond_N"]
+        assert br.dropped_directions == ref["dropped_directions"] == 1
 
     def test_corrupted_crossing_raises(self, lam_star, monkeypatch):
         crossing = t3._crossing
