@@ -293,10 +293,9 @@ class _Assembler:
         diags = tuple(p * np.sum(self_blocks[key], axis=1) * d_new ** 2 for key in keys)
         return images, rows, diags, d_new
 
-    def add(self, form, scored=None, span=None):
+    def add(self, form, scored=None):
         """Append ``form``.  ``scored`` is (bordered, i) when ``form`` is row i
-        of an earlier ``_border`` result, whose rows are then reused; ``span``
-        is ``_span`` of the grown overlap when that is already decomposed."""
+        of an earlier ``_border`` result, whose rows are then reused."""
         form = np.asarray(form, dtype=float)
         (images, rows, diags, d_new), i = (self._border(form), 0) if scored is None else scored
         self.N, self.T, self.V = (_bordered(mat, row[i], diag[i]) for mat, row, diag
@@ -305,14 +304,10 @@ class _Assembler:
         self.images = np.concatenate([self.images, images[i:i + 1]], axis=0)
         self.scale = np.append(self.scale, d_new[i])
         self.n += 1
-        self._kernels = {} if span is None else {"span": span}
+        self._kernels = {}
 
-    def _score(self, bordered, coupling: float):
+    def _score(self, bordered, coupling: float) -> np.ndarray:
         """Ground energy of the basis grown by each form of a ``_border`` result.
-
-        Returns the energies and (i, span): the lowest-energy candidate i
-        that took the full solve and ``_span`` of its grown overlap, or
-        (-1, None) when none did, so that ``add`` need not decompose it again.
 
         The committed basis is decomposed once: W = P Q spans it
         N-orthonormally with W^t H W = diag(e).  A candidate with unit
@@ -322,7 +317,7 @@ class _Assembler:
         root below e_0 of its secular equation: the rank-one update of Varga
         and Suzuki (1995), O(n^2) per candidate instead of O(n^3).
 
-        The update is exact where the full solve would drop no direction,
+        The update is exact where ``solve_ground`` would drop no direction,
         so the full solve scores the rest: a candidate with
         r^2 <= RESIDUAL_FRACTION * d, and a candidate whose bordered overlap
         would have a dropped direction.  The bordered overlap is an
@@ -336,7 +331,7 @@ class _Assembler:
         b_h = b_t - coupling * b_v
         d_h = d_t - coupling * d_v
         if self.n == 0:
-            return d_h / d_n, (-1, None)
+            return d_h / d_n
         H = self.T - coupling * self.V
         span = self.span
         if span.dropped:
@@ -363,12 +358,9 @@ class _Assembler:
             exact, min_ok, max_ok = ok.reshape(3, k)
             kept = s_min > (1.0 + DROP_MARGIN) * DROP_TOL * -neg_max
             exact &= independent & min_ok & max_ok & kept
-        low, low_span = -1, None
         for i in np.flatnonzero(~exact):
-            energies[i], grown = _bordered_ground(H, self.N, b_h[i], b_n[i], d_h[i], d_n[i])
-            if grown is not None and (low_span is None or energies[i] < energies[low]):
-                low, low_span = i, grown
-        return energies, (low, low_span)
+            energies[i] = _bordered_ground(H, self.N, b_h[i], b_n[i], d_h[i], d_n[i])
+        return energies
 
     def solve(self, coupling: float):
         return solve_ground(self.T - coupling * self.V, self.span)
@@ -403,16 +395,13 @@ def _bordered(mat, row, diag):
     return out
 
 
-def _bordered_ground(H, N, row_h, row_n, diag_h, diag_n):
-    """(lowest energy, ``_span`` of the grown overlap) of (H, N) grown by one
-    row, the energy as ``solve_ground`` finds it but without its eigenvector;
-    (inf, None) if degenerate."""
-    H = _bordered(H, row_h, diag_h)
+def _bordered_ground(H, N, row_h, row_n, diag_h, diag_n) -> float:
+    """``solve_ground`` energy of (H, N) grown by one row; inf if degenerate."""
     try:
-        span = _span(_bordered(N, row_n, diag_n))
+        return solve_ground(_bordered(H, row_h, diag_h), _span(_bordered(N, row_n, diag_n)),
+                            vector=False)[0]
     except BasisError:
-        return math.inf, None
-    return float(np.linalg.eigvalsh(span.P.T @ H @ span.P)[0]), span
+        return math.inf
 
 
 # a candidate whose Gram-Schmidt residual r^2 is at most this fraction of its
@@ -605,10 +594,15 @@ def _span(N) -> _Span:
     return _Span(U[:, keep] / np.sqrt(s[keep]), int(np.sum(~keep)), s, U)
 
 
-def solve_ground(H: np.ndarray, span: _Span):
+def solve_ground(H: np.ndarray, span: _Span, vector: bool = True):
     """Lowest generalized eigenpair of H on ``span``, the regularized span of an
-    overlap N (``_span``); the returned coefficients satisfy <c, N c> = 1."""
-    vals, vecs = np.linalg.eigh(span.P.T @ H @ span.P)
+    overlap N (``_span``); the returned coefficients satisfy <c, N c> = 1.
+    With ``vector=False`` the eigenvalue alone is found, at about half the
+    cost, and the coefficients are None."""
+    reduced = span.P.T @ H @ span.P
+    if not vector:
+        return float(np.linalg.eigvalsh(reduced)[0]), None
+    vals, vecs = np.linalg.eigh(reduced)
     return float(vals[0]), span.P @ vecs[:, 0]
 
 
@@ -652,13 +646,12 @@ def grow_basis(system: ParticleSystem, budget: int, seed: int,
     while asm.n < budget:
         cands = np.array([_propose_form(rng, lo, hi, inv_len2) for _ in range(16)])
         pool = asm._border(cands)
-        energies, (low, low_span) = asm._score(pool, lam)
+        energies = asm._score(pool, lam)
         best = int(np.argmin(energies))
         gain = current - energies[best]
         if gain > 1e-8 or asm.n == 0:
-            # the winner's rows were computed to score it, and so was its
-            # grown overlap's span if it took the full solve
-            asm.add(cands[best], (pool, best), low_span if low == best else None)
+            # the winner's rows were computed to score it
+            asm.add(cands[best], (pool, best))
             current = min(energies[best], current)
             stalls = 0
             # once gains are marginal relative to the energy the window is

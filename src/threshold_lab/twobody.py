@@ -205,21 +205,6 @@ def subcriticality_margin(system: ParticleSystem) -> MarginReport:
                         lambda_stars={pair: star(pair) for pair in system.potentials})
 
 
-def _momentum_bracket(V: PairPotential, frame: JacobiFrame, lam: float) -> float:
-    """z_hi, the first doubling from 1 where lambda mu(z_hi) < 1; BracketError
-    for a coupling at or below lambda*, which has no bound state."""
-    if lam <= 0.0:
-        raise ValueError("coupling must be positive")
-    if lam * bs_max_eigenvalue(V, frame, 0.0) <= 1.0:
-        raise BracketError(f"coupling {lam} is subcritical; no bound state")
-    z_hi = 1.0
-    for _ in range(64):
-        if lam * bs_max_eigenvalue(V, frame, z_hi) < 1.0:
-            return z_hi
-        z_hi *= 2.0
-    raise BracketError("could not bracket the binding momentum")
-
-
 def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> float:
     """E2 = -z*^2 with lambda mu(z*) = 1; BracketError for a coupling at or
     below lambda*, which has no bound state.
@@ -230,7 +215,17 @@ def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> 
     then stays within 1e-6 relative of the shooting oracle down to
     lambda*(1 + 1e-4), the closest point of the control sweeps.
     """
-    z_hi = _momentum_bracket(V, frame, lam)
+    if lam <= 0.0:
+        raise ValueError("coupling must be positive")
+    if lam * bs_max_eigenvalue(V, frame, 0.0) <= 1.0:
+        raise BracketError(f"coupling {lam} is subcritical; no bound state")
+    z_hi = 1.0
+    for _ in range(64):
+        if lam * bs_max_eigenvalue(V, frame, z_hi) < 1.0:
+            break
+        z_hi *= 2.0
+    else:
+        raise BracketError("could not bracket the binding momentum")
     # _brentq starts from both bracket ends, which the cache already holds
     z_star = _brentq(lambda z: lam * bs_max_eigenvalue(V, frame, z) - 1.0, 0.0, z_hi)
     return -z_star ** 2
@@ -239,43 +234,13 @@ def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> 
 def _bound_state_size(V: PairPotential, frame: JacobiFrame, lam: float, radii):
     """(E2, <r^2>, (R, T(R)) at each of the increasing ``radii``) at ``lam``.
 
-    E2 is ``twobody_binding_energy``'s, from the same root search, whose
-    steps inside the bracket build their BS matrices here.  Brent returns
-    the end of its final bracket with the smaller |lambda mu - 1|, the ends
-    being the latest evaluation of each sign, so the one matrix held is the
-    current best end's, and at z* it gives the eigenvector.  Every
-    R/(R + scale) is a panel edge of the mass rule, so T(R) is the mass of
-    the panels beyond R over the norm: a sum of positive terms.
+    Every R/(R + scale) is a panel edge of the mass rule, so T(R) is the mass
+    of the panels beyond R over the norm: a sum of positive terms.
     """
-    z_hi = _momentum_bracket(V, frame, lam)
-    ends = {}       # sign bit of lambda mu - 1 -> (z, lambda mu - 1) of its latest evaluation
-    best = None     # (z, rule, BS matrix) of the end with the smaller |lambda mu - 1|
-
-    def f(z):
-        nonlocal best
-        if z == 0.0 or z == z_hi:     # the bracket ends, which the cache already holds
-            value, built = lam * bs_max_eigenvalue(V, frame, z) - 1.0, None
-        else:
-            rule = bs_radial_rule(V, frame.alpha, z=z)
-            matrix = bs_matrix(V, frame, z, rule)
-            value, built = lam * float(np.linalg.eigvalsh(matrix)[-1]) - 1.0, (z, rule, matrix)
-        ends[_signbit(value)] = z, value
-        other = ends.get(not _signbit(value))
-        # Brent keeps the newer end on a tie
-        if other is None or abs(value) <= abs(other[1]):
-            best = built
-        elif best is not None and best[0] != other[0]:
-            best = None
-        return value
-
-    e2 = -_brentq(f, 0.0, z_hi) ** 2
+    e2 = twobody_binding_energy(V, frame, lam)
     z_star = math.sqrt(-e2)
-    if best is not None and best[0] == z_star:
-        _, wrule, matrix = best
-    else:   # z* is an end of the first bracket: the cache kept only its eigenvalue
-        wrule = bs_radial_rule(V, frame.alpha, z=z_star)
-        matrix = bs_matrix(V, frame, z_star, wrule)
-    psi = np.linalg.eigh(matrix)[1][:, -1]
+    wrule = bs_radial_rule(V, frame.alpha, z=z_star)
+    psi = np.linalg.eigh(bs_matrix(V, frame, z_star, wrule))[1][:, -1]
     rn, rw = wrule[0].ravel(), wrule[1].ravel()
     phi = psi / np.sqrt(rw)
     sqv = np.sqrt(V.profile(frame.alpha * rn))

@@ -316,9 +316,7 @@ class TestMain:
 
     def test_two_sweep_builds_shared_bracket_ends_once(self, tmp_path, monkeypatch):
         # every state of the sweep brackets z* from mu(0) and mu(1); the
-        # cache of bs_max_eigenvalue builds each of them once for the run,
-        # and each state's eigenvector comes from the matrix its root
-        # search built at z*, so no z is built twice
+        # cache of bs_max_eigenvalue builds each of them once for the run
         zs = []
         build = tb.bs_matrix
 
@@ -332,7 +330,6 @@ class TestMain:
                      "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
         assert zs.count(0.0) == 1
         assert zs.count(1.0) == 1
-        assert len(zs) == len(set(zs))
 
     @pytest.mark.parametrize("experiment,line", [
         ("two_sweep", "sweep_points = ten"),

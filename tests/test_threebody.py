@@ -309,16 +309,7 @@ def trial_energy(asm, form, coupling: float) -> float:
     _, (row_n, row_t, row_v), (diag_n, diag_t, diag_v), _ = asm._border(form)
     return t3._bordered_ground(asm.T - coupling * asm.V, asm.N,
                                row_t[0] - coupling * row_v[0], row_n[0],
-                               diag_t[0] - coupling * diag_v[0], diag_n[0])[0]
-
-
-def duplicate_basis(lam_star):
-    """(system, assembler) of a grown basis with one form committed twice,
-    which leaves its overlap a dropped direction."""
-    sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
-    asm = t3.assembler_for(t3.grow_basis(sys3, 20, seed=3), sys3)
-    asm.add(asm.forms[5])
-    return sys3, asm
+                               diag_t[0] - coupling * diag_v[0], diag_n[0])
 
 
 def full_solves_counted(monkeypatch):
@@ -350,7 +341,7 @@ class TestTrialEnergies:
                 cands = np.array([t3._propose_form(rng, lo, 1.0 / lo, 1.0)
                                   for _ in range(16)])
                 before = len(fallbacks)
-                fast, _ = asm._score(asm._border(cands), lam)
+                fast = asm._score(asm._border(cands), lam)
                 scored += len(cands)
                 updated += len(cands) - (len(fallbacks) - before)
                 full = [trial_energy(asm, f, lam) for f in cands]
@@ -366,39 +357,32 @@ class TestTrialEnergies:
         lam = br.lambda_cr * 1.005
         form = asm.forms[17]
         fallbacks = full_solves_counted(monkeypatch)
-        (fast,), _ = asm._score(asm._border(form), lam)
+        (fast,) = asm._score(asm._border(form), lam)
         assert len(fallbacks) == 1
         assert fast == trial_energy(asm, form, lam)
 
     def test_dropped_direction_takes_full_solve(self, lam_star, monkeypatch):
         # a committed duplicate leaves the overlap a dropped direction: the
-        # update would keep the committed span, the full solve
-        # re-regularizes, and no secular solve is made for the pool
-        sys3, asm = duplicate_basis(lam_star)
+        # update would keep the committed span, solve_ground re-regularizes,
+        # and no secular solve is made for the pool; each full solve is a
+        # solve_ground call that finds the eigenvalue alone
+        sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
+        asm = t3.assembler_for(t3.grow_basis(sys3, 20, seed=3), sys3)
+        asm.add(asm.forms[5])
         rng = np.random.default_rng(21)
         cands = np.array([t3._propose_form(rng, 1e-2, 1e2, 1.0) for _ in range(16)])
         fallbacks = full_solves_counted(monkeypatch)
-        secular = []
-        solve = t3._secular_lowest
+        secular, solves = [], []
+        solve, ground = t3._secular_lowest, t3.solve_ground
         monkeypatch.setattr(t3, "_secular_lowest",
                             lambda *args: secular.append(args) or solve(*args))
-        fast, _ = asm._score(asm._border(cands), sys3.coupling)
+        monkeypatch.setattr(t3, "solve_ground",
+                            lambda H, span, **kw: solves.append(kw) or ground(H, span, **kw))
+        fast = asm._score(asm._border(cands), sys3.coupling)
         assert len(fallbacks) == len(cands)
         assert secular == []
+        assert solves == [{"vector": False}] * len(cands)
         assert fast.tolist() == [trial_energy(asm, f, sys3.coupling) for f in cands]
-
-    def test_full_solve_winner_committed_with_its_span(self, lam_star, monkeypatch):
-        # on a basis with a dropped direction every candidate takes the full
-        # solve, so the pool winner's grown overlap is already decomposed
-        sys3, asm = duplicate_basis(lam_star)
-        t3.grow_basis(sys3, asm.n + 1, seed=4, asm=asm)
-        assert asm.n == 22
-        decomposed = []
-        span = t3._span
-        monkeypatch.setattr(t3, "_span", lambda N: decomposed.append(N) or span(N))
-        committed = asm.span
-        assert decomposed == []
-        assert committed.P.tobytes() == span(asm.N).P.tobytes()
 
     def test_two_element_block_calls_per_pool(self, lam_star, monkeypatch):
         # a pool's rows come from one element_block call against the
@@ -417,7 +401,7 @@ class TestTrialEnergies:
         sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
         asm = t3._Assembler(sys3, True)
         form = np.array([1.0, 0.2, 0.7])
-        (fast,), _ = asm._score(asm._border(form), sys3.coupling)
+        (fast,) = asm._score(asm._border(form), sys3.coupling)
         assert fast == pytest.approx(trial_energy(asm, form, sys3.coupling), rel=1e-12)
 
 
@@ -657,10 +641,11 @@ class TestCriticalCoupling3Body:
 
     def test_fallback_heavy_growth_matches_reference(self):
         # the exponential trio commits a dropped direction at budget 75, so
-        # most of its pools take the full solve; the reference was written
-        # before the full solves skipped the eigenvector and the span of a
-        # committed winner was reused, and moved by nothing at 1 or 2 BLAS
-        # threads, so every value compares exactly
+        # most of its pools take the full solve.  The forms are the seed's
+        # draws, so they match byte for byte as long as the BLAS kernels
+        # pick the same winners (they did at 1 and 2 OpenBLAS threads); the
+        # bracket and cond_N allow the last bits that another kernel path
+        # can move, at the tolerances of the shipped pins
         ref = json.loads((DATA / "critical_exponential_75.json").read_text())
         expo = PairPotential(ref["kind"], 1.0)
         lam_star = tb.critical_coupling(expo, jacobi_frame(
@@ -668,9 +653,9 @@ class TestCriticalCoupling3Body:
         sys3 = uniform_system(ref["kind"], 1.0, 0.9 * lam_star)
         br, asm = t3.critical_coupling_3body(sys3, budget=ref["budget"], seed=ref["seed"])
         assert asm.forms.tobytes() == np.array(ref["forms"]).tobytes()
-        assert (br.lambda_cr, br.lam_lo, br.lam_hi) == (
-            ref["lambda_cr"], ref["lam_lo"], ref["lam_hi"])
-        assert br.cond_N == ref["cond_N"]
+        for key in ("lambda_cr", "lam_lo", "lam_hi"):
+            assert getattr(br, key) == pytest.approx(ref[key], rel=1e-12), key
+        assert br.cond_N == pytest.approx(ref["cond_N"], rel=1e-5)
         assert br.dropped_directions == ref["dropped_directions"] == 1
 
     def test_corrupted_crossing_raises(self, lam_star, monkeypatch):
