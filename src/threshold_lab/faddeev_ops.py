@@ -39,11 +39,13 @@ from .twobody import (
 )
 
 
-def t_multiplier(p: float) -> float:
-    """t(p) = (sqrt(p) - 1) on p <= 1 and 0 beyond; continuous at p = 1."""
-    if p < 0.0:
+def t_multiplier(p):
+    """t(p) = (sqrt(p) - 1) on p <= 1 and 0 beyond, elementwise over a float
+    or an array p >= 0; continuous at p = 1."""
+    p = np.asarray(p, dtype=float)
+    if np.any(p < 0.0):
         raise ValueError("momentum magnitude must be >= 0")
-    return math.sqrt(p) - 1.0 if p <= 1.0 else 0.0
+    return np.where(p <= 1.0, np.sqrt(p) - 1.0, 0.0)[()]
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ def bound_constants(V: PairPotential, frame: JacobiFrame) -> BoundConstants:
         *composite_nodes(np.linspace(0.0, 1.0, MOMENT_PANELS + 1), 8), 1.0))
     c_prime = 4.0 * math.pi * float(np.dot(w, np.exp(-2.0 * r)))
     ps = np.concatenate([np.linspace(1e-6, 1.0, 2001), np.linspace(1.0, 10.0, 101)])
-    c_dprime = float(np.max([(t_multiplier(p) + 1.0) ** 2 / p for p in ps]))
+    c_dprime = float(np.max((t_multiplier(ps) + 1.0) ** 2 / ps))
     c_tilde = plancherel_fourier_mass(V) / frame.gamma ** 3
     return BoundConstants(c=c, c_prime=c_prime, c_dprime=c_dprime, c_tilde=c_tilde)
 
@@ -237,7 +239,7 @@ def fiber_norms(V: PairPotential, frame: JacobiFrame, z, p):
     z, p = np.broadcast_arrays(np.asarray(z, dtype=float), np.asarray(p, dtype=float))
     if not np.all((z > 0.0) & (z <= 1.0)):
         raise ValueError("fiber audits run on z in (0, 1]")
-    m1 = np.vectorize(t_multiplier, otypes=[float])(p) + 1.0
+    m1 = t_multiplier(p) + 1.0
     # math.hypot, not np.hypot: the two differ in the last bit at some points
     kappa = np.vectorize(math.hypot, otypes=[float])(p, z)
     kappas, where = np.unique(kappa.ravel(), return_inverse=True)

@@ -15,9 +15,9 @@ each formed once per point in ``PAIRS`` order and combined by the table
 ``REGIONS``.  A rotation of x and y keeps J and Sum |grad J_s|^2, and on
 |q| >= 1 so does a change of |q|: every audit runs on ``shape_mesh``, a
 grid of the two hyperspherical shape angles (chi, phi).  ``mesh_audit``
-checks blocks of ``AUDIT_BLOCK`` points, and given a sample count it builds
-each block of ``audit_mesh`` just before checking it, so neither the mesh nor
-the audit's memory grows with the sample count.
+takes a sample count and checks ``audit_mesh`` in blocks of ``AUDIT_BLOCK``
+points, each built just before it is checked, so neither the mesh nor the
+audit's memory grows with the sample count.
 """
 
 from __future__ import annotations
@@ -233,12 +233,11 @@ class MeshAudit:
     identity_passed: bool
 
 
-def mesh_audit(part: IMSPartition, mesh: np.ndarray | int) -> MeshAudit:
-    """Pointwise checks of the partition on a mesh with |q| > 1, block by block
-    of AUDIT_BLOCK points, each from one evaluation of J and one set of pair
-    distances.  ``mesh`` is an array of points (n, 6), or a sample count: then
-    the mesh is audit_mesh(mesh), and each block of it is built just before
-    it is checked, so the mesh is never held whole.
+def mesh_audit(part: IMSPartition, samples: int) -> MeshAudit:
+    """Pointwise checks of the partition on audit_mesh(samples), block by
+    block of AUDIT_BLOCK points, each from one evaluation of J and one set of
+    pair distances.  Each block of the mesh is built just before it is
+    checked, so the mesh is never held whole.
 
     Measures max |sum J_s^2 - 1|; the regrouping of the full interaction
     into cluster pieces plus localization error by the region table; and,
@@ -247,22 +246,10 @@ def mesh_audit(part: IMSPartition, mesh: np.ndarray | int) -> MeshAudit:
     cross terms V J_s^2 over the envelope F(theta |q|) on J_s > 1e-12.  The
     blocks combine by max and min, so no result depends on the block size.
     """
-    if isinstance(mesh, (int, np.integer)):
-        samples = int(mesh)
-        size = _mesh_side(samples) ** 2
-
-        def block(start):
-            return audit_mesh(samples, start=start, stop=start + AUDIT_BLOCK)
-    else:
-        mesh = np.atleast_2d(np.asarray(mesh, dtype=float))
-        size = mesh.shape[0]
-
-        def block(start):
-            return mesh[start:start + AUDIT_BLOCK]
     pots = [part.system.potential(pair) for pair in PAIRS]
-    # one row per block; an empty mesh gives (0, 6), which np.max rejects
-    stats = np.array([_audit_block(part, pots, block(start))
-                      for start in range(0, size, AUDIT_BLOCK)]).reshape(-1, 6)
+    stats = np.array([_audit_block(part, pots, audit_mesh(samples, start=start,
+                                                          stop=start + AUDIT_BLOCK))
+                      for start in range(0, _mesh_side(samples) ** 2, AUDIT_BLOCK)])
     partition_defect, regroup_defect, excess = (float(x) for x in np.max(stats[:, :3], axis=0))
     cone_per_region = tuple(float(c) for c in np.min(stats[:, 3:], axis=0))
     cone = min(cone_per_region)

@@ -131,11 +131,6 @@ def _pchip(x, y, r):
     return (y[i] + d[i] * s) + ((m - d[:-1]) / h - t)[i] * s2 + (t / h)[i] * (s2 * s)
 
 
-def zero_potential(range_: float = 1.0) -> PairPotential:
-    """Identically zero interaction (decoupled pair), as a tabulated profile."""
-    return PairPotential("tabulated", range_, table=((0.0, 0.0), (range_, 0.0)))
-
-
 @dataclass(frozen=True)
 class ParticleSystem:
     """Three particles with pair potentials and a common coupling lambda > 0."""

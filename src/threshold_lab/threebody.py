@@ -21,8 +21,8 @@ weight does not depend on the pair.  Moments and tail probabilities depend
 only on the basis, so they are kept, beside the span, in the assembler's
 ``kernel`` cache, which lasts for one basis (``add`` empties it), and every
 sweep point costs a few quadratic forms.  The chi^2_3 convolution (Imhof
-1961) and quasi-Monte Carlo survive only in the tests, as independent
-oracles.
+1961) survives only in the tests (``tests/oracles.py``), as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BasisError, BracketError, DegenerateInputError, FitError
+from .errors import BasisError, BracketError, ConvergenceError, DegenerateInputError, FitError
 from .model import PairPotential, ParticleSystem, jacobi_frame, separation_forms
 from .quadrature import composite_nodes
 from .twobody import (TAIL_MULTIPLES, MarginReport, subcriticality_margin,
@@ -101,7 +101,7 @@ def _nnls(A: np.ndarray, b: np.ndarray):
     passive coefficient would turn nonpositive.  Every step works on the
     triangular factor R of A = Q R and on Q^t b, which leave the residual
     unchanged up to the constant |b - Q Q^t b|.  Stops once no dual exceeds
-    10 max(m, n) eps ||A||_F ||b||, the rounding level of w; RuntimeError
+    10 max(m, n) eps ||A||_F ||b||, the rounding level of w; ConvergenceError
     after 3 n passes.
     """
     m, n = A.shape
@@ -129,7 +129,7 @@ def _nnls(A: np.ndarray, b: np.ndarray):
             passive[k] = False
             x[~passive] = 0.0
         x = z
-    raise RuntimeError(f"nnls did not converge in {3 * n} passes")
+    raise ConvergenceError(f"nnls did not converge in {3 * n} passes")
 
 
 @lru_cache(maxsize=32)

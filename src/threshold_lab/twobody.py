@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BracketError, DegenerateInputError
+from .errors import BracketError, ConvergenceError, DegenerateInputError
 from .model import JacobiFrame, PairPotential, ParticleSystem, jacobi_frame
 from .quadrature import composite_nodes, half_line_map, panel_partial_integrals
 
@@ -278,7 +278,7 @@ def _brentq(f, a: float, b: float, xtol: float = 2e-12,
     ``scipy.optimize.brentq`` returns: the same bracket swap, inverse
     interpolation and extrapolation steps, and the stop once half the
     bracket is below delta = (xtol + rtol |x|) / 2.  ValueError if f(a)
-    and f(b) have the same sign or f returns NaN; RuntimeError after
+    and f(b) have the same sign or f returns NaN; ConvergenceError after
     ``maxiter`` steps.
     """
     def value(x):
@@ -334,7 +334,7 @@ def _brentq(f, a: float, b: float, xtol: float = 2e-12,
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
         fcur = value(xcur)
-    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
+    raise ConvergenceError(f"failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,13 @@ from threshold_lab.model import (
     jacobi_frame,
     potential_moment_c,
     uniform_system,
-    zero_potential,
 )
 from threshold_lab import faddeev_ops as fo
 from threshold_lab import ims
 from threshold_lab import threebody as t3
 from threshold_lab import twobody as tb
+
+from oracles import zero_potential
 
 pytestmark = pytest.mark.acceptance
 
@@ -167,8 +168,7 @@ def test_criterion_5_contraction_certificate(absorb_run):
 def test_criterion_6_ims_audits():
     system = uniform_system("gaussian", 1.0, 2.0)
     part = ims.build_partition(system)
-    mesh = ims.audit_mesh(100000)
-    audit = ims.mesh_audit(part, mesh)
+    audit = ims.mesh_audit(part, 100000)
     decay = ims.gradient_decay_audit(part, [2.0, 4.0, 8.0, 16.0])
     ratio_2_16 = decay.max_grad_sq[0] / decay.max_grad_sq[-1]
     scaling_ok = (16.0 / 2.0) ** 2 / 2.0 <= ratio_2_16 <= (16.0 / 2.0) ** 2 * 2.0

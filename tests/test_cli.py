@@ -675,6 +675,17 @@ class TestMain:
         assert f"no three-body bound state at coupling {couplings[2]!r}" in err
         assert not (out / "three_sweep.csv").exists()
 
+    def test_unconverged_root_search_exits_1(self, tmp_path, monkeypatch, capsys):
+        # an iteration limit raises ConvergenceError, which the CLI reports as
+        # a numerical error instead of ending in a traceback
+        brentq = tb._brentq
+        monkeypatch.setattr(tb, "_brentq", lambda *args, **kw: brentq(*args, **kw, maxiter=1))
+        code = main(["--config", str(CONFIGS / "two_sweep_gaussian.cfg"),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert "numerical error" in err and "ConvergenceError" in err
+
     def test_absorb_symmetric_moments_and_conditioning(self, tmp_path):
         # x^2 and y^2 are the same matrix on a symmetrized basis, so the
         # columns agree to the last digit; the conditioning is reported, and

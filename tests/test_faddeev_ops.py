@@ -31,6 +31,14 @@ class TestMultiplier:
     def test_t_continuous_at_one(self):
         assert fo.t_multiplier(1.0 - 1e-12) == pytest.approx(fo.t_multiplier(1.0 + 1e-12), abs=1e-9)
 
+    def test_t_on_arrays_matches_scalar_rule(self):
+        p = np.concatenate([[0.0, 1.0, np.nextafter(1.0, 2.0)], np.linspace(1e-6, 10.0, 2001)])
+        scalar = [math.sqrt(x) - 1.0 if x <= 1.0 else 0.0 for x in p]
+        assert fo.t_multiplier(p).tobytes() == np.array(scalar).tobytes()
+        for bad in (-1e-300, [0.5, -1.0]):
+            with pytest.raises(ValueError, match=">= 0"):
+                fo.t_multiplier(bad)
+
     @pytest.mark.parametrize("z", [0.1, 0.5, 1.0])
     @pytest.mark.parametrize("p", [0.0, 0.3, 1.0, 2.5])
     def test_multiplier_identity(self, z, p):

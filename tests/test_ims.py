@@ -36,8 +36,8 @@ def rotated(q, r):
 
 
 @pytest.fixture(scope="module")
-def audit(partition, mesh):
-    return ims.mesh_audit(partition, mesh)
+def audit(partition):
+    return ims.mesh_audit(partition, 100000)
 
 
 class TestConstruction:
@@ -161,16 +161,17 @@ class TestSupportCone:
         assert audit.cone_constant == min(audit.cone_per_region)
 
     def test_delta_to_zero_approaches_theta(self):
-        sub = ims.audit_mesh(30000)
         cs = []
         for delta in (0.05, 0.02, 0.005):
             p = ims.build_partition(SYSTEM, delta=delta)
-            cs.append(ims.mesh_audit(p, sub).cone_constant)
+            cs.append(ims.mesh_audit(p, 30000).cone_constant)
         assert all(abs(c - 0.15) < 0.02 for c in cs)
 
-    def test_interior_mesh_rejected(self, partition):
+    def test_interior_mesh_rejected(self, partition, monkeypatch):
+        monkeypatch.setattr(ims, "audit_mesh",
+                            lambda samples, start=0, stop=None: 0.8 * ims.shape_mesh(4))
         with pytest.raises(ValueError):
-            ims.mesh_audit(partition, 0.8 * ims.shape_mesh(4))
+            ims.mesh_audit(partition, 16)
 
 
 class TestGradients:
@@ -231,12 +232,12 @@ class TestIdentity:
             return evaluate(self, *args, **kwargs)
 
         monkeypatch.setattr(ims.IMSPartition, "_evaluate_outer", counted)
-        ims.mesh_audit(partition, ims.audit_mesh(512))
+        ims.mesh_audit(partition, 512)
         assert len(calls) == 1
         calls.clear()
-        mesh = ims.audit_mesh(5 * ims.AUDIT_BLOCK // 2)
-        ims.mesh_audit(partition, mesh)
-        assert len(calls) == math.ceil(len(mesh) / ims.AUDIT_BLOCK) == 3
+        samples = 5 * ims.AUDIT_BLOCK // 2
+        ims.mesh_audit(partition, samples)
+        assert len(calls) == math.ceil(len(ims.audit_mesh(samples)) / ims.AUDIT_BLOCK) == 3
 
     def test_mislabelled_region_fails(self, partition, monkeypatch):
         # region 1 (particle 1 far) must list the pairs (1, 2) and (1, 3);
@@ -245,14 +246,14 @@ class TestIdentity:
         # then lives where particles 1 and 3 come close
         assert ims.REGIONS[:2] == ((0, 1), (0, 2)) and ims.PAIRS[2] == (2, 3)
         monkeypatch.setattr(ims, "REGIONS", ((0, 2), (0, 1), (1, 2)))
-        rep = ims.mesh_audit(partition, ims.audit_mesh(20000))
+        rep = ims.mesh_audit(partition, 20000)
         assert not rep.identity_passed
         assert rep.regroup_defect > 1e-3
         assert not rep.cone_passed
         assert rep.cone_per_region[0] < partition.theta
         assert rep.cone_constant < partition.theta
 
-    def test_one_separation_per_pair_per_point_set(self, partition, mesh, monkeypatch):
+    def test_one_separation_per_pair_per_point_set(self, partition, monkeypatch):
         rows = []
         separation = ims._separation
 
@@ -261,16 +262,15 @@ class TestIdentity:
             return separation(form, q, with_vector)
 
         monkeypatch.setattr(ims, "_separation", counted)
-        sub = mesh[:5000]
-        partition.evaluate(sub)
-        assert rows == [(5000, True)] * 3
+        partition.evaluate(ims.audit_mesh(4900))
+        assert rows == [(4900, True)] * 3
         rows.clear()
         # the audit's three distances feed its evaluation; no vector d is kept
-        ims.mesh_audit(partition, sub)
-        assert rows == [(5000, False)] * 3
+        ims.mesh_audit(partition, 4900)
+        assert rows == [(4900, False)] * 3
 
     def test_envelope_below_potential_fails(self):
-        rep = ims.mesh_audit(_zero_envelope_partition(), ims.audit_mesh(20000))
+        rep = ims.mesh_audit(_zero_envelope_partition(), 20000)
         assert rep.partition_defect <= 1e-10 and rep.regroup_defect <= 1e-10
         assert not rep.identity_passed
         assert rep.envelope_excess > 1e-3
@@ -287,37 +287,45 @@ class TestBlocks:
         monkeypatch.setattr(ims, "AUDIT_BLOCK", 1000)
 
     def test_audit_independent_of_block_size(self, partition, monkeypatch):
-        mesh = ims.audit_mesh(self.N)
-        full = ims.mesh_audit(partition, mesh)  # one block at the default size
+        full = ims.mesh_audit(partition, self.N)  # one block at the default size
         monkeypatch.setattr(ims, "AUDIT_BLOCK", 1000)
-        small = ims.mesh_audit(partition, mesh)
+        small = ims.mesh_audit(partition, self.N)
         for field in dataclasses.fields(ims.MeshAudit):
             assert getattr(small, field.name) == getattr(full, field.name), field.name
 
     def test_broken_partitions_fail_in_small_blocks(self, partition, small_blocks,
                                                     monkeypatch):
-        mesh = ims.audit_mesh(self.N)
-        rep = ims.mesh_audit(_zero_envelope_partition(), mesh)
+        rep = ims.mesh_audit(_zero_envelope_partition(), self.N)
         assert not rep.identity_passed and rep.envelope_excess > 1e-3
         monkeypatch.setattr(ims, "REGIONS", ((0, 2), (0, 1), (1, 2)))
-        rep = ims.mesh_audit(partition, mesh)
+        rep = ims.mesh_audit(partition, self.N)
         assert not rep.identity_passed and rep.regroup_defect > 1e-3
         assert not rep.cone_passed and rep.cone_per_region[0] < partition.theta
 
-    def test_interior_point_in_last_block_rejected(self, partition, small_blocks):
-        mesh = ims.audit_mesh(self.N)
-        mesh[4321] *= 0.9 / np.linalg.norm(mesh[4321])
+    def test_interior_point_in_last_block_rejected(self, partition, small_blocks,
+                                                   monkeypatch):
+        # point 4321 of the mesh pulled inside |q| = 1: the fifth block holds it
+        built, audit_mesh = [], ims.audit_mesh
+
+        def pulled_in(samples, start=0, stop=None):
+            q = audit_mesh(samples, start=start, stop=stop)
+            built.append(start)
+            if start <= 4321 < start + len(q):
+                q[4321 - start] *= 0.9 / np.linalg.norm(q[4321 - start])
+            return q
+
+        monkeypatch.setattr(ims, "audit_mesh", pulled_in)
         with pytest.raises(ValueError):
-            ims.mesh_audit(partition, mesh)
+            ims.mesh_audit(partition, self.N)
+        assert built == [0, 1000, 2000, 3000, 4000]
 
     def test_audit_memory_flat_in_mesh_size(self, partition):
-        ims.mesh_audit(partition, ims.audit_mesh(64))  # settle lazy setup
+        ims.mesh_audit(partition, 64)  # settle lazy setup
         peaks = []
         for blocks in (1, 8):
-            mesh = ims.audit_mesh(blocks * ims.AUDIT_BLOCK)
             tracemalloc.start()
             try:
-                ims.mesh_audit(partition, mesh)
+                ims.mesh_audit(partition, blocks * ims.AUDIT_BLOCK)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -331,11 +339,6 @@ class TestBlocks:
         blocks = [ims.audit_mesh(samples, start=start, stop=start + ims.AUDIT_BLOCK)
                   for start in range(0, len(whole), ims.AUDIT_BLOCK)]
         assert np.concatenate(blocks).tobytes() == whole.tobytes()
-
-    def test_audit_of_sample_count_matches_array(self, partition, small_blocks):
-        from_count = ims.mesh_audit(partition, self.N)
-        from_array = ims.mesh_audit(partition, ims.audit_mesh(self.N))
-        assert from_count == from_array
 
     def test_ims_audit_memory_flat_in_samples(self, tmp_path):
         def config(samples):
@@ -372,7 +375,7 @@ class TestAsymmetricMasses:
     def test_audits_hold_for_mass_ratio_ten(self):
         system = uniform_system("gaussian", 1.0, 2.0, masses=(1.0, 3.0, 10.0))
         part = ims.build_partition(system)
-        rep = ims.mesh_audit(part, ims.audit_mesh(30000))
+        rep = ims.mesh_audit(part, 30000)
         assert rep.partition_defect <= 1e-10
         assert rep.cone_passed and rep.cone_constant >= part.theta - 1e-9
         assert ims.gradient_fd_check(part, n_points=60) <= 1e-6

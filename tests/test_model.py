@@ -13,8 +13,9 @@ from threshold_lab.model import (
     separation_forms,
     sqrt_potential_fourier,
     uniform_system,
-    zero_potential,
 )
+
+from oracles import zero_potential
 
 GAUSS = PairPotential("gaussian", 1.0)
 EXPO = PairPotential("exponential", 1.0)

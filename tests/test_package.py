@@ -1,6 +1,9 @@
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import threshold_lab
+from threshold_lab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -121,3 +125,77 @@ def test_runs_without_scipy(tmp_path):
     assert run.stdout.strip() == str([0] * len(runs))
     for name, (experiment, *_) in runs.items():
         assert (tmp_path / name / f"{experiment}.json").exists(), name
+
+
+# functions of the package that no CLI run reaches, each kept for a caller
+# outside it
+UNREACHED = {
+    "threebody.assembler_for": "perfbench/selftest.py rebuilds a grown basis with it",
+    "model.uniform_system": "perfbench/selftest.py and the tests build systems with it",
+    "twobody.oracle_binding_energy": "shooting oracle of the tests and the benchmark",
+    "twobody.oracle_mean_square_radius": "shooting oracle of the tests",
+}
+
+
+def package_functions():
+    """{name: code} of every module-level function, method and property
+    defined in the package's sources, lru_caches unwrapped."""
+    found = {}
+    for info in pkgutil.iter_modules(threshold_lab.__path__):
+        module = importlib.import_module(f"threshold_lab.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+            for member, attr in members:
+                parts = ([attr.fget, attr.fset, attr.fdel] if isinstance(attr, property)
+                         else [getattr(attr, "__func__", attr)])
+                for func in parts:
+                    code = getattr(inspect.unwrap(func), "__code__", None) if func else None
+                    # dataclass and NamedTuple methods are generated elsewhere
+                    if code is not None and code.co_filename == module.__file__:
+                        found[f"{info.name}.{name}" + (f".{member}" if member else "")] = code
+    return found
+
+
+def test_cli_runs_reach_every_function(tmp_path):
+    # the shipped configs, a tabulated two_sweep (the monotone cubic), an
+    # exponential three_sweep (the Gaussian fit's nnls) and a config with an
+    # unknown key; a function that none of them reaches is dead code unless
+    # UNREACHED names its caller
+    table = " ".join(f"{r!r}:{math.exp(-r * r)!r}" for r in (k / 10 for k in range(41)))
+    extra = {
+        "tab_two_sweep": f"experiment = two_sweep\nmasses = 1 1 1\nkind = tabulated\n"
+                         f"range = 1.0\ntable = {table}\nsweep_points = 4\n",
+        "exp_three_sweep": "experiment = three_sweep\nmasses = 1 1 1\nkind = exponential\n"
+                           "range = 1.0\nbudget = 12\nsweep_points = 4\nseed = 7\n",
+        "unknown_key": "experiment = two_critical\nmasses = 1 1 1\nkind = gaussian\n"
+                       "range = 1.0\nbogus = 1\n",
+    }
+    configs = sorted((ROOT / "configs").glob("*.cfg"))
+    for name, text in extra.items():
+        configs.append(tmp_path / f"{name}.cfg")
+        configs[-1].write_text(text)
+    functions = package_functions()
+    # a warm cache answers without a call
+    for name, module in list(sys.modules.items()):
+        if name.startswith("threshold_lab."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(["--config", str(cfg), "--out", str(tmp_path / cfg.stem), "--quiet"])
+                 for cfg in configs]
+    finally:
+        sys.setprofile(previous)
+    assert codes == [0] * (len(configs) - 1) + [cli.EXIT_CONFIG]
+    unreached = {name for name, code in functions.items() if code not in reached}
+    assert sorted(unreached) == sorted(UNREACHED)

@@ -1,36 +1,22 @@
 import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import nnls
-from scipy.special import erfc, jn_zeros
-from scipy.stats import norm as norm_dist
-from scipy.stats import qmc
+from scipy.special import jn_zeros
 
 from threshold_lab.errors import BasisError, BracketError, FitError
-from threshold_lab.model import (
-    PairPotential,
-    ParticleSystem,
-    jacobi_frame,
-    uniform_system,
-    zero_potential,
-)
+from threshold_lab.model import PairPotential, ParticleSystem, jacobi_frame, uniform_system
 from threshold_lab import threebody as t3
 from threshold_lab import twobody as tb
+
+from oracles import chi2_tail_oracle, hermite_elements, hermite_rho2, zero_potential
 
 DATA = Path(__file__).resolve().parent / "data"
 GAUSS = PairPotential("gaussian", 1.0)
 FRAME = jacobi_frame(uniform_system("gaussian", 1.0, 1.0), (1, 2))
-
-
-def _sobol(d, n, seed):
-    """n scrambled Sobol' points in [0, 1)^d, one draw of a seeded generator."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="The balance properties")
-        return qmc.Sobol(d, scramble=True, seed=seed).random(n)
 
 
 @pytest.fixture(scope="module")
@@ -47,71 +33,6 @@ def random_spd_form(rng, lo=-0.7, hi=0.7):
         (e1 - e2) * cs * sn,
         e1 * sn * sn + e2 * cs * cs,
     ])
-
-
-# nodes per axis of the probabilists' Gauss-Hermite rule of the cubature oracle
-HERMITE_NODES = 80
-
-
-def hermite_component(A, B):
-    """The cubature rule of one Cartesian component of q = (x, y) under the
-    Gaussian weight exp(-q.((A + B) x I3).q / 2), for forms (..., 3).
-
-    With (A + B)^-1 = L L^T, the component is (x_k, y_k) = L (g_k, g_(k+3)),
-    g standard normal, so every integrand below is a sum or a product of
-    three equal two-dimensional integrals over (g_k, g_(k+3)).  Returns the
-    node values x_k, y_k (..., nodes^2), the product weights (summing to 1)
-    and the weight's total mass (2 pi)^3 det(A + B)^(-3/2).
-    """
-    t, wt = np.polynomial.hermite_e.hermegauss(HERMITE_NODES)
-    s = np.asarray(A) + np.asarray(B)
-    Bm = np.stack([s[..., :2], s[..., 1:]], axis=-2)
-    L = np.linalg.cholesky(np.linalg.inv(Bm))
-    l11, l21, l22 = (L[..., i, j, None] for i, j in ((0, 0), (1, 0), (1, 1)))
-    g1, g2 = (a.ravel() for a in np.meshgrid(t, t, indexing="ij"))
-    weights = np.outer(wt, wt).ravel() / (2.0 * math.pi)
-    mass = (2.0 * math.pi) ** 3 * np.linalg.det(Bm) ** -1.5
-    return l11 * g1, l21 * g1 + l22 * g2, weights, mass
-
-
-def hermite_elements(A, B, sep_terms):
-    """Kinetic, potential and H0^2 elements of the Gaussians A and B by
-    cubature of the raw integrands, component by component:
-
-    - kinetic = 3 E[a_x b_x + a_y b_y], with (a_x, a_y) = A (x_k, y_k);
-    - each Gaussian term s exp(-|u x + v y|^2 / w^2) = s (E[exp(-d_k^2 / w^2)])^3;
-    - H0^2 = E[(qa - 3 tr A)(qb - 3 tr B)] = 3 E[alpha beta] + 6 E[alpha] E[beta],
-      with alpha = |a_k|^2 - tr A and beta = |b_k|^2 - tr B;
-
-    each times the weight's mass.
-    """
-    x, y, w, mass = hermite_component(A, B)
-    ax, ay = A[0] * x + A[1] * y, A[1] * x + A[2] * y
-    bx, by = B[0] * x + B[1] * y, B[1] * x + B[2] * y
-    alpha = ax ** 2 + ay ** 2 - (A[0] + A[2])
-    beta = bx ** 2 + by ** 2 - (B[0] + B[2])
-    potential = sum(s * (w @ np.exp(-((u * x + v * y) / width) ** 2)) ** 3
-                    for (u, v), terms in sep_terms for s, width in terms)
-    return {
-        "kinetic": mass * 3.0 * (w @ (ax * bx + ay * by)),
-        "potential": mass * potential,
-        "h0sq": mass * (3.0 * (w @ (alpha * beta)) + 6.0 * (w @ alpha) * (w @ beta)),
-    }
-
-
-def hermite_rho2(asm, c):
-    """<rho^2> of psi = sum_i c_i scale_i sum over the images of form i of
-    exp(-q.(A x I3).q / 2), by cubature of psi^2 rho^2 and of psi^2, one
-    Gaussian against all at a time: rho^2 = |x|^2 + |y|^2 is three equal
-    components."""
-    flat = asm.images.reshape(-1, 3)
-    coeff = np.repeat(c * asm.scale, asm.images.shape[1])
-    num = den = 0.0
-    for ck, A in zip(coeff, flat):
-        x, y, w, mass = hermite_component(A, flat)
-        num += ck * np.sum(coeff * mass * 3.0 * ((x * x + y * y) @ w))
-        den += ck * np.sum(coeff * mass)
-    return num / den
 
 
 class TestPermutations:
@@ -472,104 +393,18 @@ class TestGroundEnergy:
         assert tails[2][1] < tails[1][1] <= 1.0
 
 
-def chi2_tail_oracle(asm, cs, radii, nodes=128):
-    """T(R) (one row per coefficient vector in ``cs``) for |psi|^2 by Imhof's
-    chi^2_3 convolution per Gaussian pair.
-
-    |q|^2 under exp(-q.(B x I3).q/2) is s1 X + s2 Y with X, Y ~ chi^2_3 and
-    s1 >= s2 the eigenvalues of B^-1, so with f3 the chi^2_3 density and Q3
-    its survival function (Imhof 1961)
-
-        P(rho > R) = int_0^a f3(x) Q3((R^2 - s1 x) / s2) dx + Q3(a),   a = R^2 / s1.
-
-    x = a sin^2(theta) and b = R^2 / s2 give the analytic integrand
-    sqrt(2/pi) a^1.5 sin^2 cos e^(-a sin^2 / 2) Q3(b cos^2) on [0, pi/2],
-    summed here by one Gauss-Legendre rule of ``nodes`` nodes.  rho^2 is
-    S3-invariant, so every form is paired with every image, one-sided and
-    without the i <= j fold, a block of forms at a time.
-    """
-    from threshold_lab.quadrature import composite_nodes
-
-    def q3(v):
-        return erfc(np.sqrt(0.5 * v)) + np.sqrt(2.0 * v / math.pi) * np.exp(-0.5 * v)
-
-    (theta,), (wt,) = composite_nodes(np.array([0.0, 0.5 * math.pi]), nodes)
-    sin2, cos2 = np.sin(theta) ** 2, np.cos(theta) ** 2
-    w_theta = math.sqrt(2.0 / math.pi) * wt * sin2 * np.cos(theta)
-    flat = asm.images.reshape(-1, 3)
-    n = len(asm.forms)
-    kernels = np.empty((1 + len(radii), n, len(flat)))  # the total mass, then one per radius
-    for lo in range(0, n, 32):
-        b11, b12, b22 = np.moveaxis(asm.forms[lo:lo + 32, None] + flat[None], -1, 0)
-        det = b11 * b22 - b12 * b12
-        mass = (2.0 * math.pi) ** 3 * det ** -1.5
-        root = np.sqrt(0.25 * (b11 - b22) ** 2 + b12 * b12)
-        inv_s2 = 0.5 * (b11 + b22) + root
-        inv_s1 = det / inv_s2                           # the smaller eigenvalue of B
-        kernels[0, lo:lo + 32] = mass
-        for k, R in enumerate(radii, start=1):
-            a, b = R * R * inv_s1, R * R * inv_s2
-            inner = np.exp(-0.5 * a[..., None] * sin2) * q3(b[..., None] * cos2)
-            kernels[k, lo:lo + 32] = mass * (a ** 1.5 * (inner @ w_theta) + q3(a))
-    coeff = np.asarray(cs) * asm.scale
-    masses = np.einsum("ci,kij,cj->ck", coeff, kernels,
-                       np.repeat(coeff, asm.images.shape[1], axis=-1))
-    return masses[:, 1:] / masses[:, :1]
-
-
-def qmc_tails(asm, c, radii, seed, n_points):
-    """T(R) and <rho^2> for |psi|^2 by importance-sampled scrambled Sobol points.
-
-    The sampling density is the equal-weight mixture of every (form, image)
-    Gaussian of the basis, broadened twofold in covariance, each component
-    drawing its own scrambled stream.  psi is a sum of those Gaussians, and
-    by |phi_k phi_l| <= (phi_k^2 + phi_l^2) / 2 the mixture dominates every
-    cross term of |psi|^2, so the weights stay bounded.
-    """
-    flat = asm.images.reshape(-1, 3)
-    comps = [0.5 * np.array([[f[0], f[1]], [f[1], f[2]]]) for f in flat]
-    per = n_points // len(comps)
-    q = np.empty((per * len(comps), 6))
-    for ci, B in enumerate(comps):
-        u = _sobol(6, per, seed + 7919 * ci)
-        eta = norm_dist.ppf(np.clip(u, 1e-15, 1.0 - 1e-15))
-        L = np.linalg.cholesky(np.linalg.inv(B))
-        sl = slice(ci * per, (ci + 1) * per)
-        q[sl, 0:3] = L[0, 0] * eta[:, 0:3]
-        q[sl, 3:6] = L[1, 0] * eta[:, 0:3] + L[1, 1] * eta[:, 3:6]
-    xx = np.einsum("ij,ij->i", q[:, :3], q[:, :3])
-    xy = np.einsum("ij,ij->i", q[:, :3], q[:, 3:])
-    yy = np.einsum("ij,ij->i", q[:, 3:], q[:, 3:])
-
-    log_g = np.full(len(q), -np.inf)
-    for B in comps:
-        det = B[0, 0] * B[1, 1] - B[0, 1] ** 2
-        expo = -0.5 * (B[0, 0] * xx + 2.0 * B[0, 1] * xy + B[1, 1] * yy)
-        log_g = np.logaddexp(log_g, 1.5 * math.log(det) - 3.0 * math.log(2.0 * math.pi)
-                             - math.log(len(comps)) + expo)
-    psi = np.zeros(len(q))
-    for coeff, (a11, a12, a22) in zip(np.repeat(c * asm.scale, asm.images.shape[1]), flat):
-        psi += coeff * np.exp(-0.5 * (a11 * xx + 2.0 * a12 * xy + a22 * yy))
-
-    w = psi ** 2 * np.exp(-log_g)
-    total = float(np.sum(w))
-    rho2 = xx + yy
-    tails = {float(R): float(np.sum(w[rho2 > R * R])) / total for R in radii}
-    return tails, float(np.sum(w * rho2)) / total
-
-
 class TestTailOracle:
-    def test_qmc_matches_chi2_convolution(self, lam_star):
+    def test_small_basis_tails_match_chi2_convolution(self, lam_star):
+        # a small basis far below threshold, at the bound of the sweep's
+        # check in TestTailKernels
         sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
         basis = t3.grow_basis(sys3, 8, seed=3)
         asm = t3.assembler_for(basis, sys3)
         _, c = asm.solve(sys3.coupling)
         radii = (2.0, 6.0, 12.0)
         tails = dict(t3.tail_masses(asm, c, radii))
-        qmc, _ = qmc_tails(asm, c, radii, seed=3, n_points=2 ** 20)
         for R, oracle in zip(radii, chi2_tail_oracle(asm, [c], radii)[0]):
-            assert tails[R] == pytest.approx(oracle, abs=1e-6)
-            assert tails[R] == pytest.approx(qmc[R], abs=1e-3)
+            assert tails[R] == pytest.approx(oracle, abs=1e-11)
 
     def test_rho2_closed_form_matches_cubature(self, lam_star):
         sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)

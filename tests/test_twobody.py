@@ -6,10 +6,12 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import jn_zeros
 
-from threshold_lab.errors import BracketError, DegenerateInputError
-from threshold_lab.model import PairPotential, jacobi_frame, uniform_system, zero_potential
+from threshold_lab.errors import BracketError, ConvergenceError, DegenerateInputError
+from threshold_lab.model import PairPotential, jacobi_frame, uniform_system
 from threshold_lab import threebody as t3
 from threshold_lab import twobody as tb
+
+from oracles import zero_potential
 
 FRAME = jacobi_frame(uniform_system("gaussian", 1.0, 1.0), (1, 2))
 WELL = PairPotential("square_well", 1.0)
@@ -553,7 +555,7 @@ class TestBrent:
         with pytest.raises(ValueError, match="NaN"):
             tb._brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
         # a slow root: x^9 near 0 takes bisection-like steps, too many for 5
-        with pytest.raises(RuntimeError, match="5 iterations"):
+        with pytest.raises(ConvergenceError, match="5 iterations"):
             tb._brentq(lambda x: x ** 9, -1.0, 0.7, maxiter=5)
         with pytest.raises(RuntimeError):
             brentq(lambda x: x ** 9, -1.0, 0.7, maxiter=5)
