@@ -127,10 +127,6 @@ def potential_from_keyvalues(kv: dict, prefix: str = "") -> PairPotential:
     return PairPotential(kind, range_, table=table)
 
 
-def _canonical_text(kv: dict) -> str:
-    return "\n".join(f"{k} = {v}" for k, v in sorted(kv.items())) + "\n"
-
-
 def load_config(text: str, seed_override=None, out_override=None,
                 quiet=False) -> ExperimentConfig:
     """The experiment a config text describes, with every option of its row
@@ -190,7 +186,8 @@ def load_config(text: str, seed_override=None, out_override=None,
         raise ConfigError(str(exc)) from exc
 
     semantic = {k: v for k, v in kv.items() if k != "out"}
-    cfg_hash = hashlib.sha256(_canonical_text(semantic).encode()).hexdigest()[:16]
+    canonical = "\n".join(f"{k} = {v}" for k, v in sorted(semantic.items())) + "\n"
+    cfg_hash = hashlib.sha256(canonical.encode()).hexdigest()[:16]
     return ExperimentConfig(
         experiment=experiment,
         system=system,

@@ -26,7 +26,6 @@ from .model import (
     MOMENT_PANELS,
     JacobiFrame,
     PairPotential,
-    plancherel_fourier_mass,
     potential_moment_c,
 )
 from .quadrature import composite_nodes, half_line_map
@@ -56,6 +55,7 @@ class BoundConstants:
     c'  = integral exp(-2|x|)/|x|^2 d^3x            (= 2 pi)
     c'' = sup_p [t(p) + 1]^2 / p                     (= 1)
     c~  = gamma^-6 integral |FT(V^(1/2))(p/gamma)|^2 d^3p
+        = gamma^-3 integral V(x) d^3x                (Plancherel)
     """
 
     c: float
@@ -78,14 +78,15 @@ class BoundConstants:
 
 
 def bound_constants(V: PairPotential, frame: JacobiFrame) -> BoundConstants:
-    """All four constants by quadrature (no closed forms consumed)."""
+    """c, c' and c'' by quadrature; c~ from c's quadrature at alpha = 1,
+    through Plancherel's identity (no closed forms consumed)."""
     c = potential_moment_c(V, frame.alpha)
     r, w = (a.ravel() for a in half_line_map(
         *composite_nodes(np.linspace(0.0, 1.0, MOMENT_PANELS + 1), 8), 1.0))
     c_prime = 4.0 * math.pi * float(np.dot(w, np.exp(-2.0 * r)))
     ps = np.concatenate([np.linspace(1e-6, 1.0, 2001), np.linspace(1.0, 10.0, 101)])
     c_dprime = float(np.max((t_multiplier(ps) + 1.0) ** 2 / ps))
-    c_tilde = plancherel_fourier_mass(V) / frame.gamma ** 3
+    c_tilde = potential_moment_c(V, 1.0) / frame.gamma ** 3
     return BoundConstants(c=c, c_prime=c_prime, c_dprime=c_dprime, c_tilde=c_tilde)
 
 
@@ -174,10 +175,11 @@ def _top_singular_values(gram, kappas: np.ndarray, n: int) -> np.ndarray:
     eigenvalue of G.  The step count grows like 1 / sqrt(gap), not like
     1 / gap as for a power iteration, and the Krylov space is all of R^n
     after n steps, where the Ritz value is exact; failing the stop by then
-    (a non-finite G) raises ConvergenceError naming kappa.  A kappa leaves
-    the batch when it stops, so no beta_j = 0 is divided by.  The start
-    needs a component along the top eigenvector: on the audit grids G is
-    entrywise positive, so by Perron-Frobenius that eigenvector is positive.
+    raises ConvergenceError naming kappa, as does a non-finite product of G
+    at the step where it appears.  A kappa leaves the batch when it stops,
+    so no beta_j = 0 is divided by.  The start needs a component along the
+    top eigenvector: on the audit grids G is entrywise positive, so by
+    Perron-Frobenius that eigenvector is positive.
     """
     norms = np.empty(len(kappas))
     rows = np.arange(len(kappas))
@@ -195,17 +197,19 @@ def _top_singular_values(gram, kappas: np.ndarray, n: int) -> np.ndarray:
         for _ in range(2):
             w -= np.einsum("kj,kjn->kn", np.einsum("kjn,kn->kj", done, w), done)
         off[:, j] = np.sqrt(np.einsum("kn,kn->k", w, w))
-        # a non-finite T or beta_j can fail eigh for the whole stack: such a
-        # row stays out of it and never stops
-        finite = np.isfinite(diag[:, :j + 1]).all(axis=1) & np.isfinite(off[:, :j + 1]).all(axis=1)
-        t = np.zeros((np.count_nonzero(finite), j + 1, j + 1))
-        t[:, range(j + 1), range(j + 1)] = diag[finite, :j + 1]
-        t[:, range(1, j + 1), range(j)] = off[finite, :j]   # eigh reads the lower triangle
+        # a non-finite T or beta_j can fail eigh for the whole stack
+        bad = ~(np.isfinite(diag[:, j]) & np.isfinite(off[:, j]))
+        if bad.any():
+            raise ConvergenceError(
+                f"fiber norm Lanczos run met a non-finite product of G at step {j} "
+                f"at kappa = {float(kappas[rows[np.argmax(bad)]])!r}")
+        t = np.zeros((len(rows), j + 1, j + 1))
+        t[:, range(j + 1), range(j + 1)] = diag[:, :j + 1]
+        t[:, range(1, j + 1), range(j)] = off[:, :j]   # eigh reads the lower triangle
         theta, s = np.linalg.eigh(t)
         theta, s_last = theta[:, -1], s[:, -1, -1]
-        stop = np.zeros(len(rows), dtype=bool)
-        stop[finite] = off[finite, j] * np.abs(s_last) <= FIBER_RESIDUAL * theta
-        norms[rows[stop]] = np.sqrt(theta[stop[finite]])
+        stop = off[:, j] * np.abs(s_last) <= FIBER_RESIDUAL * theta
+        norms[rows[stop]] = np.sqrt(theta[stop])
         if stop.any():
             rows, basis, diag, off, w = (a[~stop] for a in (rows, basis, diag, off, w))
             if not len(rows):

@@ -246,53 +246,3 @@ def potential_moment_c(V: PairPotential, alpha: float) -> float:
     edges = np.linspace(0.0, V.effective_radius / alpha, MOMENT_PANELS + 1)
     r, w = (a.ravel() for a in composite_nodes(edges, 8))
     return float(np.dot(w, 4.0 * math.pi * V.profile(alpha * r) * r ** 2))
-
-
-def sqrt_potential_fourier(V: PairPotential, p: float) -> float:
-    """Radial 3D Fourier transform of V^(1/2) at momentum magnitude p.
-
-    Symmetric convention (2 pi)^(-3/2) on both transforms:
-    F(p) = sqrt(2/pi) * (1/p) * int_0^inf sqrt(V(r)) sin(p r) r dr.
-    """
-    if p < 0.0:
-        raise ValueError("momentum magnitude must be >= 0")
-    r_max = V.effective_radius
-    # panel count follows the sine oscillation, rounded up to a power of two;
-    # the rounding fixes the node set behind c~ and the shipped audits
-    need = max(8, int(math.ceil(p * r_max / math.pi)) + 4)
-    panels = min(1 << (need - 1).bit_length(), 2048)
-    r, w = (a.ravel() for a in composite_nodes(np.linspace(0.0, r_max, panels + 1), 8))
-
-    amp = np.sqrt(V.profile(r)) * r
-    if p == 0.0:
-        f = float(np.dot(w, amp * r))
-    else:
-        f = float(np.dot(w, amp * np.sin(p * r))) / p
-    return math.sqrt(2.0 / math.pi) * f
-
-
-def plancherel_fourier_mass(V: PairPotential) -> float:
-    """integral |FT of V^(1/2)|^2 d^3p, by momentum quadrature plus tail model.
-
-    For compactly supported profiles the transform tail oscillates like
-    cos^2(p r_edge)/p^2; its mean is added in closed form so the truncation
-    bias stays below 1e-6 relative.  Smooth decaying profiles need no tail.
-    """
-    compact = V.support_radius is not None
-    if compact:
-        r_edge = V.support_radius
-        p_max = 900.0 / r_edge
-        n_panels = int(math.ceil(p_max * r_edge / (math.pi / 2.0)))
-    else:
-        p_max = (16.0 if V.kind == "gaussian" else 60.0) / V.range_
-        n_panels = 64
-
-    total = 0.0
-    for ps, w in zip(*composite_nodes(np.linspace(0.0, p_max, n_panels + 1), 10)):
-        vals = np.array([sqrt_potential_fourier(V, p) for p in ps])
-        total += float(np.dot(w, 4.0 * math.pi * vals ** 2 * ps ** 2))
-    if compact:
-        # integrand ~ 8 * V(edge) * r_edge^2 * cos^2(p r_edge) / p^2 at large p
-        v_edge = float(V.profile(np.array([r_edge * (1.0 - 1e-9)]))[0])
-        total += 4.0 * v_edge * r_edge ** 2 / p_max
-    return total

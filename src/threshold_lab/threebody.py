@@ -163,24 +163,9 @@ def fit_gaussian_terms(V: PairPotential):
     return tuple((float(c), float(w)) for c, w in zip(coef[keep], widths[keep]))
 
 
-def pair_terms(system: ParticleSystem) -> dict:
-    """Gaussian terms for every pair potential of the system."""
-    return {pair: fit_gaussian_terms(pot) for pair, pot in system.potentials.items()}
-
-
 # ---------------------------------------------------------------------------
 # Closed-form matrix elements (vectorized over form arrays)
 # ---------------------------------------------------------------------------
-
-def _pair_traces(fa, fb):
-    """tr(A B C) data for form arrays fa (..., 3) against fb (..., 3)."""
-    a11, a12, a22 = fa[..., 0], fa[..., 1], fa[..., 2]
-    p11, p12, p22 = fb[..., 0], fb[..., 1], fb[..., 2]
-    b11, b12, b22 = a11 + p11, a12 + p12, a22 + p22
-    det = b11 * b22 - b12 * b12
-    c11, c12, c22 = b22 / det, -b12 / det, b11 / det
-    return (a11, a12, a22), (p11, p12, p22), det, (c11, c12, c22)
-
 
 def element_block(fa, fb, sep_terms, with_h0sq: bool = False):
     """Overlap, kinetic, pair-potential, and moment elements.
@@ -188,7 +173,11 @@ def element_block(fa, fb, sep_terms, with_h0sq: bool = False):
     ``sep_terms`` maps a separation form (u, v) to its Gaussian terms; the
     returned dict carries arrays broadcast over the input form arrays.
     """
-    (a11, a12, a22), (p11, p12, p22), det, (c11, c12, c22) = _pair_traces(fa, fb)
+    a11, a12, a22 = fa[..., 0], fa[..., 1], fa[..., 2]
+    p11, p12, p22 = fb[..., 0], fb[..., 1], fb[..., 2]
+    b11, b12, b22 = a11 + p11, a12 + p12, a22 + p22
+    det = b11 * b22 - b12 * b12
+    c11, c12, c22 = b22 / det, -b12 / det, b11 / det
     S = TWO_PI_CUBED * det ** -1.5
 
     m11 = a11 * p11 + a12 * p12
@@ -260,7 +249,7 @@ class _Assembler:
         self.symmetrized = symmetrized
         self.perms = permutation_matrices(symmetrized)
         forms = separation_forms(system)
-        terms = pair_terms(system)
+        terms = {pair: fit_gaussian_terms(pot) for pair, pot in system.potentials.items()}
         self.sep_terms = [(forms[p], terms[p]) for p in sorted(forms)]
         self.n = 0
         self.forms = np.zeros((0, 3))
@@ -688,10 +677,6 @@ class SweepRecord:
     kinetic_norm: float
 
 
-def _expectations(asm: _Assembler, c: np.ndarray):
-    return {key: float(c @ asm.moment_matrix(key) @ c) for key in MOMENT_KEYS}
-
-
 def tail_masses(asm: _Assembler, c: np.ndarray, radii, seed=None):
     """T(R) = |chi_{rho > R} psi|^2 / |psi|^2 by the hyperangular integral.
 
@@ -714,7 +699,7 @@ def record_point(asm: _Assembler, system_coupling: float, eps_r7: float,
     if e3 >= 0.0:
         raise BracketError(
             f"no three-body bound state at coupling {system_coupling!r}: E3 = {e3!r}")
-    mom = _expectations(asm, c)
+    mom = {key: float(c @ asm.moment_matrix(key) @ c) for key in MOMENT_KEYS}
     tails = tail_masses(asm, c, tail_radii)
     return SweepRecord(
         coupling=float(system_coupling),

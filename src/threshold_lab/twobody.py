@@ -554,24 +554,6 @@ def oracle_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> f
     return _first_root(lambda E: shot(E)[0], lambda E: shot(E)[1], e_lo, e_hi, xtol=1e-300)
 
 
-def oracle_mean_square_radius(V: PairPotential, frame: JacobiFrame, lam: float) -> float:
-    """<r^2> of the oracle ground state, exterior tail added in closed form."""
-    energy = oracle_binding_energy(V, frame, lam)
-    kappa = math.sqrt(-energy)
-    res = shooting_oracle(V, frame, lam, energy, n_steps=40000)
-    us = res.u
-    grid = res.step * np.arange(len(us))
-    uu = us ** 2
-    norm = float(np.trapezoid(uu, grid))
-    mom = float(np.trapezoid(grid ** 2 * uu, grid))
-    u_end = us[-1]
-    rm = grid[-1]
-    norm += u_end ** 2 / (2.0 * kappa)
-    mom += u_end ** 2 * (rm ** 2 / (2.0 * kappa) + rm / (2.0 * kappa ** 2)
-                         + 1.0 / (4.0 * kappa ** 3))
-    return mom / norm
-
-
 # ---------------------------------------------------------------------------
 # Sweep support
 # ---------------------------------------------------------------------------

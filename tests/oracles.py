@@ -1,13 +1,19 @@
-"""Deterministic oracles of the three-body tests.
+"""Deterministic oracles of the tests.
 
 Each oracle integrates a raw integrand by its own rule and shares no formula
-with the closed forms it checks:
+with the closed forms or quadratures it checks:
 
 - ``hermite_elements`` and ``hermite_rho2``: Gauss-Hermite cubature of the
   matrix-element and <rho^2> integrands, against ``threebody.element_block``
   and the moment matrices;
 - ``chi2_tail_oracle``: Imhof's chi^2_3 convolution of every tail mass
-  P(rho > R), against ``threebody.tail_masses``.
+  P(rho > R), against ``threebody.tail_masses``;
+- ``plancherel_fourier_mass``: the Fourier side of Plancherel's identity,
+  integral |FT(V^(1/2))|^2 d^3p by momentum quadrature of
+  ``sqrt_potential_fourier``, against c~ gamma^3 of
+  ``faddeev_ops.bound_constants`` and ``model.potential_moment_c``;
+- ``oracle_mean_square_radius``: <r^2> of the RK4 shooting oracle's ground
+  state, against the two-body control sweep.
 
 ``zero_potential`` is the decoupled pair of the tests' three-body systems.
 The test modules import this file by name (``from oracles import ...``):
@@ -19,7 +25,8 @@ import math
 import numpy as np
 from scipy.special import erfc
 
-from threshold_lab.model import PairPotential
+from threshold_lab import twobody as tb
+from threshold_lab.model import JacobiFrame, PairPotential
 from threshold_lab.quadrature import composite_nodes
 
 
@@ -134,3 +141,70 @@ def chi2_tail_oracle(asm, cs, radii, nodes=128):
     masses = np.einsum("ci,kij,cj->ck", coeff, kernels,
                        np.repeat(coeff, asm.images.shape[1], axis=-1))
     return masses[:, 1:] / masses[:, :1]
+
+
+def sqrt_potential_fourier(V: PairPotential, p: float) -> float:
+    """Radial 3D Fourier transform of V^(1/2) at momentum magnitude p.
+
+    Symmetric convention (2 pi)^(-3/2) on both transforms:
+    F(p) = sqrt(2/pi) * (1/p) * int_0^inf sqrt(V(r)) sin(p r) r dr.
+    """
+    if p < 0.0:
+        raise ValueError("momentum magnitude must be >= 0")
+    r_max = V.effective_radius
+    # panel count follows the sine oscillation, rounded up to a power of two
+    need = max(8, int(math.ceil(p * r_max / math.pi)) + 4)
+    panels = min(1 << (need - 1).bit_length(), 2048)
+    r, w = (a.ravel() for a in composite_nodes(np.linspace(0.0, r_max, panels + 1), 8))
+
+    amp = np.sqrt(V.profile(r)) * r
+    if p == 0.0:
+        f = float(np.dot(w, amp * r))
+    else:
+        f = float(np.dot(w, amp * np.sin(p * r))) / p
+    return math.sqrt(2.0 / math.pi) * f
+
+
+def plancherel_fourier_mass(V: PairPotential) -> float:
+    """integral |FT of V^(1/2)|^2 d^3p, by momentum quadrature plus tail model.
+
+    For compactly supported profiles the transform tail oscillates like
+    cos^2(p r_edge)/p^2; its mean is added in closed form so the truncation
+    bias stays below 1e-6 relative.  Smooth decaying profiles need no tail.
+    """
+    compact = V.support_radius is not None
+    if compact:
+        r_edge = V.support_radius
+        p_max = 900.0 / r_edge
+        n_panels = int(math.ceil(p_max * r_edge / (math.pi / 2.0)))
+    else:
+        p_max = (16.0 if V.kind == "gaussian" else 60.0) / V.range_
+        n_panels = 64
+
+    total = 0.0
+    for ps, w in zip(*composite_nodes(np.linspace(0.0, p_max, n_panels + 1), 10)):
+        vals = np.array([sqrt_potential_fourier(V, p) for p in ps])
+        total += float(np.dot(w, 4.0 * math.pi * vals ** 2 * ps ** 2))
+    if compact:
+        # integrand ~ 8 * V(edge) * r_edge^2 * cos^2(p r_edge) / p^2 at large p
+        v_edge = float(V.profile(np.array([r_edge * (1.0 - 1e-9)]))[0])
+        total += 4.0 * v_edge * r_edge ** 2 / p_max
+    return total
+
+
+def oracle_mean_square_radius(V: PairPotential, frame: JacobiFrame, lam: float) -> float:
+    """<r^2> of the oracle ground state, exterior tail added in closed form."""
+    energy = tb.oracle_binding_energy(V, frame, lam)
+    kappa = math.sqrt(-energy)
+    res = tb.shooting_oracle(V, frame, lam, energy, n_steps=40000)
+    us = res.u
+    grid = res.step * np.arange(len(us))
+    uu = us ** 2
+    norm = float(np.trapezoid(uu, grid))
+    mom = float(np.trapezoid(grid ** 2 * uu, grid))
+    u_end = us[-1]
+    rm = grid[-1]
+    norm += u_end ** 2 / (2.0 * kappa)
+    mom += u_end ** 2 * (rm ** 2 / (2.0 * kappa) + rm / (2.0 * kappa ** 2)
+                         + 1.0 / (4.0 * kappa ** 3))
+    return mom / norm

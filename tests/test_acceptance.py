@@ -26,7 +26,6 @@ from threshold_lab.model import (
     PairPotential,
     ParticleSystem,
     jacobi_frame,
-    potential_moment_c,
     uniform_system,
 )
 from threshold_lab import faddeev_ops as fo
@@ -34,7 +33,7 @@ from threshold_lab import ims
 from threshold_lab import threebody as t3
 from threshold_lab import twobody as tb
 
-from oracles import zero_potential
+from oracles import plancherel_fourier_mass, zero_potential
 
 pytestmark = pytest.mark.acceptance
 
@@ -138,7 +137,7 @@ def test_criterion_4_hs_certificate_and_constants():
     c_prime_ok = abs(constants.c_prime - 2.0 * math.pi) <= 1e-8
     c_dprime_ok = abs(constants.c_dprime - 1.0) <= 1e-8
     plancherel = constants.c_tilde * FRAME.gamma ** 3
-    volume = potential_moment_c(GAUSS, 1.0)
+    volume = plancherel_fourier_mass(GAUSS)
     plancherel_ok = abs(plancherel - volume) / volume <= 1e-6
     report(
         4, "HS norm below the certificate; c' = 2pi, c'' = 1, Plancherel ties c~",

@@ -206,8 +206,8 @@ class TestFiberNorms:
             fo._top_singular_values(_explicit_gram(m[None]), np.array([0.5]), 16)
 
     def test_non_finite_batch_member_names_its_kappa(self):
-        # the finite members stop and leave the batch; the non-finite one
-        # runs all n steps alone and is named
+        # the non-finite member is named at the step of its first non-finite
+        # product of G, while the finite members still run beside it
         mats = np.random.default_rng(3).random((3, 16, 16))
         mats[1, 3, 5] = np.nan
         with pytest.raises(ConvergenceError, match=r"kappa = 0\.5$"):

@@ -8,14 +8,12 @@ from threshold_lab.errors import ValidationError
 from threshold_lab.model import (
     PairPotential,
     jacobi_frame,
-    plancherel_fourier_mass,
     potential_moment_c,
     separation_forms,
-    sqrt_potential_fourier,
     uniform_system,
 )
 
-from oracles import zero_potential
+from oracles import plancherel_fourier_mass, sqrt_potential_fourier, zero_potential
 
 GAUSS = PairPotential("gaussian", 1.0)
 EXPO = PairPotential("exponential", 1.0)

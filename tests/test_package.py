@@ -133,7 +133,6 @@ UNREACHED = {
     "threebody.assembler_for": "perfbench/selftest.py rebuilds a grown basis with it",
     "model.uniform_system": "perfbench/selftest.py and the tests build systems with it",
     "twobody.oracle_binding_energy": "shooting oracle of the tests and the benchmark",
-    "twobody.oracle_mean_square_radius": "shooting oracle of the tests",
 }
 
 

@@ -105,13 +105,13 @@ def test_reference_rule_computed_once_per_order(monkeypatch):
 @pytest.mark.parametrize("config,solved", [
     ("experiment = absorb\nmasses = 1 1 1\nkind = gaussian\nrange = 1.0\n"
      "budget = 40\nsweep_points = 4\nseed = 7\n", [8, 32]),
-    ((CONFIGS / "ops_audit_gaussian.cfg").read_text(), [8, 10, 12]),
+    ((CONFIGS / "ops_audit_gaussian.cfg").read_text(), [8, 12]),
 ], ids=["absorb-budget-40", "ops_audit-shipped"])
 def test_absorb_run_solves_each_order_once(monkeypatch, tmp_path, config, solved):
     # every rule of a run maps the cached reference rule of its order: the
     # absorb run needs the BS radial panels and the tail-mass rule; the
-    # ops_audit run adds c~ (10) and I(z) (12), and takes c and c' on the
-    # order-8 panels
+    # ops_audit run adds I(z) (12), and takes c, c' and c~ on the order-8
+    # panels
     orders = counted_leggauss(monkeypatch)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)

@@ -11,7 +11,7 @@ from threshold_lab.model import PairPotential, jacobi_frame, uniform_system
 from threshold_lab import threebody as t3
 from threshold_lab import twobody as tb
 
-from oracles import zero_potential
+from oracles import oracle_mean_square_radius, zero_potential
 
 FRAME = jacobi_frame(uniform_system("gaussian", 1.0, 1.0), (1, 2))
 WELL = PairPotential("square_well", 1.0)
@@ -207,14 +207,14 @@ class TestSize:
     def test_deep_well_matches_oracle(self):
         (point,) = tb.sweep_two_body(WELL, FRAME, [4.0])
         r2 = point.r2
-        r2_oracle = tb.oracle_mean_square_radius(WELL, FRAME, point.coupling)
+        r2_oracle = oracle_mean_square_radius(WELL, FRAME, point.coupling)
         assert r2 == pytest.approx(r2_oracle, rel=1e-3)
         assert 0.1 < r2 < 10.0  # comparable to the well radius squared
 
     @pytest.mark.parametrize("V, g, rel", [(GAUSS, 1e-4, 1e-8), (WELL, 1e-3, 1e-7)])
     def test_near_threshold_matches_oracle(self, V, g, rel):
         (point,) = tb.sweep_two_body(V, FRAME, [g])
-        r2_oracle = tb.oracle_mean_square_radius(V, FRAME, point.coupling)
+        r2_oracle = oracle_mean_square_radius(V, FRAME, point.coupling)
         assert point.r2 == pytest.approx(r2_oracle, rel=rel)
 
     @pytest.mark.parametrize("V", [GAUSS, EXPO, WELL])
