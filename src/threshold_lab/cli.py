@@ -298,7 +298,8 @@ def run_two_critical(cfg: ExperimentConfig) -> int:
 
 
 def _two_body_control(cfg: ExperimentConfig, name: str, n_points: int):
-    """Pair (1, 2) at lambda*(1 + g), g from 1e-1 down to 1e-4, written to ``name``."""
+    """Pair (1, 2) bound at E2 = -kappa^2, kappa from 1e-1 down to 1e-4 of
+    alpha / range, each at its coupling 1/mu(kappa), written to ``name``."""
     pair = (1, 2)
     points = tb.sweep_two_body(cfg.system.potential(pair), jacobi_frame(cfg.system, pair),
                                np.geomspace(1e-1, 1e-4, n_points))

@@ -153,8 +153,8 @@ def bs_max_eigenvalue(V: PairPotential, frame: JacobiFrame, z: float) -> float:
 
     mu is continuous and strictly decreasing in z.  Each z gets its own
     grid, which resolves the 1/z width of the kernel.  Cached by value:
-    the pairs of a system, the states of a sweep and the bracket ends of
-    ``_brentq`` share mu(0) and the doubling's mu(1), mu(2), ...
+    the pairs of a system and the states of a control sweep share mu(0),
+    and the bracket ends of ``_brentq`` the doubling's mu(1), mu(2), ...
     """
     rule = bs_radial_rule(V, frame.alpha, z=z)
     return float(np.linalg.eigvalsh(bs_matrix(V, frame, z, rule))[-1])
@@ -213,7 +213,7 @@ def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> 
     first doubling from 1 where lambda mu(z_hi) < 1, at ``_brentq``'s
     default stop (2e-12 absolute plus 4 eps = 8.9e-16 relative in z).  E2
     then stays within 1e-6 relative of the shooting oracle down to
-    lambda*(1 + 1e-4), the closest point of the control sweeps.
+    lambda*(1 + 1e-4).
     """
     if lam <= 0.0:
         raise ValueError("coupling must be positive")
@@ -231,34 +231,45 @@ def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> 
     return -z_star ** 2
 
 
-def _bound_state_size(V: PairPotential, frame: JacobiFrame, lam: float, radii):
-    """(E2, <r^2>, (R, T(R)) at each of the increasing ``radii``) at ``lam``.
+def _bound_state_size(V: PairPotential, frame: JacobiFrame, k: float, radii):
+    """(lambda, E2, <r^2>, (R, T(R)) at each of the increasing ``radii``) of
+    the bound state at momentum kappa = k alpha / range.
 
-    Every R/(R + scale) is a panel edge of the mass rule, so T(R) is the mass
-    of the panels beyond R over the norm: a sum of positive terms.
+    By the Birman-Schwinger principle that state has E2 = -kappa^2 at
+    lambda = 1/mu(kappa), and one ``eigh`` of K(kappa) gives mu and the
+    eigenvector psi, from which u = lambda G_kappa V^(1/2) phi is rebuilt on
+    the mass rule.  Every R/(R + scale) is a panel edge of that rule, so T(R)
+    is the mass of the panels beyond R over the norm: a sum of positive
+    terms.  BracketError as ``sweep_two_body`` states it.
     """
-    e2 = twobody_binding_energy(V, frame, lam)
-    z_star = math.sqrt(-e2)
-    wrule = bs_radial_rule(V, frame.alpha, z=z_star)
-    psi = np.linalg.eigh(bs_matrix(V, frame, z_star, wrule))[1][:, -1]
+    if not k > 0.0:
+        raise BracketError(f"momentum {k!r} is not positive; no bound state")
+    kappa = float(k * frame.alpha / V.range_)
+    wrule = bs_radial_rule(V, frame.alpha, z=kappa)
+    mus, vecs = np.linalg.eigh(bs_matrix(V, frame, kappa, wrule))
+    mu = float(mus[-1])
+    if not mu < bs_max_eigenvalue(V, frame, 0.0):
+        raise BracketError(f"momentum {k!r}: mu(kappa) = {mu!r} is not below mu(0), "
+                           "so its coupling is not above lambda*")
+    lam = 1.0 / mu
     rn, rw = wrule[0].ravel(), wrule[1].ravel()
-    phi = psi / np.sqrt(rw)
+    phi = vecs[:, -1] / np.sqrt(rw)
     sqv = np.sqrt(V.profile(frame.alpha * rn))
 
-    scale = max(3.0 * V.range_ / frame.alpha, 3.0 / z_star)
+    scale = max(3.0 * V.range_ / frame.alpha, 3.0 / kappa)
     cuts = np.concatenate([[0.0], radii / (radii + scale), [1.0]])
     # MASS_PANELS equal panels between consecutive cuts, the cuts kept exact
     edges = np.interp(np.arange(MASS_PANELS * (len(cuts) - 1) + 1) / MASS_PANELS,
                       np.arange(len(cuts)), cuts)
     r, w = half_line_map(*composite_nodes(edges, MASS_ORDER), scale)
-    u = lam * (swave_green(z_star, r.ravel(), rn) @ (rw * sqv * phi))
+    u = lam * (swave_green(kappa, r.ravel(), rn) @ (rw * sqv * phi))
     uu = u.reshape(r.shape) ** 2
     mass = np.sum(w * uu, axis=1)
     norm = float(np.sum(mass))
-    beyond = np.cumsum(mass[::-1])[::-1]   # mass of panel k and all after it
-    tails = tuple((float(R), float(beyond[MASS_PANELS * (k + 1)]) / norm)
-                  for k, R in enumerate(radii))
-    return e2, float(np.sum(w * r ** 2 * uu)) / norm, tails
+    beyond = np.cumsum(mass[::-1])[::-1]   # mass of panel j and all after it
+    tails = tuple((float(R), float(beyond[MASS_PANELS * (j + 1)]) / norm)
+                  for j, R in enumerate(radii))
+    return lam, -kappa ** 2, float(np.sum(w * r ** 2 * uu)) / norm, tails
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +571,8 @@ def oracle_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> f
 
 @dataclass(frozen=True)
 class TwoBodyPoint:
-    """One row of a two-body control sweep."""
+    """One row of a two-body control sweep: the bound state at E2 = -kappa^2
+    and the coupling 1/mu(kappa) that binds it."""
 
     coupling: float
     lambda_star: float
@@ -570,22 +582,23 @@ class TwoBodyPoint:
     tail: tuple
 
 
-def sweep_two_body(V: PairPotential, frame: JacobiFrame, offsets):
-    """Control sweep lambda*(1 + g) -> (E2, <r^2>, tails) for the spreading contrast.
+def sweep_two_body(V: PairPotential, frame: JacobiFrame, momenta):
+    """Control sweep k -> (lambda, E2, <r^2>, tails) for the spreading contrast.
 
-    lambda* comes from ``critical_coupling`` (DegenerateInputError for a
-    potential with no attraction); each offset g > 0 gives one point above
-    it, and an offset g <= 0 raises BracketError.  Each point solves its
-    bound state once and rebuilds u from its BS eigenvector once, on the
-    mass rule: <r^2>, the norm and the tails at TAIL_MULTIPLES of
-    range / alpha (and beyond the last) are sums over its panels.
+    Each dimensionless momentum k > 0 sets kappa = k alpha / range and gives
+    one point: E2 = -kappa^2 exactly and lambda = 1/mu(kappa), from one
+    ``eigh`` of K(kappa) and no root search.  lambda* comes from
+    ``critical_coupling`` (DegenerateInputError for a potential with no
+    attraction).  A k <= 0, or a k at which mu(kappa) does not fall below
+    mu(0) (lambda <= lambda*), raises BracketError.  <r^2>, the norm and the
+    tails at TAIL_MULTIPLES of range / alpha (and beyond the last) are sums
+    over the panels of the mass rule.
     """
     lam_star = critical_coupling(V, frame)
     tail_radii = np.array(TAIL_MULTIPLES) * V.range_ / frame.alpha
     points = []
-    for g in offsets:
-        lam = float(lam_star * (1.0 + g))
-        e2, r2, tail = _bound_state_size(V, frame, lam, tail_radii)
+    for k in momenta:
+        lam, e2, r2, tail = _bound_state_size(V, frame, k, tail_radii)
         points.append(TwoBodyPoint(coupling=lam, lambda_star=lam_star, E2=e2, r2=r2,
                                    eps_R7=lam_star - lam, tail=tail))
     return points

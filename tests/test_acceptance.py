@@ -218,6 +218,7 @@ def test_criterion_7_absorption_experiment(absorb_run):
 
 
 def test_criterion_8_two_body_contrast():
+    # the absorb experiment's control: momenta 1e-1 down to 1e-4 of alpha / range
     points = tb.sweep_two_body(GAUSS, FRAME, np.geomspace(1e-1, 1e-4, 8))
     verdict = t3.spreading_diagnostic([(abs(p.E2), p.r2, p.tail) for p in points])
     exponent = verdict.size_exponent

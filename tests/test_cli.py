@@ -3,6 +3,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from threshold_lab.cli import (
@@ -314,22 +315,27 @@ class TestMain:
         assert payload["verdict"] == "spreading-consistent"
         assert abs(payload["size_exponent"] - 1.0) <= 0.2
 
-    def test_two_sweep_builds_shared_bracket_ends_once(self, tmp_path, monkeypatch):
-        # every state of the sweep brackets z* from mu(0) and mu(1); the
-        # cache of bs_max_eigenvalue builds each of them once for the run
-        zs = []
-        build = tb.bs_matrix
+    def test_two_sweep_builds_one_bs_matrix_per_point(self, tmp_path, monkeypatch):
+        # the shipped two_sweep builds K(0) once, for lambda*, and K(kappa)
+        # once at each of its 9 momenta (alpha = range = 1), with no root search
+        zs, roots = [], []
+        build, brentq = tb.bs_matrix, tb._brentq
 
         def recorded(V, frame, z, rule):
             zs.append(z)
             return build(V, frame, z, rule)
 
+        def searched(*args, **kw):
+            roots.append(args)
+            return brentq(*args, **kw)
+
         monkeypatch.setattr(tb, "bs_matrix", recorded)
+        monkeypatch.setattr(tb, "_brentq", searched)
         tb.bs_max_eigenvalue.cache_clear()
         assert main(["--config", str(CONFIGS / "two_sweep_gaussian.cfg"),
                      "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_OK
-        assert zs.count(0.0) == 1
-        assert zs.count(1.0) == 1
+        assert zs == [0.0, *np.geomspace(1e-1, 1e-4, 9).tolist()]
+        assert roots == []
 
     @pytest.mark.parametrize("experiment,line", [
         ("two_sweep", "sweep_points = ten"),
@@ -677,10 +683,12 @@ class TestMain:
 
     def test_unconverged_root_search_exits_1(self, tmp_path, monkeypatch, capsys):
         # an iteration limit raises ConvergenceError, which the CLI reports as
-        # a numerical error instead of ending in a traceback
+        # a numerical error instead of ending in a traceback; the square
+        # well's two_critical reaches _brentq through the shooting oracle
         brentq = tb._brentq
         monkeypatch.setattr(tb, "_brentq", lambda *args, **kw: brentq(*args, **kw, maxiter=1))
-        code = main(["--config", str(CONFIGS / "two_sweep_gaussian.cfg"),
+        tb.oracle_critical_coupling.cache_clear()
+        code = main(["--config", str(CONFIGS / "two_critical_square_well.cfg"),
                      "--out", str(tmp_path / "out"), "--quiet"])
         err = capsys.readouterr().err
         assert code == EXIT_NUMERICAL

@@ -45,6 +45,18 @@ def test_benchmark_workload_traced_round_is_correct(workload):
     assert report["correct"]
 
 
+def test_cli_import_loads_only_numpy_and_the_standard_library():
+    # a fresh interpreter's import of the CLI adds numpy, the package and
+    # standard-library modules, nothing else: a run pays no import later
+    code = ("import sys; before = set(sys.modules); import threshold_lab.cli; "
+            "added = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(sorted(added - set(sys.stdlib_module_names)))")
+    run = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.strip() == "['numpy', 'threshold_lab']"
+
+
 def test_cli_import_leaves_out_costly_scipy_modules(tmp_path):
     # the package imports no scipy module: root finding and nnls are
     # in-package, the fiber audit takes its Ritz values from numpy's eigh and
