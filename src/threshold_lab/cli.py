@@ -214,8 +214,7 @@ def write_csv(cfg: ExperimentConfig, name: str, header, rows) -> Path:
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows(rows)
     path.write_text(_stamp(cfg) + buf.getvalue())
     return path
 
@@ -233,15 +232,9 @@ def write_plot_data(cfg: ExperimentConfig, name: str, columns, rows) -> Path:
     path = cfg.out_dir / name
     lines = [_stamp(cfg).rstrip("\n"), "# " + " ".join(columns)]
     for row in rows:
-        lines.append(" ".join(_fmt(v) for v in row))
+        lines.append(" ".join(map(str, row)))
     path.write_text("\n".join(lines) + "\n")
     return path
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _say(cfg: ExperimentConfig, message: str):

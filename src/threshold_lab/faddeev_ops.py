@@ -51,7 +51,7 @@ def t_multiplier(p):
 class BoundConstants:
     """The four finite constants entering the channel norm bounds.
 
-    c   = integral V(alpha x) d^3x
+    c   = integral V(alpha x) d^3x = alpha^-3 integral V(x) d^3x
     c'  = integral exp(-2|x|)/|x|^2 d^3x            (= 2 pi)
     c'' = sup_p [t(p) + 1]^2 / p                     (= 1)
     c~  = gamma^-6 integral |FT(V^(1/2))(p/gamma)|^2 d^3p
@@ -78,16 +78,17 @@ class BoundConstants:
 
 
 def bound_constants(V: PairPotential, frame: JacobiFrame) -> BoundConstants:
-    """c, c' and c'' by quadrature; c~ from c's quadrature at alpha = 1,
-    through Plancherel's identity (no closed forms consumed)."""
-    c = potential_moment_c(V, frame.alpha)
+    """c' and c'' by quadrature; c = c1 / alpha^3 and, through Plancherel's
+    identity, c~ = c1 / gamma^3 from the one quadrature c1 of integral V
+    (no closed forms consumed)."""
+    c1 = potential_moment_c(V)
     r, w = (a.ravel() for a in half_line_map(
         *composite_nodes(np.linspace(0.0, 1.0, MOMENT_PANELS + 1), 8), 1.0))
     c_prime = 4.0 * math.pi * float(np.dot(w, np.exp(-2.0 * r)))
     ps = np.concatenate([np.linspace(1e-6, 1.0, 2001), np.linspace(1.0, 10.0, 101)])
     c_dprime = float(np.max((t_multiplier(ps) + 1.0) ** 2 / ps))
-    c_tilde = potential_moment_c(V, 1.0) / frame.gamma ** 3
-    return BoundConstants(c=c, c_prime=c_prime, c_dprime=c_dprime, c_tilde=c_tilde)
+    return BoundConstants(c=c1 / frame.alpha ** 3, c_prime=c_prime, c_dprime=c_dprime,
+                          c_tilde=c1 / frame.gamma ** 3)
 
 
 # ---------------------------------------------------------------------------

@@ -234,15 +234,13 @@ def separation_forms(system: ParticleSystem) -> dict:
 MOMENT_PANELS = 32
 
 
-def potential_moment_c(V: PairPotential, alpha: float) -> float:
-    """c = integral of V(alpha x) d^3x by radial quadrature.
+def potential_moment_c(V: PairPotential) -> float:
+    """c1 = integral of V(x) d^3x by radial quadrature.
 
-    The integral runs over |x| <= effective_radius / alpha; beyond it V is
-    zero or below e^-40.  Scaling law: c(alpha) = c(1) / alpha^3.
+    The integral runs over |x| <= effective_radius; beyond it V is zero or
+    below e^-40.  Every frame's c(alpha) = c1 / alpha^3 follows by scaling
+    (``faddeev_ops.bound_constants``).
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-
-    edges = np.linspace(0.0, V.effective_radius / alpha, MOMENT_PANELS + 1)
+    edges = np.linspace(0.0, V.effective_radius, MOMENT_PANELS + 1)
     r, w = (a.ravel() for a in composite_nodes(edges, 8))
-    return float(np.dot(w, 4.0 * math.pi * V.profile(alpha * r) * r ** 2))
+    return float(np.dot(w, 4.0 * math.pi * V.profile(r) * r ** 2))

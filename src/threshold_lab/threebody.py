@@ -774,9 +774,10 @@ def critical_coupling_3body(system: ParticleSystem, budget: int, seed: int):
     representable, and solve it again.  Two direct solves then certify the
     bracket lambda_cr -/+ 2.5e-6 lambda*: BracketError if they disagree with
     the eigenvalue, if the crossing lies above the scan ("scan exhausted")
-    or below it ("already bound").  lambda_cr is a variational upper bound
-    on the true critical coupling.  DegenerateInputError if no pair has
-    attraction.
+    or below it ("already bound"), or if lam_lo lies below the Hall-Post
+    floor min over pairs of (m_i + m_j)/M lambda*_ij, under which no three
+    bodies bind.  lambda_cr is a variational upper bound on the true
+    critical coupling.  DegenerateInputError if no pair has attraction.
     """
     margin = subcriticality_margin(system)
     lam_star = margin.lambda_star
@@ -805,6 +806,12 @@ def critical_coupling_3body(system: ParticleSystem, budget: int, seed: int):
             grow_basis(near, int(stage_budgets[stage + 1]), seed + stage + 1, asm=asm)
     lam_lo = lam_cr - BRACKET_HALF_WIDTH * lam_star
     lam_hi = lam_cr + BRACKET_HALF_WIDTH * lam_star
+    # H = sum over pairs of (m_i + m_j)/M (T_ij - lambda M/(m_i + m_j) V_ij),
+    # each term >= 0 below the floor; a pair with lambda* = inf drops out
+    floor = min((system.masses[i - 1] + system.masses[j - 1]) / sum(system.masses) * lam_ij
+                for (i, j), lam_ij in margin.lambda_stars.items())
+    if floor > lam_lo:
+        raise BracketError(f"Hall-Post bound {floor!r} lies above lam_lo = {lam_lo!r}")
     e_lo, e_hi = asm.solve(lam_lo)[0], asm.solve(lam_hi)[0]
     if not e_lo >= -tol_e > e_hi:
         raise BracketError(

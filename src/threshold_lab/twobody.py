@@ -152,27 +152,27 @@ def bs_max_eigenvalue(V: PairPotential, frame: JacobiFrame, z: float) -> float:
     """Largest eigenvalue mu(z) of the discretized BS operator.
 
     mu is continuous and strictly decreasing in z.  Each z gets its own
-    grid, which resolves the 1/z width of the kernel.  Cached by value:
-    the pairs of a system and the states of a control sweep share mu(0),
-    and the bracket ends of ``_brentq`` the doubling's mu(1), mu(2), ...
+    grid, which resolves the 1/z width of the kernel.  Cached by value: the
+    pairs of a system share mu(0) (``critical_coupling``, its one caller at
+    z = 0), and the bracket ends of ``_brentq`` the doubling's mu(1), ...
     """
     rule = bs_radial_rule(V, frame.alpha, z=z)
     return float(np.linalg.eigvalsh(bs_matrix(V, frame, z, rule))[-1])
 
 
 def critical_coupling(V: PairPotential, frame: JacobiFrame) -> float:
-    """lambda* = 1/mu(0), the coupling of the zero-energy resonance."""
+    """lambda* = 1/mu(0), the coupling of the zero-energy resonance, or inf
+    without attraction (mu(0) <= 1e-14): by Birman-Schwinger the pair is
+    neither bound nor resonant exactly when lambda < lambda* (R7)."""
     mu0 = bs_max_eigenvalue(V, frame, 0.0)
-    if mu0 <= 1e-14:
-        raise DegenerateInputError("potential has no attraction: mu(0) = 0")
-    return 1.0 / mu0
+    return 1.0 / mu0 if mu0 > 1e-14 else math.inf
 
 
 @dataclass(frozen=True)
 class MarginReport:
     """R7 subcriticality margin of a system: eps = min_pairs lambda* - lambda.
 
-    A pair with no attraction has lambda* = inf.
+    ``lambda_stars`` holds each pair's ``critical_coupling`` (inf: no attraction).
     """
 
     coupling: float
@@ -194,20 +194,15 @@ class MarginReport:
 
 def subcriticality_margin(system: ParticleSystem) -> MarginReport:
     """Margin eps > 0 certifies that no pair is bound or resonant."""
-
-    def star(pair):
-        try:
-            return critical_coupling(system.potential(pair), jacobi_frame(system, pair))
-        except DegenerateInputError:
-            return math.inf
-
-    return MarginReport(coupling=system.coupling,
-                        lambda_stars={pair: star(pair) for pair in system.potentials})
+    return MarginReport(coupling=system.coupling, lambda_stars={
+        pair: critical_coupling(V, jacobi_frame(system, pair))
+        for pair, V in system.potentials.items()})
 
 
 def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> float:
     """E2 = -z*^2 with lambda mu(z*) = 1; BracketError for a coupling at or
-    below lambda*, which has no bound state.
+    below lambda* = ``critical_coupling`` (inf without attraction), which
+    has no bound state.
 
     z* is Brent's root of lambda mu(z) - 1 on [0, z_hi], with z_hi the
     first doubling from 1 where lambda mu(z_hi) < 1, at ``_brentq``'s
@@ -217,7 +212,7 @@ def twobody_binding_energy(V: PairPotential, frame: JacobiFrame, lam: float) -> 
     """
     if lam <= 0.0:
         raise ValueError("coupling must be positive")
-    if lam * bs_max_eigenvalue(V, frame, 0.0) <= 1.0:
+    if lam <= critical_coupling(V, frame):
         raise BracketError(f"coupling {lam} is subcritical; no bound state")
     z_hi = 1.0
     for _ in range(64):
@@ -240,18 +235,14 @@ def _bound_state_size(V: PairPotential, frame: JacobiFrame, k: float, radii):
     eigenvector psi, from which u = lambda G_kappa V^(1/2) phi is rebuilt on
     the mass rule.  Every R/(R + scale) is a panel edge of that rule, so T(R)
     is the mass of the panels beyond R over the norm: a sum of positive
-    terms.  BracketError as ``sweep_two_body`` states it.
+    terms.  BracketError for k <= 0 (``sweep_two_body`` checks lambda > lambda*).
     """
     if not k > 0.0:
         raise BracketError(f"momentum {k!r} is not positive; no bound state")
     kappa = float(k * frame.alpha / V.range_)
     wrule = bs_radial_rule(V, frame.alpha, z=kappa)
     mus, vecs = np.linalg.eigh(bs_matrix(V, frame, kappa, wrule))
-    mu = float(mus[-1])
-    if not mu < bs_max_eigenvalue(V, frame, 0.0):
-        raise BracketError(f"momentum {k!r}: mu(kappa) = {mu!r} is not below mu(0), "
-                           "so its coupling is not above lambda*")
-    lam = 1.0 / mu
+    lam = 1.0 / float(mus[-1])
     rn, rw = wrule[0].ravel(), wrule[1].ravel()
     phi = vecs[:, -1] / np.sqrt(rw)
     sqv = np.sqrt(V.profile(frame.alpha * rn))
@@ -587,18 +578,22 @@ def sweep_two_body(V: PairPotential, frame: JacobiFrame, momenta):
 
     Each dimensionless momentum k > 0 sets kappa = k alpha / range and gives
     one point: E2 = -kappa^2 exactly and lambda = 1/mu(kappa), from one
-    ``eigh`` of K(kappa) and no root search.  lambda* comes from
-    ``critical_coupling`` (DegenerateInputError for a potential with no
-    attraction).  A k <= 0, or a k at which mu(kappa) does not fall below
-    mu(0) (lambda <= lambda*), raises BracketError.  <r^2>, the norm and the
-    tails at TAIL_MULTIPLES of range / alpha (and beyond the last) are sums
-    over the panels of the mass rule.
+    ``eigh`` of K(kappa) and no root search.  lambda* = ``critical_coupling``;
+    DegenerateInputError once if it is inf (no attraction).  A k <= 0, or a
+    k whose coupling 1/mu(kappa) is not above lambda*, raises BracketError.
+    <r^2>, the norm and the tails at TAIL_MULTIPLES of range / alpha (and
+    beyond the last) are sums over the panels of the mass rule.
     """
     lam_star = critical_coupling(V, frame)
+    if lam_star == math.inf:
+        raise DegenerateInputError("potential has no attraction: lambda* = inf")
     tail_radii = np.array(TAIL_MULTIPLES) * V.range_ / frame.alpha
     points = []
     for k in momenta:
         lam, e2, r2, tail = _bound_state_size(V, frame, k, tail_radii)
+        if not lam > lam_star:
+            raise BracketError(f"momentum {k!r}: coupling 1/mu(kappa) = {lam!r} is "
+                               f"not above lambda* = {lam_star!r}")
         points.append(TwoBodyPoint(coupling=lam, lambda_star=lam_star, E2=e2, r2=r2,
                                    eps_R7=lam_star - lam, tail=tail))
     return points

@@ -12,6 +12,8 @@ with the closed forms or quadratures it checks:
   integral |FT(V^(1/2))|^2 d^3p by momentum quadrature of
   ``sqrt_potential_fourier``, against c~ gamma^3 of
   ``faddeev_ops.bound_constants`` and ``model.potential_moment_c``;
+- ``oracle_potential_volume``: adaptive quadrature of 4 pi r^2 V(alpha r)
+  over the whole half-line, against c of ``faddeev_ops.bound_constants``;
 - ``oracle_mean_square_radius``: <r^2> of the RK4 shooting oracle's ground
   state, against the two-body control sweep.
 
@@ -23,6 +25,7 @@ pytest puts ``tests/`` on the import path of every test module in it.
 import math
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import erfc
 
 from threshold_lab import twobody as tb
@@ -190,6 +193,15 @@ def plancherel_fourier_mass(V: PairPotential) -> float:
         v_edge = float(V.profile(np.array([r_edge * (1.0 - 1e-9)]))[0])
         total += 4.0 * v_edge * r_edge ** 2 / p_max
     return total
+
+
+def oracle_potential_volume(V: PairPotential, alpha: float) -> float:
+    """integral V(alpha x) d^3x by scipy's adaptive quad in r, up to the
+    support edge of a compact profile (where V jumps) and to infinity
+    otherwise."""
+    edge = math.inf if V.support_radius is None else V.support_radius / alpha
+    return quad(lambda r: 4.0 * math.pi * r * r * float(V.profile(alpha * r)), 0.0, edge,
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
 def oracle_mean_square_radius(V: PairPotential, frame: JacobiFrame, lam: float) -> float:

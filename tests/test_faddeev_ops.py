@@ -53,6 +53,17 @@ def constants():
     return fo.bound_constants(GAUSS, FRAME)
 
 
+def test_bound_constants_integrate_v_once(monkeypatch):
+    # c = c1 / alpha^3 and c~ = c1 / gamma^3 share one quadrature of V
+    calls = []
+    moment = fo.potential_moment_c
+    monkeypatch.setattr(fo, "potential_moment_c", lambda V: calls.append(V) or moment(V))
+    bc = fo.bound_constants(GAUSS, FRAME)
+    assert calls == [GAUSS]
+    c1 = moment(GAUSS)
+    assert (bc.c, bc.c_tilde) == (c1 / FRAME.alpha ** 3, c1 / FRAME.gamma ** 3)
+
+
 @pytest.fixture(scope="module")
 def lam_star():
     return tb.critical_coupling(GAUSS, FRAME)

@@ -5,6 +5,7 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 from threshold_lab.errors import ValidationError
+from threshold_lab.faddeev_ops import bound_constants
 from threshold_lab.model import (
     PairPotential,
     jacobi_frame,
@@ -13,11 +14,23 @@ from threshold_lab.model import (
     uniform_system,
 )
 
-from oracles import plancherel_fourier_mass, sqrt_potential_fourier, zero_potential
+from oracles import (
+    oracle_potential_volume,
+    plancherel_fourier_mass,
+    sqrt_potential_fourier,
+    zero_potential,
+)
 
 GAUSS = PairPotential("gaussian", 1.0)
 EXPO = PairPotential("exponential", 1.0)
 WELL = PairPotential("square_well", 1.0)
+
+
+def frame_of_alpha(alpha):
+    """The pair-(1, 2) frame of the masses (m, m, 1), m = 1/alpha^2, whose
+    alpha is the given one to rounding."""
+    m = 1.0 / alpha ** 2
+    return jacobi_frame(uniform_system("gaussian", 1.0, 1.0, masses=(m, m, 1.0)), (1, 2))
 
 
 class TestJacobiFrame:
@@ -68,20 +81,25 @@ class TestJacobiFrame:
 
 class TestMoments:
     def test_square_well_volume(self):
-        assert potential_moment_c(WELL, 1.0) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
+        assert potential_moment_c(WELL) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
 
     def test_gaussian_volume(self):
-        assert potential_moment_c(GAUSS, 1.0) == pytest.approx(math.pi ** 1.5, rel=1e-12)
+        assert potential_moment_c(GAUSS) == pytest.approx(math.pi ** 1.5, rel=1e-12)
 
     def test_alpha_scaling_law(self):
-        c1 = potential_moment_c(GAUSS, 1.0)
-        assert potential_moment_c(GAUSS, 2.0) == pytest.approx(c1 / 8.0, rel=1e-12)
+        # the scaling law lives in bound_constants: c(alpha) = c1 / alpha^3
+        frame = frame_of_alpha(2.0)
+        assert frame.alpha == 2.0
+        c1 = potential_moment_c(GAUSS)
+        assert bound_constants(GAUSS, frame).c == pytest.approx(c1 / 8.0, rel=1e-12)
 
     @pytest.mark.parametrize("V", [GAUSS, EXPO, WELL])
     @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.7])
     def test_alpha_invariance_of_scaled_moment(self, V, alpha):
-        base = potential_moment_c(V, 1.0)
-        assert potential_moment_c(V, alpha) * alpha ** 3 == pytest.approx(base, rel=1e-10)
+        # c of a frame against a quadrature of V(alpha x) itself
+        frame = frame_of_alpha(alpha)
+        assert bound_constants(V, frame).c == pytest.approx(
+            oracle_potential_volume(V, frame.alpha), rel=1e-10)
 
 
 class TestFourier:
@@ -96,7 +114,7 @@ class TestFourier:
     @pytest.mark.parametrize("V", [GAUSS, EXPO, WELL])
     def test_plancherel_identity(self, V):
         lhs = plancherel_fourier_mass(V)
-        rhs = potential_moment_c(V, 1.0)
+        rhs = potential_moment_c(V)
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
     def test_plancherel_identity_tabulated(self):
@@ -105,7 +123,7 @@ class TestFourier:
             "tabulated", 1.0, table=tuple((float(x), float(np.exp(-x * x))) for x in r)
         )
         assert plancherel_fourier_mass(tab) == pytest.approx(
-            potential_moment_c(tab, 1.0), rel=1e-6
+            potential_moment_c(tab), rel=1e-6
         )
 
     def test_square_well_transform_matches_closed_form(self):
@@ -200,11 +218,11 @@ class TestRandomTabulatedProfiles:
             assert np.min(v) >= -1e-15
             assert np.all(env >= v)
             assert np.all(np.diff(env) <= 0.0)
-            c1 = potential_moment_c(pot, 1.0)
-            alpha = rng.uniform(0.5, 2.0)
-            assert potential_moment_c(pot, alpha) * alpha ** 3 == pytest.approx(
-                c1, rel=1e-10
-            )
+            c1 = potential_moment_c(pot)
+            frame = frame_of_alpha(rng.uniform(0.5, 2.0))
+            bc = bound_constants(pot, frame)
+            assert bc.c * frame.alpha ** 3 == pytest.approx(c1, rel=1e-10)
+            assert bc.c_tilde * frame.gamma ** 3 == pytest.approx(c1, rel=1e-10)
 
     def test_profile_is_scipy_pchip_bit_for_bit(self):
         # model._pchip keeps the slopes, coefficients and summation order of

@@ -493,6 +493,21 @@ class TestCriticalCoupling3Body:
         assert br.cond_N == pytest.approx(ref["cond_N"], rel=1e-5)
         assert br.dropped_directions == ref["dropped_directions"] == 1
 
+    def test_hall_post_floor(self, grown, lam_star, monkeypatch):
+        # no three bodies bind below min over pairs of (m_i + m_j)/M lambda*_ij,
+        # 2/3 lambda* here: the flagship's bracket lies above that floor
+        floor = 2.0 / 3.0 * lam_star
+        br, _ = grown[150]
+        assert floor < br.lam_lo
+        # forms shrunk by 0.9 deepen every pair well in the three-body matrices
+        # only; the bracket they certify falls below the floor, which refuses it
+        forms = t3.separation_forms
+        monkeypatch.setattr(t3, "separation_forms", lambda system: {
+            pair: (0.9 * u, 0.9 * v) for pair, (u, v) in forms(system).items()})
+        sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
+        with pytest.raises(BracketError, match=f"Hall-Post bound {floor!r} lies above lam_lo"):
+            t3.critical_coupling_3body(sys3, budget=30, seed=7)
+
     def test_corrupted_crossing_raises(self, lam_star, monkeypatch):
         crossing = t3._crossing
         monkeypatch.setattr(t3, "_crossing", lambda asm, tol: crossing(asm, tol) * 1.001)

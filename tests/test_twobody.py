@@ -75,8 +75,8 @@ class TestCriticalCoupling:
         )
 
     def test_zero_potential_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            tb.critical_coupling(zero_potential(), FRAME)
+        # no attraction: lambda* = inf, returned rather than raised
+        assert tb.critical_coupling(zero_potential(), FRAME) == math.inf
 
     @pytest.mark.parametrize(
         "V,exact",
@@ -118,6 +118,16 @@ class TestSubcriticalityMargin:
         rep = tb.subcriticality_margin(system)
         assert rep.eps == pytest.approx(min(rep.lambda_stars.values()) - 1.0, rel=1e-12)
 
+    def test_decoupled_pairs_have_infinite_lambda_star(self):
+        # criterion 9's system: only pair 12 attracts
+        from threshold_lab.model import ParticleSystem
+
+        pots = {(1, 2): GAUSS, (1, 3): zero_potential(), (2, 3): zero_potential()}
+        rep = tb.subcriticality_margin(ParticleSystem((1.0, 1.0, 1.0), pots, 1.0))
+        assert rep.lambda_stars[(1, 3)] == rep.lambda_stars[(2, 3)] == math.inf
+        assert rep.lambda_stars[(1, 2)] == tb.critical_coupling(GAUSS, FRAME) < math.inf
+        assert rep.lambda_star == rep.lambda_stars[(1, 2)]
+
     @pytest.mark.parametrize("masses, kinds, solves", [
         ((1.0, 1.0, 1.0), ("gaussian",) * 3, 1),
         ((1.0, 1.0, 1.0), ("gaussian", "exponential", "gaussian"), 2),
@@ -143,6 +153,11 @@ class TestBindingEnergy:
         for lam in (0.9 * lam_star, lam_star):
             with pytest.raises(BracketError, match=f"coupling {lam!r} is subcritical"):
                 tb.twobody_binding_energy(GAUSS, FRAME, lam)
+
+    def test_no_attraction_raises(self):
+        # lambda* = inf: every coupling is subcritical
+        with pytest.raises(BracketError, match="coupling 1000.0 is subcritical"):
+            tb.twobody_binding_energy(zero_potential(), FRAME, 1000.0)
 
     @pytest.mark.parametrize("V", [WELL, GAUSS], ids=["well", "gauss"])
     def test_matches_oracle_at_1p2_critical(self, V):
@@ -497,12 +512,13 @@ class TestSweep:
         build = tb.bs_matrix
         monkeypatch.setattr(tb, "bs_matrix", lambda V, frame, z, rule:
                             (1.0 + (z > 0.0)) * build(V, frame, z, rule))
-        with pytest.raises(BracketError, match="momentum 0.1: mu"):
+        with pytest.raises(BracketError, match=r"momentum 0.1: coupling 1/mu\(kappa\) = "
+                           r".* is not above lambda\* = "):
             tb.sweep_two_body(GAUSS, FRAME, [0.1])
 
     def test_no_attraction_rejected(self):
         # lambda* of a zero potential is infinite; there is nothing to sweep
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DegenerateInputError, match="no attraction"):
             tb.sweep_two_body(zero_potential(), FRAME, [0.1])
 
 
