@@ -375,8 +375,7 @@ def run_ims_audit(cfg: ExperimentConfig) -> int:
     samples = cfg.options["samples"]
     part = ims.build_partition(system)
     audit = ims.mesh_audit(part, samples)
-    radii = [2.0, 4.0, 8.0, 16.0]
-    decay = ims.gradient_decay_audit(part, radii)
+    decay = ims.gradient_decay_audit(part)
     payload = {
         "experiment": "ims_audit",
         "theta": part.theta,

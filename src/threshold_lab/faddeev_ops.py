@@ -256,17 +256,22 @@ def fiber_norms(V: PairPotential, frame: JacobiFrame, z, p):
 # Cross-channel Hilbert-Schmidt norm
 # ---------------------------------------------------------------------------
 
-def k2_hs_integral(z: float, n_per_panel: int = 12) -> float:
+# Gauss-Legendre order of each panel of k2_hs_integral
+HS_ORDER = 12
+
+
+def k2_hs_integral(z: float) -> float:
     """I(z) = int_{|p|<=1} [1/(z+sqrt(p)) - 1/(z+1)]^2 / sqrt(p^2+z^2) d^3p.
 
     The bracket varies on the scale p ~ z^2, so the radial integral runs
-    over geometrically graded panels reaching below that scale.
+    over geometrically graded panels reaching below that scale, with
+    HS_ORDER nodes each.
     """
     if z <= 0.0:
         raise ValueError("z must be positive")
     lo = min(1e-3, z * z / 10.0)
     edges = np.concatenate([[0.0], np.geomspace(lo, 1.0, 48)])
-    p, w = (a.ravel() for a in composite_nodes(edges, n_per_panel))
+    p, w = (a.ravel() for a in composite_nodes(edges, HS_ORDER))
     bracket = 1.0 / (z + np.sqrt(p)) - 1.0 / (z + 1.0)
     vals = p ** 2 * bracket ** 2 / np.sqrt(p ** 2 + z ** 2)
     return 4.0 * math.pi * float(np.dot(w, vals))

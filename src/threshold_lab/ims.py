@@ -30,7 +30,11 @@ import numpy as np
 from .errors import ValidationError
 from .model import PAIRS, ParticleSystem, separation_forms
 
-_INTERIOR = 1.0 / math.sqrt(3.0)
+# threshold theta and smoothstep width delta of the region weights, and the
+# radii of gradient_decay_audit, all outside the blend shell
+THETA = 0.15
+DELTA = 0.05
+GRADIENT_RADII = (2.0, 4.0, 8.0, 16.0)
 
 # points per block of mesh_audit: its temporaries scale with the block, not
 # with the mesh, and every result is the same for any block size
@@ -67,31 +71,37 @@ class IMSPartition:
     # forms[p] = (u, v): the separation of PAIRS[p] is u x + v y in frame (12)
     forms: tuple
 
-    def evaluate(self, q, with_gradient: bool = True):
-        """J values (n, 3) and gradients (n, 3, 6) at configurations q (n, 6)."""
+    def evaluate(self, q, with_gradient: bool = True, seps=None):
+        """J (n, 3) and its gradient (n, 3, 6) or None at configurations q
+        (n, 6), from the pair separations ``seps`` (per PAIRS, as
+        _separation gives them) when the caller has them.  The blend is 0
+        on |q| <= 1/2, so J_s = 1/sqrt(3) with zero gradient there; |q| is
+        floored at the least normal float, so q = 0 gives the same."""
         q = np.atleast_2d(np.asarray(q, dtype=float))
-        n = q.shape[0]
-        rho = np.linalg.norm(q, axis=1)
-        seps = self._separations(q, with_gradient)
-        j = np.empty((n, 3))
-        grad = np.zeros((n, 3, 6)) if with_gradient else None
+        rho = np.maximum(np.linalg.norm(q, axis=1), np.finfo(float).tiny)
+        if seps is None:
+            seps = [_separation(form, q, with_gradient) for form in self.forms]
+        blend_arg = (rho - 0.5) / 0.5
+        B = _smoothstep(blend_arg)
+        w, grad_w = self._raw_weights(q, rho, seps, with_gradient)
 
-        inner = rho <= 0.5
-        j[inner] = _INTERIOR
+        w_tilde = (1.0 - B)[:, None] + B[:, None] * w
+        norm_sq = np.sum(w_tilde ** 2, axis=1)
+        if np.any(norm_sq <= 0.0):
+            raise ValidationError("partition weights vanished simultaneously")
+        D = np.sqrt(norm_sq)
+        j = w_tilde / D[:, None]
+        if not with_gradient:
+            return j, None
 
-        out = ~inner
-        if np.any(out):
-            outer = [(None if d is None else d[out], m[out]) for d, m in seps]
-            jo, go = self._evaluate_outer(q[out], rho[out], outer, with_gradient)
-            j[out] = jo
-            if with_gradient:
-                grad[out] = go
-        return (j, grad) if with_gradient else (j, None)
-
-    def _separations(self, q, with_vectors):
-        """Per pair of PAIRS, (d, |d|) at configurations q (n, 6), where d is
-        the pair separation in frame (12); d is None unless with_vectors."""
-        return [_separation(form, q, with_vectors) for form in self.forms]
+        Bp = _smoothstep_prime(blend_arg) / 0.5
+        grad_wt = B[:, None, None] * grad_w
+        grad_wt += (Bp[:, None] * (w - 1.0))[:, :, None] * (q / rho[:, None])[:, None, :]
+        # grad J_s = grad w~_s / D - w~_s (sum_t w~_t grad w~_t) / D^3
+        dd = np.einsum("ns,nsk->nk", w_tilde, grad_wt)
+        grad_j = grad_wt / D[:, None, None] \
+            - (w_tilde / D[:, None] ** 3)[:, :, None] * dd[:, None, :]
+        return j, grad_j
 
     def _raw_weights(self, q, rho, seps, with_gradient):
         """Unblended region weights w (n, 3): per region, the product of the
@@ -123,45 +133,20 @@ class IMSPartition:
                 grad_w[:, s, :] += (sp * steps[other])[:, None] * grad_t
         return w, grad_w
 
-    def _evaluate_outer(self, q, rho, seps, with_gradient):
-        blend_arg = (rho - 0.5) / 0.5
-        B = _smoothstep(blend_arg)
-        Bp = _smoothstep_prime(blend_arg) / 0.5
-        w, grad_w = self._raw_weights(q, rho, seps, with_gradient)
 
-        w_tilde = (1.0 - B)[:, None] + B[:, None] * w
-        norm_sq = np.sum(w_tilde ** 2, axis=1)
-        if np.any(norm_sq <= 0.0):
-            raise ValidationError("partition weights vanished simultaneously")
-        D = np.sqrt(norm_sq)
-        j = w_tilde / D[:, None]
-        if not with_gradient:
-            return j, None
-
-        grad_wt = B[:, None, None] * grad_w
-        grad_wt += (Bp[:, None] * (w - 1.0))[:, :, None] * (q / rho[:, None])[:, None, :]
-        # grad J_s = grad w~_s / D - w~_s (sum_t w~_t grad w~_t) / D^3
-        dd = np.einsum("ns,nsk->nk", w_tilde, grad_wt)
-        grad_j = grad_wt / D[:, None, None] \
-            - (w_tilde / D[:, None] ** 3)[:, :, None] * dd[:, None, :]
-        return j, grad_j
-
-
-def build_partition(system: ParticleSystem, delta: float = 0.05,
-                    theta: float = 0.15) -> IMSPartition:
-    """Construct the three-region partition and verify sphere covering."""
-    if not 0.0 < delta < 0.25:
-        raise ValueError("smoothing width must lie in (0, 1/4)")
-    if theta <= 0.0:
-        raise ValueError("threshold must be positive")
+def build_partition(system: ParticleSystem) -> IMSPartition:
+    """The three-region partition at THETA and DELTA, after checking that the
+    raw weights cover every shape of the grid: whether they do depends on
+    the masses."""
     forms = separation_forms(system)
-    part = IMSPartition(system=system, theta=theta, delta=delta,
+    part = IMSPartition(system=system, theta=THETA, delta=DELTA,
                         forms=tuple(forms[pair] for pair in PAIRS))
 
     # the normalized fields hide empty coverage; inspect the raw weights
     mesh = shape_mesh(SHAPE_GRID)
     w, _ = part._raw_weights(mesh, np.linalg.norm(mesh, axis=1),
-                             part._separations(mesh, False), with_gradient=False)
+                             [_separation(form, mesh, False) for form in part.forms],
+                             with_gradient=False)
     uncovered = np.sum(w ** 2, axis=1) <= 0.0
     if np.any(uncovered):
         x1, y1, y2 = mesh[np.argmax(uncovered), [0, 3, 4]]
@@ -169,7 +154,7 @@ def build_partition(system: ParticleSystem, delta: float = 0.05,
         distinct = np.ones((SHAPE_GRID, SHAPE_GRID), dtype=bool)
         distinct[[0, -1], 1:] = False
         raise ValidationError(
-            f"thresholds theta={theta}, delta={delta} do not cover the sphere: "
+            f"thresholds theta={THETA}, delta={DELTA} do not cover the sphere: "
             f"{np.sum(uncovered & distinct.ravel())} of {np.sum(distinct)} distinct "
             "grid shapes uncovered, "
             f"one at chi={math.atan2(math.hypot(y1, y2), x1):.6f}, "
@@ -185,7 +170,6 @@ def _separation(form, q, with_vector):
     u, v = form
     d = u * q[:, :3] + v * q[:, 3:]
     return (d if with_vector else None), np.linalg.norm(d, axis=1)
-
 
 
 def shape_mesh(n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -235,9 +219,9 @@ class MeshAudit:
 
 def mesh_audit(part: IMSPartition, samples: int) -> MeshAudit:
     """Pointwise checks of the partition on audit_mesh(samples), block by
-    block of AUDIT_BLOCK points, each from one evaluation of J and one set of
-    pair distances.  Each block of the mesh is built just before it is
-    checked, so the mesh is never held whole.
+    block of AUDIT_BLOCK points: each block forms its three pair distances
+    once and hands them to one IMSPartition.evaluate.  Each block of the mesh
+    is built just before it is checked, so the mesh is never held whole.
 
     Measures max |sum J_s^2 - 1|; the regrouping of the full interaction
     into cluster pieces plus localization error by the region table; and,
@@ -272,9 +256,8 @@ def _audit_block(part: IMSPartition, pots, q):
     rho = np.linalg.norm(q, axis=1)
     if np.any(rho <= 1.0):
         raise ValueError("audit mesh must satisfy |q| > 1")
-    # every point lies outside the blend shell, where evaluate is _evaluate_outer
-    seps = part._separations(q, False)
-    j, _ = part._evaluate_outer(q, rho, seps, False)
+    seps = [_separation(form, q, False) for form in part.forms]
+    j, _ = part.evaluate(q, with_gradient=False, seps=seps)
     j_sq = j ** 2
     partition_defect = np.max(np.abs(np.sum(j_sq, axis=1) - 1.0))
 
@@ -312,45 +295,36 @@ class GradientDecayReport:
     fd_max_rel_diff: float
 
 
-def gradient_decay_audit(part: IMSPartition, radii) -> GradientDecayReport:
-    """Radius scaling of max sum |grad J_s|^2 on the shape grid, and an FD check."""
-    radii = [float(r) for r in radii]
-    if any(r <= 1.0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be increasing and > 1")
-    dirs = shape_mesh(SHAPE_GRID)
+def gradient_decay_audit(part: IMSPartition) -> GradientDecayReport:
+    """Max sum |grad J_s|^2 on the shape grid at each of GRADIENT_RADII, each
+    ratio of neighbours within a factor 2 of the 1/|q|^2 law, and the FD check."""
+    radii, dirs = GRADIENT_RADII, shape_mesh(SHAPE_GRID)
     maxima = []
     for r in radii:
         _, grad = part.evaluate(r * dirs)
-        total = np.sum(grad ** 2, axis=(1, 2))
-        maxima.append(float(np.max(total)))
-    ok = True
-    for (r1, m1), (r2, m2) in zip(zip(radii, maxima), zip(radii[1:], maxima[1:])):
-        expected = (r1 / r2) ** 2
-        if not expected / 2.0 <= m2 / m1 <= expected * 2.0:
-            ok = False
-    fd = gradient_fd_check(part, n_points=100)
-    return GradientDecayReport(
-        radii=tuple(radii),
-        max_grad_sq=tuple(maxima),
-        scaling_ok=ok,
-        fd_max_rel_diff=fd,
-    )
+        maxima.append(float(np.max(np.sum(grad ** 2, axis=(1, 2)))))
+    ok = all((r1 / r2) ** 2 / 2.0 <= m2 / m1 <= (r1 / r2) ** 2 * 2.0
+             for r1, r2, m1, m2 in zip(radii, radii[1:], maxima, maxima[1:]))
+    return GradientDecayReport(radii=radii, max_grad_sq=tuple(maxima), scaling_ok=ok,
+                               fd_max_rel_diff=gradient_fd_check(part))
 
 
 # central-difference step of gradient_fd_check: the truncation error grows as
 # its square times the smoothstep's third derivative 60/delta^3, and at 1e-5
 # it alone reads above the 1e-6 gate
 FD_STEP = 1e-6
+FD_POINTS = 100  # size of the audit_mesh of gradient_fd_check
 
 # the proper rotation of the unit quaternion (1, 2, 3, 4)/sqrt(30); no entry
 # is zero, so it turns the grid's plane (e1, e2) off every coordinate axis
 _ROTATION = np.array([[-20.0, 4.0, 22.0], [20.0, -10.0, 20.0], [10.0, 28.0, 4.0]]) / 30.0
 
 
-def gradient_fd_check(part: IMSPartition, n_points: int = 100) -> float:
+def gradient_fd_check(part: IMSPartition) -> float:
     """Max relative deviation of central differences from the exact gradient
-    across the blend, with all six components nonzero by _ROTATION."""
-    pts = audit_mesh(n_points, rho_min=0.6, rho_max=12.0)
+    on audit_mesh(FD_POINTS) across the blend, 0.6 < |q| < 12, with all six
+    components nonzero by _ROTATION."""
+    pts = audit_mesh(FD_POINTS, rho_min=0.6, rho_max=12.0)
     pts = (pts.reshape(-1, 2, 3) @ _ROTATION.T).reshape(-1, 6)
     _, grad = part.evaluate(pts)
     worst = 0.0

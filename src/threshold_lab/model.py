@@ -238,9 +238,13 @@ def potential_moment_c(V: PairPotential) -> float:
     """c1 = integral of V(x) d^3x by radial quadrature.
 
     The integral runs over |x| <= effective_radius; beyond it V is zero or
-    below e^-40.  Every frame's c(alpha) = c1 / alpha^3 follows by scaling
-    (``faddeev_ops.bound_constants``).
+    below e^-40.  A table's knots are panel edges too: between knots its
+    interpolant is a cubic, so each order-8 panel integrates 4 pi r^2 V
+    exactly and c1 is exact to rounding.  Every frame's c(alpha) =
+    c1 / alpha^3 follows by scaling (``faddeev_ops.bound_constants``).
     """
     edges = np.linspace(0.0, V.effective_radius, MOMENT_PANELS + 1)
+    if V.kind == "tabulated":
+        edges = np.union1d(edges, [r for r, _ in V.table])
     r, w = (a.ravel() for a in composite_nodes(edges, 8))
     return float(np.dot(w, 4.0 * math.pi * V.profile(r) * r ** 2))

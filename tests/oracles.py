@@ -13,7 +13,8 @@ with the closed forms or quadratures it checks:
   ``sqrt_potential_fourier``, against c~ gamma^3 of
   ``faddeev_ops.bound_constants`` and ``model.potential_moment_c``;
 - ``oracle_potential_volume``: adaptive quadrature of 4 pi r^2 V(alpha r)
-  over the whole half-line, against c of ``faddeev_ops.bound_constants``;
+  over the whole half-line, a table's from knot to knot, against c of
+  ``faddeev_ops.bound_constants`` and c1 of ``model.potential_moment_c``;
 - ``oracle_mean_square_radius``: <r^2> of the RK4 shooting oracle's ground
   state, against the two-body control sweep.
 
@@ -198,10 +199,13 @@ def plancherel_fourier_mass(V: PairPotential) -> float:
 def oracle_potential_volume(V: PairPotential, alpha: float) -> float:
     """integral V(alpha x) d^3x by scipy's adaptive quad in r, up to the
     support edge of a compact profile (where V jumps) and to infinity
-    otherwise."""
+    otherwise; a table's integral is split at its knots, where the
+    interpolant's second derivative jumps."""
     edge = math.inf if V.support_radius is None else V.support_radius / alpha
+    knots = ([r / alpha for r, _ in V.table[:-1] if r > 0.0] or None
+             if V.kind == "tabulated" else None)
     return quad(lambda r: 4.0 * math.pi * r * r * float(V.profile(alpha * r)), 0.0, edge,
-                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                epsabs=0.0, epsrel=1e-13, limit=200, points=knots)[0]
 
 
 def oracle_mean_square_radius(V: PairPotential, frame: JacobiFrame, lam: float) -> float:

@@ -168,7 +168,7 @@ def test_criterion_6_ims_audits():
     system = uniform_system("gaussian", 1.0, 2.0)
     part = ims.build_partition(system)
     audit = ims.mesh_audit(part, 100000)
-    decay = ims.gradient_decay_audit(part, [2.0, 4.0, 8.0, 16.0])
+    decay = ims.gradient_decay_audit(part)
     ratio_2_16 = decay.max_grad_sq[0] / decay.max_grad_sq[-1]
     scaling_ok = (16.0 / 2.0) ** 2 / 2.0 <= ratio_2_16 <= (16.0 / 2.0) ** 2 * 2.0
     report(

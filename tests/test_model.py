@@ -218,7 +218,10 @@ class TestRandomTabulatedProfiles:
             assert np.min(v) >= -1e-15
             assert np.all(env >= v)
             assert np.all(np.diff(env) <= 0.0)
+            # the knots are panel edges of potential_moment_c, and between
+            # knots 4 pi r^2 V is a quintic that an order-8 panel integrates exactly
             c1 = potential_moment_c(pot)
+            assert c1 == pytest.approx(oracle_potential_volume(pot, 1.0), rel=1e-12)
             frame = frame_of_alpha(rng.uniform(0.5, 2.0))
             bc = bound_constants(pot, frame)
             assert bc.c * frame.alpha ** 3 == pytest.approx(c1, rel=1e-10)
