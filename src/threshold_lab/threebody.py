@@ -9,6 +9,8 @@ form list gives the variational sweep machinery: energies E(lambda),
 size observables, tail masses, and the spreading diagnostic that contrasts
 the three-body threshold with the two-body one.
 
+A fixed basis is built in one fold over its pairs of forms i <= j
+(``_pair_kernels``), and only growth borders the matrices one row at a time.
 Every solve works on one regularized span of the overlap matrix
 (``_span``), which the assembler decomposes once per basis.  Growth scores a
 pool of candidates from that decomposition by the rank-one secular update,
@@ -167,18 +169,25 @@ def fit_gaussian_terms(V: PairPotential):
 # Closed-form matrix elements (vectorized over form arrays)
 # ---------------------------------------------------------------------------
 
-def element_block(fa, fb, sep_terms, with_h0sq: bool = False):
-    """Overlap, kinetic, pair-potential, and moment elements.
+def _sum_form(fa, fb):
+    """B = A + P of two form arrays as (b11, b12, b22), det B, and the overlap
+    S = (2 pi)^3 det(B)^-1.5 of the two Gaussians."""
+    b11, b12, b22 = (fa[..., k] + fb[..., k] for k in range(3))
+    det = b11 * b22 - b12 * b12
+    return (b11, b12, b22), det, TWO_PI_CUBED * det ** -1.5
+
+
+def element_block(fa, fb, sep_terms, moments: bool = False):
+    """Overlap, kinetic and pair-potential elements, and with ``moments`` the
+    MOMENT_KEYS elements, each S(B) f(B^-1) for B = A + P (``_sum_form``).
 
     ``sep_terms`` maps a separation form (u, v) to its Gaussian terms; the
     returned dict carries arrays broadcast over the input form arrays.
     """
     a11, a12, a22 = fa[..., 0], fa[..., 1], fa[..., 2]
     p11, p12, p22 = fb[..., 0], fb[..., 1], fb[..., 2]
-    b11, b12, b22 = a11 + p11, a12 + p12, a22 + p22
-    det = b11 * b22 - b12 * b12
+    (b11, b12, b22), det, S = _sum_form(fa, fb)
     c11, c12, c22 = b22 / det, -b12 / det, b11 / det
-    S = TWO_PI_CUBED * det ** -1.5
 
     m11 = a11 * p11 + a12 * p12
     m12 = a11 * p12 + a12 * p22
@@ -198,15 +207,9 @@ def element_block(fa, fb, sep_terms, with_h0sq: bool = False):
             term *= S * strength
             pot += term
 
-    out = {
-        "overlap": S,
-        "kinetic": kinetic,
-        "potential": pot,
-        "x2": 3.0 * c11 * S,
-        "y2": 3.0 * c22 * S,
-        "rho2": 3.0 * (c11 + c22) * S,
-    }
-    if with_h0sq:
+    out = {"overlap": S, "kinetic": kinetic, "potential": pot}
+    if moments:
+        out.update(x2=3.0 * c11 * S, y2=3.0 * c22 * S, rho2=3.0 * (c11 + c22) * S)
         q11 = a11 * a11 + a12 * a12
         q12 = a12 * (a11 + a22)
         q22 = a22 * a22 + a12 * a12
@@ -238,48 +241,50 @@ def element_block(fa, fb, sep_terms, with_h0sq: bool = False):
 # ---------------------------------------------------------------------------
 
 class _Assembler:
-    """Incremental closed-form matrices for a growing basis.
+    """Closed-form matrices of a basis, built in one fold and grown by ``add``.
 
     ``forms`` holds the (n, 3) rows (a11, a12, a22) of the committed SPD
-    forms; ``symmetrized`` sums each over its S3 orbit.
+    forms; ``symmetrized`` sums each over its S3 orbit.  The constructor
+    builds images, unit scales, N, T and V of ``forms`` in one fold.
     """
 
-    def __init__(self, system: ParticleSystem, symmetrized: bool):
+    def __init__(self, system: ParticleSystem, symmetrized: bool, forms=()):
         self.system = system
         self.symmetrized = symmetrized
         self.perms = permutation_matrices(symmetrized)
-        forms = separation_forms(system)
+        seps = separation_forms(system)
         terms = {pair: fit_gaussian_terms(pot) for pair, pot in system.potentials.items()}
-        self.sep_terms = [(forms[p], terms[p]) for p in sorted(forms)]
-        self.n = 0
-        self.forms = np.zeros((0, 3))
-        self.images = np.zeros((0, len(self.perms), 3))
-        self.scale = np.zeros(0)
-        self.N = np.zeros((0, 0))
-        self.T = np.zeros((0, 0))
-        self.V = np.zeros((0, 0))
+        self.sep_terms = [(seps[p], terms[p]) for p in sorted(seps)]
+        self.forms = np.array(forms, dtype=float).reshape(-1, 3)
+        self.n = len(self.forms)
+        self.images = transform_form(self.forms[:, None, :], self.perms)
+        self.scale = 1.0 / np.sqrt(_sum_form(self.forms, self.forms)[2])
+        self.N, self.T, self.V = _pair_kernels(self, 3, 1, self._image_sums)
         self._kernels = {}
+
+    def _image_sums(self, later, images):
+        """Unscaled (N, T, V) of each later form against ``images`` (last axis),
+        times the group order: the double image sum, as H is S3-invariant."""
+        blocks = element_block(later, images, self.sep_terms)
+        return [len(self.perms) * np.sum(blocks[key], axis=-1)
+                for key in ("overlap", "kinetic", "potential")]
 
     def _border(self, forms):
         """Unit-normalized elements of each row of ``forms`` against the basis.
 
-        One vectorized ``element_block`` call against every committed image
-        gives the one-sided (N, T, V) rows; one against the row's own images
-        gives the (N, T, V) diagonals and the primitive norm, the overlap
-        with its own image 0, the identity.  Returns the images (k, p, 3),
-        the rows (k, n), the diagonals (k,) and the scales d_new (k,) that
-        give each form unit norm.
+        One ``_image_sums`` call against every committed image gives the
+        one-sided (N, T, V) rows; one against the row's own images gives the
+        (N, T, V) diagonals.  Returns the images (k, p, 3), the rows (k, n),
+        the diagonals (k,) and the scales d_new (k,) that give each form
+        unit norm, one over the square root of its overlap with itself.
         """
         forms = np.atleast_2d(np.asarray(forms, dtype=float))
         images = transform_form(forms[:, None, :], self.perms)
-        p = len(self.perms)
-        keys = ("overlap", "kinetic", "potential")
-        blocks = element_block(forms[:, None, None, :], self.images[None], self.sep_terms)
-        self_blocks = element_block(forms[:, None, :], images, self.sep_terms)
-        d_new = 1.0 / np.sqrt(self_blocks["overlap"][:, 0])
+        d_new = 1.0 / np.sqrt(_sum_form(forms, forms)[2])
         row_scale = self.scale * d_new[:, None]
-        rows = tuple(p * np.sum(blocks[key], axis=2) * row_scale for key in keys)
-        diags = tuple(p * np.sum(self_blocks[key], axis=1) * d_new ** 2 for key in keys)
+        rows = tuple(s * row_scale
+                     for s in self._image_sums(forms[:, None, None, :], self.images[None]))
+        diags = tuple(s * d_new ** 2 for s in self._image_sums(forms[:, None, :], images))
         return images, rows, diags, d_new
 
     def add(self, form, scored=None):
@@ -487,7 +492,7 @@ def _moment_matrices(asm: _Assembler) -> dict:
     p = asm.images.shape[1]
 
     def block(later, images):
-        blocks = element_block(later, images, asm.sep_terms, with_h0sq=True)
+        blocks = element_block(later, images, (), moments=True)
         sums = {key: p * np.sum(blocks[key], axis=1) for key in MOMENT_KEYS}
         if asm.symmetrized:
             sums["x2"] = sums["y2"] = 0.5 * sums["rho2"]
@@ -515,8 +520,8 @@ def _tail_kernels(asm: _Assembler, radii):
         x = R^2 det B / (2 (b2 cos^2 psi + b1 sin^2 psi)).
 
     Every node's term falls with R, and at R = 0 the rule sums to 1 up to
-    rounding, so that kernel is the overlap matrix N (the weights use
-    element_block's overlap arithmetic).  rho^2 is S3-invariant, so the
+    rounding, so that kernel is the overlap matrix N (the weights are
+    ``_sum_form``'s overlap S).  rho^2 is S3-invariant, so the
     double image sum is the one-sided sum times the group order; the
     kernels are symmetric, so only pairs i <= j are integrated.
     """
@@ -527,9 +532,7 @@ def _tail_kernels(asm: _Assembler, radii):
     w = (16.0 / math.pi) * wt * sin2 * cos2
 
     def block(later, images):
-        b11, b12, b22 = np.moveaxis(later + images, -1, 0)    # later form first, as in N
-        det = b11 * b22 - b12 * b12
-        weight = TWO_PI_CUBED * det ** -1.5
+        (b11, b12, b22), det, weight = _sum_form(later, images)    # later form first, as in N
         # eigenvalues b1 <= b2 of B, the smaller one without cancellation
         b2 = 0.5 * (b11 + b22) + np.sqrt(0.25 * (b11 - b22) ** 2 + b12 * b12)
         b1 = det / b2
@@ -546,11 +549,8 @@ def _tail_kernels(asm: _Assembler, radii):
 
 
 def assembler_for(basis: _Assembler, system: ParticleSystem) -> _Assembler:
-    """A fresh assembler of ``system`` over the forms of ``basis``."""
-    asm = _Assembler(system, basis.symmetrized)
-    for form in basis.forms:
-        asm.add(form)
-    return asm
+    """A fresh assembler of ``system`` over the forms of ``basis``, built in one fold."""
+    return _Assembler(system, basis.symmetrized, basis.forms)
 
 
 # overlap eigen-directions below DROP_TOL * s_max are dropped from every solve
@@ -700,6 +700,9 @@ def record_point(asm: _Assembler, system_coupling: float, eps_r7: float,
         raise BracketError(
             f"no three-body bound state at coupling {system_coupling!r}: E3 = {e3!r}")
     mom = {key: float(c @ asm.moment_matrix(key) @ c) for key in MOMENT_KEYS}
+    if mom["h0sq"] < 0.0:
+        raise BasisError(f"<H0^2> = {mom['h0sq']!r} < 0 at coupling {system_coupling!r}: "
+                         "the H0^2 kernel is not positive")
     tails = tail_masses(asm, c, tail_radii)
     return SweepRecord(
         coupling=float(system_coupling),
@@ -710,7 +713,7 @@ def record_point(asm: _Assembler, system_coupling: float, eps_r7: float,
         rho2=mom["rho2"],
         tail=tuple(tails),
         eps_R7=float(eps_r7),
-        kinetic_norm=math.sqrt(max(mom["h0sq"], 0.0)),
+        kinetic_norm=math.sqrt(mom["h0sq"]),
     )
 
 

@@ -75,9 +75,7 @@ class TestMatrixElements:
     def test_zero_potential_reduces_to_kinetic(self):
         pots = {p: zero_potential() for p in ((1, 2), (1, 3), (2, 3))}
         free = ParticleSystem((1.0, 1.0, 1.0), pots, 1.0)
-        asm = t3._Assembler(free, symmetrized=False)
-        for form in ([1.0, 0.1, 0.8], [0.5, -0.2, 1.5]):
-            asm.add(form)
+        asm = t3._Assembler(free, False, [[1.0, 0.1, 0.8], [0.5, -0.2, 1.5]])
         H, N = asm.T - free.coupling * asm.V, asm.N
         assert np.allclose(H, asm.T, atol=0.0)
         assert np.max(np.abs(asm.V)) == 0.0
@@ -90,7 +88,7 @@ class TestMatrixElements:
         rng = np.random.default_rng(42)
         for _ in range(3):
             A, B = random_spd_form(rng), random_spd_form(rng)
-            closed = t3.element_block(A, B, asm.sep_terms, with_h0sq=True)
+            closed = t3.element_block(A, B, asm.sep_terms, moments=True)
             for key, oracle in hermite_elements(A, B, asm.sep_terms).items():
                 assert closed[key] == pytest.approx(oracle, rel=1e-12), key
 
@@ -103,7 +101,7 @@ class TestAsymmetricElements:
         asm = t3._Assembler(sys_asym, symmetrized=False)
         rng = np.random.default_rng(77)
         A, B = random_spd_form(rng), random_spd_form(rng)
-        closed = t3.element_block(A, B, asm.sep_terms, with_h0sq=True)
+        closed = t3.element_block(A, B, asm.sep_terms, moments=True)
         for key, oracle in hermite_elements(A, B, asm.sep_terms).items():
             assert closed[key] == pytest.approx(oracle, rel=1e-12), key
 
@@ -127,14 +125,10 @@ class TestSolveGround:
 
     def test_duplicate_element_absorbed_by_regularization(self, lam_star):
         sys3 = uniform_system("gaussian", 1.0, 0.95 * lam_star)
-        asm = t3._Assembler(sys3, True)
         rng = np.random.default_rng(6)
         forms = [random_spd_form(rng) for _ in range(4)]
-        for f in forms:
-            asm.add(f)
-        e_base = asm.solve(sys3.coupling)[0]
-        asm.add(forms[1])
-        e_dup = asm.solve(sys3.coupling)[0]
+        e_base = t3._Assembler(sys3, True, forms).solve(sys3.coupling)[0]
+        e_dup = t3._Assembler(sys3, True, forms + [forms[1]]).solve(sys3.coupling)[0]
         assert e_dup == pytest.approx(e_base, abs=1e-10)
 
     def test_normalization(self, lam_star):
@@ -181,6 +175,46 @@ class TestSolveGround:
     def test_degenerate_basis_error(self):
         with pytest.raises(BasisError):
             t3._span(np.array([[0.0]]))
+
+
+@pytest.fixture(scope="module")
+def fixed_bases(lam_star):
+    """(system, symmetrized, forms) of the bases the one-fold build is checked on."""
+    gauss = uniform_system("gaussian", 1.0, 0.9 * lam_star)
+    expo = uniform_system("exponential", 1.0, 2.0)
+    heavy = uniform_system("gaussian", 1.0, 2.0, masses=(1.0, 1.0, 4.0))
+    return {
+        "gaussian": (gauss, True, t3.grow_basis(gauss, 20, seed=3).forms),
+        "exponential": (expo, True, t3.grow_basis(expo, 20, seed=3).forms),
+        "masses-1-1-4": (heavy, False, t3.grow_basis(heavy, 20, seed=3).forms),
+        "empty": (gauss, True, np.zeros((0, 3))),
+    }
+
+
+class TestFixedBasis:
+    @pytest.mark.parametrize("name", ["gaussian", "exponential", "masses-1-1-4", "empty"])
+    def test_one_fold_matches_add_loop_bit_for_bit(self, fixed_bases, name):
+        system, symmetrized, forms = fixed_bases[name]
+        fold = t3._Assembler(system, symmetrized, forms)
+        grown = t3._Assembler(system, symmetrized)
+        for form in forms:
+            grown.add(form)
+        assert fold.n == grown.n == len(forms)
+        for key in ("forms", "images", "scale", "N", "T", "V"):
+            assert getattr(fold, key).shape == getattr(grown, key).shape, key
+            assert getattr(fold, key).tobytes() == getattr(grown, key).tobytes(), key
+
+    def test_assembler_for_neither_borders_nor_adds(self, lam_star, monkeypatch):
+        sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
+        basis = t3.grow_basis(sys3, 12, seed=2)
+        calls = []
+        for name in ("_border", "add"):
+            monkeypatch.setattr(t3._Assembler, name,
+                                lambda self, *args, name=name: calls.append(name))
+        asm = t3.assembler_for(basis, sys3)
+        assert calls == []
+        assert asm.forms is not basis.forms and np.array_equal(asm.forms, basis.forms)
+        assert asm.N.tobytes() == basis.N.tobytes()
 
 
 class TestSecularRoot:
@@ -383,6 +417,15 @@ class TestGroundEnergy:
         assert all(b <= a + 1e-12 for a, b in zip(taus, taus[1:]))
         assert rec.kinetic_norm > 0.0
 
+    def test_negative_h0sq_raises(self, lam_star):
+        # only a broken kernel gives <H0^2> < 0; it is refused, not clipped to 0
+        sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
+        asm = t3.assembler_for(t3.grow_basis(sys3, 10, seed=3), sys3)
+        asm.moment_matrix("h0sq")
+        asm._kernels["moments"]["h0sq"] = -asm._kernels["moments"]["h0sq"]
+        with pytest.raises(BasisError, match=f"< 0 at coupling {sys3.coupling!r}"):
+            t3.record_point(asm, sys3.coupling, 0.1, (1.0,))
+
     def test_tail_starts_at_unity(self, lam_star):
         sys3 = uniform_system("gaussian", 1.0, 0.95 * lam_star)
         basis = t3.grow_basis(sys3, 25, seed=3)
@@ -540,11 +583,9 @@ def ladder_crossing(system, tol_energy):
     channels.  Like the grown basis, its crossing is a variational upper
     bound; wider ladders move it by less than 1e-7 relative.
     """
-    asm = t3._Assembler(system, system.identical_bosons)
-    for a in np.geomspace(0.05, 100.0, 24):
-        for b in np.geomspace(0.1, 3000.0, 24):
-            asm.add((1.0 / a ** 2, 0.0, 1.0 / b ** 2))
-    return t3._crossing(asm, tol_energy)
+    forms = [(1.0 / a ** 2, 0.0, 1.0 / b ** 2)
+             for a in np.geomspace(0.05, 100.0, 24) for b in np.geomspace(0.1, 3000.0, 24)]
+    return t3._crossing(t3._Assembler(system, system.identical_bosons, forms), tol_energy)
 
 
 class TestLadderOracle:
@@ -632,7 +673,7 @@ def double_sum_moments(asm):
     for i in range(n):
         for j in range(n):
             blocks = t3.element_block(asm.images[i][:, None, :], asm.images[j][None, :, :],
-                                      asm.sep_terms, with_h0sq=True)
+                                      asm.sep_terms, moments=True)
             for key in t3.MOMENT_KEYS:
                 mats[key][i, j] = np.sum(blocks[key]) * asm.scale[i] * asm.scale[j]
     return mats
@@ -643,9 +684,7 @@ class TestMomentMatrices:
     def test_one_sided_sum_matches_double_sum(self, lam_star, symmetrized):
         sys3 = uniform_system("gaussian", 1.0, 0.9 * lam_star)
         basis = t3.grow_basis(sys3, 10, seed=4)
-        asm = t3._Assembler(sys3, symmetrized)
-        for form in basis.forms:
-            asm.add(form)
+        asm = t3._Assembler(sys3, symmetrized, basis.forms)
         ref = double_sum_moments(asm)
         for key in t3.MOMENT_KEYS:
             got = asm.moment_matrix(key)
@@ -696,7 +735,7 @@ class TestElementProperties:
         rng = np.random.default_rng(123)
         forms = [random_spd_form(rng, lo=-1.5, hi=1.5) for _ in range(20)]
         for A in forms:
-            blocks = t3.element_block(A, A, asm.sep_terms, with_h0sq=True)
+            blocks = t3.element_block(A, A, asm.sep_terms, moments=True)
             assert blocks["overlap"] > 0.0
             assert blocks["kinetic"] > 0.0   # <grad phi, grad phi>
             assert blocks["h0sq"] > 0.0      # |H0 phi|^2
